@@ -22,7 +22,7 @@ import numpy as np
 
 from .continua import (
     ContinuumSpec,
-    _golden_extremum,
+    _sample_refine,
     eccentricity,
     psi,
     sup_norm,
@@ -85,7 +85,16 @@ _NORM_CACHE: dict = {}
 
 
 def basis_norm(K: ContinuumSpec, n: int, up_to: int | None = None) -> float:
-    """sup over K of |F_n|, cached per (K, n); the index-0 norm is 1."""
+    """sup over K of |F_n|; the index-0 norm is 1.
+
+    Exact where the kind has a closed form (2 on segments, 1 on discs);
+    otherwise sampled, for every index up to max(n, up_to) at once, and
+    cached per (K, n).
+    """
+    if n == 0:
+        return 1.0
+    if K.faber_sup is not None:
+        return K.faber_sup
     key = (K, n)
     if key not in _NORM_CACHE:
         top = max(n, up_to if up_to is not None else 0)
@@ -107,8 +116,7 @@ def bohr_sum(f: FaberSeries, K: ContinuumSpec | None = None) -> BohrReport:
         K = f.K
     if K != f.K:
         raise DomainError("series was built for a different continuum")
-    basis_norm(K, f.N, up_to=f.N)
-    terms = np.array([abs(a) * _NORM_CACHE[(K, n)]
+    terms = np.array([abs(a) * basis_norm(K, n, up_to=f.N)
                       for n, a in enumerate(f.coeffs)])
     total = float(np.sum(terms))
     return BohrReport(sum=total, terms=terms, slack=1.0 - total,
@@ -169,8 +177,8 @@ def segment_bohr_radius(tol: float = 1e-6,
     radius is the sufficient Bohr level for the segment and the second
     component is the eccentricity of the corresponding level ellipse.
     """
-    if tol < 1e-10:
-        raise DomainError("tolerances below 1e-10 are not supported")
+    if not (math.isfinite(tol) and tol >= 1e-10):
+        raise DomainError(f"tol must be finite and at least 1e-10; got {tol!r}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (phi_of_R(lo) > 1.0 > phi_of_R(hi)):
         raise DomainError(f"bracket {bracket} does not straddle the root")
@@ -331,48 +339,13 @@ class BoundedFamily:
 
 def _fn_sup(fn, K: ContinuumSpec, R: float, m: int = _CERT_SAMPLES) -> float:
     """Sampled sup of |fn| on the level curve, with one refinement pass."""
-    th = 2.0 * np.pi * np.arange(m) / m
-    vals = np.abs(np.atleast_1d(fn(psi(K, R * np.exp(1j * th)))))
-    j = int(np.argmax(vals))
-    coarse = float(vals[j])
-    lo = th[j] - 2.0 * np.pi / m
-    hi = th[j] + 2.0 * np.pi / m
-
-    def g(t: float) -> float:
-        return abs(complex(fn(psi(K, R * np.exp(1j * t)))))
-
-    fine = _golden_extremum(g, lo, hi, sign=1.0)
-    return max(coarse, fine)
+    return _sample_refine(
+        lambda t: np.abs(fn(psi(K, R * np.exp(1j * t)))), m, 1.0)
 
 
 def _series_sup(series: FaberSeries, R: float, m: int = _CERT_SAMPLES) -> float:
-    th = 2.0 * np.pi * np.arange(m) / m
-    vals = np.abs(series.eval_w(R * np.exp(1j * th)))
-    j = int(np.argmax(vals))
-    coarse = float(vals[j])
-    lo = th[j] - 2.0 * np.pi / m
-    hi = th[j] + 2.0 * np.pi / m
-
-    def g(t: float) -> float:
-        return abs(complex(series.eval_w(R * np.exp(1j * t))))
-
-    fine = _golden_extremum(g, lo, hi, sign=1.0)
-    return max(coarse, fine)
-
-
-def _canonical_inner(K: ContinuumSpec, R: float):
-    """The natural degree-1 map sending the level region into the unit disc."""
-    if K.kind == "disc":
-        c, s = K.center, K.radius * R
-        return lambda z: (z - c) / s
-    if K.kind == "segment":
-        mid = 0.5 * (K.a + K.b)
-        s = 0.25 * (K.b - K.a) * (R + 1.0 / R)
-        return lambda z: (z - mid) / s
-    pts = psi(K, R * np.exp(2j * np.pi * np.arange(_CERT_SAMPLES) / _CERT_SAMPLES))
-    zc = complex(np.mean(pts))
-    s = _fn_sup(lambda z: z - zc, K, R)
-    return lambda z: (z - zc) / s
+    return _sample_refine(
+        lambda t: np.abs(series.eval_w(R * np.exp(1j * t))), m, 1.0)
 
 
 def _poly_values(coeffs):
@@ -420,12 +393,14 @@ def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
         if family.sweep is not None:
             a_values = np.linspace(family.sweep[0], family.sweep[1],
                                    family.count)
+            # the natural degree-1 map of the level region into the unit disc
+            c, s = K.level_disc(R, _CERT_SAMPLES)
         else:
             a_values = 0.05 + 0.90 * rng.random(family.count)
         for i, a in enumerate(a_values):
             a = float(a)
             if family.sweep is not None:
-                inner = _canonical_inner(K, R)
+                inner = lambda z: (z - c) / s
             else:
                 coeffs = (rng.standard_normal(family.degree + 1)
                           + 1j * rng.standard_normal(family.degree + 1))

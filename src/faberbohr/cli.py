@@ -50,7 +50,7 @@ from .continua import (
 )
 from .errors import DomainError, FaberBohrError
 from .estimates import margins_csv, thm31_conditions
-from .faber import contour_values, faber_coeffs, faber_poly, faber_polys
+from .faber import contour_values, faber_coeffs, faber_polys
 from .series import LaurentTail
 
 SCHEMA = "faberbohr/1"
@@ -171,7 +171,7 @@ def _cmd_faber(args, K: ContinuumSpec) -> int:
         mism = float(np.max(np.abs(mat - exact)))
         check = {"max_mismatch": mism, "r": 1.5, "points": len(zs),
                  "n_checked": n_chk}
-        if mism > _CONTOUR_GATE:
+        if not mism <= _CONTOUR_GATE:
             status = 3
 
     if args.output == "json":
@@ -330,17 +330,11 @@ def _cmd_coeffs(args, K: ContinuumSpec) -> int:
         try:
             n = int(rest)
         except ValueError:
-            raise DomainError(f"function 'faber:n' needs an integer index; "
-                              f"got {rest!r}")
-        if n == 0:
-            vals = np.ones(m, dtype=complex)
-        elif K.kind == "segment":
-            pw = w ** n
-            vals = pw + 1.0 / pw
-        elif K.kind == "disc":
-            vals = w ** n
-        else:
-            vals = faber_poly(K, n)(np.asarray(psi(K, w)))
+            n = -1
+        if n < 0:
+            raise DomainError(f"function 'faber:n' needs an integer index "
+                              f"n >= 0; got {rest!r}")
+        vals = K.pullback([n], w)[0]
     elif kind == "poly":
         try:
             c = [complex(tok) for tok in rest.split(",")]
@@ -459,6 +453,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.samples < 1:
+            raise DomainError(
+                f"--samples must be a positive integer; got {args.samples}")
         if args.cmd == "bohr-radius":
             return _cmd_bohr_radius(args)
         K = parse_continuum(args.continuum)

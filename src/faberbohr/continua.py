@@ -8,6 +8,9 @@ A continuum K here is one of
 * a custom continuum defined by a finite Laurent polynomial
   g*z + g0 + g1/z + ... (the map is the definition of the set).
 
+Each kind is one frozen subclass of ContinuumSpec (DiscSpec,
+SegmentSpec, CustomSpec) that holds all of its math.
+
 The exterior map phi sends the complement of K onto {|w| > 1} with
 phi(inf) = inf and real positive derivative at infinity.  Level sets
 {|phi| = r} for r > 1 are the closed analytic curves on which all the
@@ -21,17 +24,26 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import (
     DomainError,
+    FaberBohrError,
     InsideUnitDisc,
     NonConvergent,
     PointInsideK,
     WrongKind,
 )
-from .series import QC, GradedLaurent, LaurentTail
+from .series import (
+    QC,
+    GradedLaurent,
+    LaurentTail,
+    _affine_compose_qc,
+    _polys_from_graded,
+)
 
 __all__ = [
     "ContinuumSpec",
@@ -61,48 +73,303 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class ContinuumSpec:
-    """Immutable description of a continuum; build via disc/segment/custom."""
+    """Immutable description of a continuum; build via disc/segment/custom.
 
-    kind: str
-    center: complex = 0j
-    radius: float = 0.0
-    a: float = 0.0
-    b: float = 0.0
-    map_tail: LaurentTail | None = None
+    Each kind is one frozen subclass holding all of its math: gamma,
+    describe(), membership, phi, psi, psi', the exact series of phi,
+    exact Faber coefficients, the pullback F_n(psi(w)), |F_n| on K,
+    sup_K |F_n| in closed form (faber_sup, None where it is sampled),
+    the boundary path of sup_norm, a disc holding each level curve and
+    the high-precision contour nodes.  The module functions validate
+    input and delegate.  The members defined here work for any exterior
+    map; segments and discs override them with closed forms.
+    """
 
-    @property
-    def gamma(self) -> float:
-        """Derivative of the exterior map at infinity (real positive)."""
-        if self.kind == "disc":
-            return 1.0 / self.radius
-        if self.kind == "segment":
-            return 4.0 / (self.b - self.a)
-        return float(self.map_tail.lead.re)
+    kind: ClassVar[str]
+    faber_sup: ClassVar[float | None] = None
 
     @property
     def capacity(self) -> float:
         """Logarithmic capacity, the reciprocal of gamma."""
         return 1.0 / self.gamma
 
+    def _closure(self, R: float, depth: int) -> "ContinuumSpec":
+        g = exterior_series(self, depth).scaled(QC(1) / QC(Fraction(R)))
+        return custom(LaurentTail(g.exact_coeff(1), g.exact_coeff(0),
+                                  tuple(g.data[2:])))
+
+    def pullback(self, ns, w: np.ndarray) -> np.ndarray:
+        """Matrix of F_n(psi(w)), rows indexed by ns, columns by w."""
+        from .faber import faber_polys   # faber imports this module
+
+        polys = faber_polys(self, int(max(ns)))
+        C = np.zeros((len(polys), len(ns)), dtype=complex)
+        for i, n in enumerate(ns):
+            C[: n + 1, i] = polys[n].coeffs
+        return np.polynomial.polynomial.polyval(psi(self, w), C)
+
+    def abs_faber_on_k(self, n: int, z: complex) -> float:
+        """|F_n(z)| for a point z of K."""
+        from .faber import faber_poly
+
+        return abs(faber_poly(self, n).eval_exact(z))
+
+    def _boundary_path(self, p):
+        """Boundary angle -> values of the polynomial p on the boundary of K."""
+        rr = 1.0 + 1e-9
+        return lambda t: _eval_on_values(p, psi(self, rr * np.exp(1j * t)))
+
+    def level_disc(self, R: float, m: int) -> tuple:
+        """Centre c and radius s with |z - c| <= s on {|phi| = R}.
+
+        Here the centroid of m level points and the sampled, refined
+        largest distance from it.
+        """
+        def level(t):
+            return psi(self, R * np.exp(1j * t))
+
+        zc = complex(np.mean(level(_angles(m))))
+        return zc, _sample_refine(lambda t: np.abs(level(t) - zc), m, 1.0)
+
+    def mp_nodes(self, ws):
+        """psi and psi' at the mpmath nodes ws, in the current precision."""
+        raise FaberBohrError("high-precision contour is implemented for "
+                             "segment and disc continua only")
+
+
+@dataclass(frozen=True)
+class DiscSpec(ContinuumSpec):
+    """The closed disc |z - center| <= radius; phi is (z - center)/radius."""
+
+    center: complex
+    radius: float
+    kind = "disc"
+    faber_sup = 1.0   # F_n = phi^n
+
+    @property
+    def gamma(self) -> float:
+        """Derivative of the exterior map at infinity (real positive)."""
+        return 1.0 / self.radius
+
     def describe(self) -> str:
-        if self.kind == "disc":
-            return f"disc(center={self.center}, radius={self.radius})"
-        if self.kind == "segment":
-            return f"segment([{self.a}, {self.b}])"
+        return f"disc(center={self.center}, radius={self.radius})"
+
+    def _contains(self, z: complex) -> bool:
+        return abs(z - self.center) <= (self.radius
+                                        + MEMBERSHIP_TOL * max(1.0, self.radius))
+
+    def _phi(self, z):
+        return (z - self.center) / self.radius
+
+    def _psi(self, w):
+        return self.center + self.radius * w
+
+    def _psi_prime(self, w):
+        return np.full_like(w, self.radius)
+
+    def _series(self, depth: int) -> GradedLaurent:
+        r = Fraction(self.radius)
+        c0 = QC.of(complex(self.center)) * QC(-1 / r)
+        return GradedLaurent(1, depth, (QC(1 / r), c0) + (QC(0),) * depth)
+
+    def _closure(self, R: float, depth: int) -> ContinuumSpec:
+        return disc(self.center, self.radius * R)
+
+    def faber_exact(self, N: int, M: int, single: bool) -> list:
+        """Exact coefficients of phi^n by the binomial theorem."""
+        alpha, beta = self._series(0).data   # phi = alpha z + beta
+        apow, bpow = [QC(1)], [QC(1)]
+        for _ in range(N):
+            apow.append(apow[-1] * alpha)
+            bpow.append(bpow[-1] * beta)
+        return [tuple(QC(comb(n, k)) * apow[k] * bpow[n - k]
+                      for k in range(n + 1))
+                for n in ([N] if single else range(N + 1))]
+
+    def pullback(self, ns, w: np.ndarray) -> np.ndarray:
+        return w[None, :] ** np.asarray(ns, dtype=float)[:, None]
+
+    def abs_faber_on_k(self, n: int, z: complex) -> float:
+        return abs((z - self.center) / self.radius) ** n
+
+    def _boundary_path(self, p):
+        return lambda t: _eval_on_values(p, self.center
+                                         + self.radius * np.exp(1j * t))
+
+    def level_disc(self, R: float, m: int) -> tuple:
+        return self.center, self.radius * R
+
+    def mp_nodes(self, ws):
+        from mpmath import mp, mpc
+
+        c = mpc(self.center.real, self.center.imag)
+        r = mp.mpf(repr(self.radius))
+        return [c + r * w for w in ws], [r] * len(ws)
+
+
+@dataclass(frozen=True)
+class SegmentSpec(ContinuumSpec):
+    """The real segment [a, b]; phi is u + sqrt(u*u - 1) of its affine image u."""
+
+    a: float
+    b: float
+    kind = "segment"
+    faber_sup = 2.0   # F_n = 2 T_n of the affine variable
+
+    @property
+    def gamma(self) -> float:
+        """Derivative of the exterior map at infinity (real positive)."""
+        return 4.0 / (self.b - self.a)
+
+    @property
+    def _canonical(self) -> bool:
+        return self.a == -1.0 and self.b == 1.0
+
+    def describe(self) -> str:
+        return f"segment([{self.a}, {self.b}])"
+
+    def _contains(self, z: complex) -> bool:
+        if self.a <= z.real <= self.b:
+            d = abs(z.imag)
+        else:
+            d = min(abs(z - self.a), abs(z - self.b))
+        return d <= MEMBERSHIP_TOL
+
+    def _phi(self, z):
+        u = (2.0 * z - (self.a + self.b)) / (self.b - self.a)
+        s = np.sqrt(u * u - 1.0)
+        w1 = u + s
+        w2 = u - s
+        return np.where(np.abs(w1) >= np.abs(w2), w1, w2)
+
+    def _psi(self, w):
+        mid = 0.5 * (self.a + self.b)
+        quarter = 0.25 * (self.b - self.a)
+        return mid + quarter * (w + 1.0 / w)
+
+    def _psi_prime(self, w):
+        return 0.25 * (self.b - self.a) * (1.0 - w ** -2)
+
+    def _series(self, depth: int) -> GradedLaurent:
+        if not self._canonical:
+            raise DomainError("series form only available for the segment [-1, 1]")
+        return _canonical_segment_graded(depth)
+
+    def faber_exact(self, N: int, M: int, single: bool) -> list:
+        """Powers of the [-1, 1] series, moved to [a, b] by exact affine change."""
+        polys = _polys_from_graded(_canonical_segment_graded(M + N), N, M, single)
+        if self._canonical:
+            return polys
+        a, b = Fraction(self.a), Fraction(self.b)
+        alpha, beta = QC(2 / (b - a)), QC(-(a + b) / (b - a))
+        return [_affine_compose_qc(p, alpha, beta) for p in polys]
+
+    def pullback(self, ns, w: np.ndarray) -> np.ndarray:
+        ns = np.asarray(ns)
+        P = w[None, :] ** ns.astype(float)[:, None]
+        V = P + 1.0 / P
+        V[ns == 0] = 1.0
+        return V
+
+    def abs_faber_on_k(self, n: int, z: complex) -> float:
+        t = (2.0 * z.real - self.a - self.b) / (self.b - self.a)
+        cheb = [0.0] * n + [2.0] if n else [1.0]
+        return float(abs(np.polynomial.chebyshev.chebval(t, cheb)))
+
+    def _boundary_path(self, p):
+        if hasattr(p, "cheb_floats"):
+            cheb = p.cheb_floats(self.a, self.b)
+            return lambda t: np.polynomial.chebyshev.chebval(np.cos(t), cheb)
+        mid, half = 0.5 * (self.a + self.b), 0.5 * (self.b - self.a)
+        return lambda t: _eval_on_values(p, mid + half * np.cos(t))
+
+    def level_disc(self, R: float, m: int) -> tuple:
+        return 0.5 * (self.a + self.b), 0.25 * (self.b - self.a) * (R + 1.0 / R)
+
+    def mp_nodes(self, ws):
+        from mpmath import mp
+
+        mid = (mp.mpf(repr(self.a)) + mp.mpf(repr(self.b))) / 2
+        quarter = (mp.mpf(repr(self.b)) - mp.mpf(repr(self.a))) / 4
+        return ([mid + quarter * (w + 1 / w) for w in ws],
+                [quarter * (1 - 1 / (w * w)) for w in ws])
+
+
+@dataclass(frozen=True)
+class CustomSpec(ContinuumSpec):
+    """The continuum whose exterior map is the Laurent polynomial map_tail."""
+
+    map_tail: LaurentTail
+    kind = "custom"
+
+    @property
+    def gamma(self) -> float:
+        """Derivative of the exterior map at infinity (real positive)."""
+        return float(self.map_tail.lead.re)
+
+    def describe(self) -> str:
         return f"custom(gamma={self.gamma}, depth={self.map_tail.M})"
+
+    def _contains(self, z: complex) -> bool:
+        w = self._phi(np.array([z], dtype=complex))[0]
+        if not np.isfinite(w):
+            return True
+        return abs(w) <= 1.0 + MEMBERSHIP_TOL
+
+    def _phi(self, z):
+        t = self.map_tail
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = 1.0 / z
+            acc = np.zeros_like(z)
+            for g in t.tail_complex()[::-1]:
+                acc = (acc + g) * u
+            return t.lead_complex * z + t.c0_complex + acc
+
+    def _phi_deriv(self, z):
+        t = self.map_tail
+        u = 1.0 / z
+        acc = np.zeros_like(z)
+        tc = t.tail_complex()
+        for k in range(len(tc), 0, -1):
+            acc = (acc - k * tc[k - 1]) * u
+        return t.lead_complex + acc * u
+
+    def _psi(self, w):
+        t = self.map_tail
+        z = (w - t.c0_complex) / t.lead_complex
+        tol = 1e-13 * np.maximum(1.0, np.abs(w))
+        for _ in range(60):
+            f = self._phi(z) - w
+            if np.all(np.abs(f) <= tol):
+                return z
+            z = z - f / self._phi_deriv(z)
+        f = self._phi(z) - w
+        if np.all(np.abs(f) <= tol):
+            return z
+        raise NonConvergent("Newton inversion of the custom exterior map stalled")
+
+    def _psi_prime(self, w):
+        return 1.0 / self._phi_deriv(self._psi(w))
+
+    def _series(self, depth: int) -> GradedLaurent:
+        return self.map_tail.to_graded().truncated(depth)
+
+    def faber_exact(self, N: int, M: int, single: bool) -> list:
+        """Powers of the stored map tail."""
+        return _polys_from_graded(self.map_tail.to_graded(), N, M, single)
 
 
 def disc(center=0j, radius=1.0) -> ContinuumSpec:
     if not radius > 0:
         raise DomainError("disc radius must be positive")
-    return ContinuumSpec(kind="disc", center=complex(center), radius=float(radius))
+    return DiscSpec(center=complex(center), radius=float(radius))
 
 
 def segment(a=-1.0, b=1.0) -> ContinuumSpec:
     a, b = float(a), float(b)
     if not a < b:
         raise DomainError("segment needs a < b")
-    return ContinuumSpec(kind="segment", a=a, b=b)
+    return SegmentSpec(a=a, b=b)
 
 
 def custom(tail: LaurentTail) -> ContinuumSpec:
@@ -110,11 +377,7 @@ def custom(tail: LaurentTail) -> ContinuumSpec:
         raise DomainError("custom continuum needs a LaurentTail map")
     if tail.lead.im != 0 or tail.lead.re <= 0:
         raise DomainError("exterior map must have real positive leading coefficient")
-    return ContinuumSpec(kind="custom", map_tail=tail)
-
-
-def _is_canonical(K: ContinuumSpec) -> bool:
-    return K.kind == "segment" and K.a == -1.0 and K.b == 1.0
+    return CustomSpec(map_tail=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -126,25 +389,11 @@ def contains(K: ContinuumSpec, z) -> bool:
     Points within tolerance of the boundary count as inside; the
     exterior map is never evaluated there.
     """
-    z = complex(z)
-    if K.kind == "segment":
-        x, y = z.real, z.imag
-        if K.a <= x <= K.b:
-            d = abs(y)
-        else:
-            d = min(abs(z - K.a), abs(z - K.b))
-        return d <= MEMBERSHIP_TOL
-    if K.kind == "disc":
-        return abs(z - K.center) <= K.radius + MEMBERSHIP_TOL * max(1.0, K.radius)
-    w = _phi_custom_raw(K, np.array([z], dtype=complex))[0]
-    if not np.isfinite(w):
-        return True
-    return abs(w) <= 1.0 + MEMBERSHIP_TOL
+    return K._contains(complex(z))
 
 
 def _check_outside(K: ContinuumSpec, z: np.ndarray):
-    flat = z.ravel()
-    for i, zz in enumerate(flat):
+    for zz in z.ravel():
         if contains(K, zz):
             raise PointInsideK(f"point {zz} lies on {K.describe()}")
 
@@ -152,32 +401,13 @@ def _check_outside(K: ContinuumSpec, z: np.ndarray):
 # ---------------------------------------------------------------------------
 # exterior map and inverse
 
-def _phi_custom_raw(K: ContinuumSpec, z: np.ndarray) -> np.ndarray:
-    t = K.map_tail
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = 1.0 / z
-        acc = np.zeros_like(z)
-        for g in t.tail_complex()[::-1]:
-            acc = (acc + g) * u
-        return t.lead_complex * z + t.c0_complex + acc
-
-
 def phi(K: ContinuumSpec, z):
     """Exterior map value(s); raises PointInsideK on points of K."""
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     _check_outside(K, arr)
-    if K.kind == "disc":
-        w = (arr - K.center) / K.radius
-    elif K.kind == "segment":
-        u = (2.0 * arr - (K.a + K.b)) / (K.b - K.a)
-        s = np.sqrt(u * u - 1.0)
-        w1 = u + s
-        w2 = u - s
-        w = np.where(np.abs(w1) >= np.abs(w2), w1, w2)
-    else:
-        w = _phi_custom_raw(K, arr)
+    w = K._phi(arr)
     return complex(w[0]) if scalar else w
 
 
@@ -189,40 +419,8 @@ def psi(K: ContinuumSpec, w):
     if np.any(np.abs(arr) <= 1.0):
         bad = arr[np.abs(arr) <= 1.0][0]
         raise InsideUnitDisc(f"psi is defined for |w| > 1, got {bad}")
-    if K.kind == "disc":
-        z = K.center + K.radius * arr
-    elif K.kind == "segment":
-        mid = 0.5 * (K.a + K.b)
-        quarter = 0.25 * (K.b - K.a)
-        z = mid + quarter * (arr + 1.0 / arr)
-    else:
-        z = _psi_custom(K, arr)
+    z = K._psi(arr)
     return complex(z[0]) if scalar else z
-
-
-def _phi_custom_deriv(K: ContinuumSpec, z: np.ndarray) -> np.ndarray:
-    t = K.map_tail
-    u = 1.0 / z
-    acc = np.zeros_like(z)
-    tc = t.tail_complex()
-    for k in range(len(tc), 0, -1):
-        acc = (acc - k * tc[k - 1]) * u
-    return t.lead_complex + acc * u
-
-
-def _psi_custom(K: ContinuumSpec, w: np.ndarray) -> np.ndarray:
-    t = K.map_tail
-    z = (w - t.c0_complex) / t.lead_complex
-    tol = 1e-13 * np.maximum(1.0, np.abs(w))
-    for _ in range(60):
-        f = _phi_custom_raw(K, z) - w
-        if np.all(np.abs(f) <= tol):
-            return z
-        z = z - f / _phi_custom_deriv(K, z)
-    f = _phi_custom_raw(K, z) - w
-    if np.all(np.abs(f) <= tol):
-        return z
-    raise NonConvergent("Newton inversion of the custom exterior map stalled")
 
 
 def psi_prime(K: ContinuumSpec, w):
@@ -230,14 +428,7 @@ def psi_prime(K: ContinuumSpec, w):
     arr = np.asarray(w, dtype=complex)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if K.kind == "disc":
-        d = np.full_like(arr, K.radius)
-    elif K.kind == "segment":
-        quarter = 0.25 * (K.b - K.a)
-        d = quarter * (1.0 - arr ** -2)
-    else:
-        z = _psi_custom(K, arr)
-        d = 1.0 / _phi_custom_deriv(K, z)
+    d = K._psi_prime(arr)
     return complex(d[0]) if scalar else d
 
 
@@ -285,17 +476,7 @@ def exterior_series(K: ContinuumSpec, depth: int) -> GradedLaurent:
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative")
-    if K.kind == "disc":
-        r = Fraction(K.radius)
-        lead = QC(1 / r)
-        c0 = QC.of(complex(K.center)) * QC(-1 / r)
-        return GradedLaurent(1, depth, (lead, c0) + (QC(0),) * depth)
-    if K.kind == "segment":
-        if not _is_canonical(K):
-            raise DomainError("series form only available for the segment [-1, 1]")
-        return _canonical_segment_graded(depth)
-    g = K.map_tail.to_graded()
-    return g.truncated(depth)
+    return K._series(depth)
 
 
 def scaled_closure(K: ContinuumSpec, R: float, depth: int = 96) -> ContinuumSpec:
@@ -307,12 +488,7 @@ def scaled_closure(K: ContinuumSpec, R: float, depth: int = 96) -> ContinuumSpec
     """
     if not R > 1.0:
         raise DomainError("level parameter R must exceed 1")
-    if K.kind == "disc":
-        return disc(K.center, K.radius * R)
-    g = exterior_series(K, depth).scaled(QC(1) / QC(Fraction(R)))
-    tail = LaurentTail(g.exact_coeff(1), g.exact_coeff(0),
-                       tuple(g.data[2:]))
-    return custom(tail)
+    return K._closure(R, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +584,34 @@ def _golden_extremum(f, lo: float, hi: float, sign: float, iters: int = 60) -> f
     return sign * max(f1, f2)
 
 
+def _angles(m: int) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(m) / m
+
+
+def _sample_refine(f, m: int, sign: float, fallback: bool = False) -> float:
+    """Extremum of f over the boundary angle: max for sign 1, min for -1.
+
+    f maps an array of angles to real values.  It is sampled at m
+    equispaced angles, then one 60-step golden section stage refines
+    within 2 pi/m of the best sample; the better of the two is returned.
+    With fallback set, the sampled value is returned when refinement
+    fails to converge.
+    """
+    th = _angles(m)
+    vals = f(th)
+    j = int(np.argmax(sign * vals))
+    coarse = float(vals[j])
+    step = 2.0 * np.pi / m
+    try:
+        fine = _golden_extremum(lambda t: float(f(np.array([t]))[0]),
+                                th[j] - step, th[j] + step, sign)
+    except NonConvergent:
+        if not fallback:
+            raise
+        return coarse
+    return sign * max(sign * coarse, sign * fine)
+
+
 def dist_to_level(K: ContinuumSpec, z, r: float, m: int = DEFAULT_SAMPLES) -> float:
     """Distance from z to the level curve {|phi| = r}.
 
@@ -418,22 +622,8 @@ def dist_to_level(K: ContinuumSpec, z, r: float, m: int = DEFAULT_SAMPLES) -> fl
     an underestimate only loosens them.
     """
     z = complex(z)
-    th = 2.0 * np.pi * np.arange(m) / m
-    pts = psi(K, r * np.exp(1j * th))
-    d = np.abs(pts - z)
-    j = int(np.argmin(d))
-    coarse = float(d[j])
-    lo = th[j] - 2.0 * np.pi / m
-    hi = th[j] + 2.0 * np.pi / m
-
-    def g(t: float) -> float:
-        return abs(complex(psi(K, r * np.exp(1j * t))) - z)
-
-    try:
-        fine = _golden_extremum(g, lo, hi, sign=-1.0)
-    except Exception:
-        return coarse
-    return min(coarse, fine)
+    return _sample_refine(lambda t: np.abs(psi(K, r * np.exp(1j * t)) - z),
+                          m, -1.0, fallback=True)
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +638,10 @@ class SupNorm(float):
         return obj
 
 
-def _poly_coeffs(p) -> np.ndarray:
-    if hasattr(p, "coeffs"):
-        return np.asarray(p.coeffs, dtype=complex)
-    return np.asarray(p, dtype=complex)
-
-
 def _eval_on_values(p, z: np.ndarray) -> np.ndarray:
-    return np.polynomial.polynomial.polyval(z, _poly_coeffs(p))
+    """p at z, for a FaberPoly or an ascending coefficient array."""
+    coeffs = np.asarray(getattr(p, "coeffs", p), dtype=complex)
+    return np.polynomial.polynomial.polyval(z, coeffs)
 
 
 def sup_norm(p, S, m: int = DEFAULT_SAMPLES) -> SupNorm:
@@ -468,48 +654,10 @@ def sup_norm(p, S, m: int = DEFAULT_SAMPLES) -> SupNorm:
     loses everything to cancellation.
     """
     if isinstance(S, LevelSet):
-        K, path_r, kind = S.spec, S.R, "level"
+        def path(t):
+            return _eval_on_values(p, psi(S.spec, S.R * np.exp(1j * t)))
     elif isinstance(S, ContinuumSpec):
-        K, path_r, kind = S, None, S.kind
+        path = S._boundary_path(p)
     else:
         raise WrongKind(f"cannot take a sup norm over {type(S).__name__}")
-
-    cheb = None
-    if kind == "segment" and hasattr(p, "cheb_floats"):
-        cheb = p.cheb_floats(K.a, K.b)
-
-    th = 2.0 * np.pi * np.arange(m) / m
-    if kind == "segment":
-        mid, half = 0.5 * (K.a + K.b), 0.5 * (K.b - K.a)
-
-        def path_vals(t):
-            x = np.cos(t)
-            if cheb is not None:
-                return np.polynomial.chebyshev.chebval(x, cheb)
-            return _eval_on_values(p, mid + half * x)
-
-    elif kind == "disc":
-        def path_vals(t):
-            return _eval_on_values(p, K.center + K.radius * np.exp(1j * t))
-
-    elif kind == "custom":
-        rr = 1.0 + 1e-9
-
-        def path_vals(t):
-            return _eval_on_values(p, psi(K, rr * np.exp(1j * np.atleast_1d(t))))
-
-    else:  # level set
-        def path_vals(t):
-            return _eval_on_values(p, psi(K, path_r * np.exp(1j * np.atleast_1d(t))))
-
-    vals = np.abs(np.atleast_1d(path_vals(th)))
-    j = int(np.argmax(vals))
-    coarse = float(vals[j])
-    lo = th[j] - 2.0 * np.pi / m
-    hi = th[j] + 2.0 * np.pi / m
-
-    def g(t: float) -> float:
-        return float(np.abs(np.atleast_1d(path_vals(np.array([t])))[0]))
-
-    fine = _golden_extremum(g, lo, hi, sign=1.0)
-    return SupNorm(max(coarse, fine), m)
+    return SupNorm(_sample_refine(lambda t: np.abs(path(t)), m, 1.0), m)

@@ -30,6 +30,7 @@ import numpy as np
 from .bohr import basis_norm
 from .continua import (
     ContinuumSpec,
+    _angles,
     arc_length,
     contains,
     dist_to_level,
@@ -44,7 +45,7 @@ from .errors import (
     NotOnLevel,
     PointOutsideK,
 )
-from .faber import faber_poly, faber_remainder
+from .faber import faber_remainder
 
 __all__ = [
     "EstimateContext",
@@ -143,42 +144,14 @@ def _dist(K: ContinuumSpec, z: complex, r: float, m: int) -> float:
     return _DIST_CACHE[key]
 
 
-def _fn_at(K: ContinuumSpec, n: int, z: complex) -> complex:
-    """F_n at a point of the exterior, through the target coordinate.
+def _fn_at(K: ContinuumSpec, ns, z: complex) -> np.ndarray:
+    """F_n at a point of the exterior for each n in ns, through w = phi(z).
 
-    The pullback forms w^n + w^-n (segment) and w^n (disc) are exact
+    The segment and disc pullbacks w^n + w^-n and w^n are exact
     identities and keep full relative accuracy at magnitudes R^n where
     the monomial form has none.
     """
-    if K.kind in ("segment", "disc"):
-        w = phi(K, complex(z))
-        pw = w ** n
-        return pw + 1.0 / pw if K.kind == "segment" else pw
-    return faber_poly(K, n).eval_exact(z)
-
-
-def _fn_on_level(K: ContinuumSpec, ns: np.ndarray, R: float,
-                 m: int) -> np.ndarray:
-    """Matrix of F_n values on the level curve, rows indexed by ns."""
-    th = _TWO_PI * np.arange(m) / m
-    w = R * np.exp(1j * th)
-    if K.kind in ("segment", "disc"):
-        P = w[None, :] ** np.asarray(ns, dtype=float)[:, None]
-        return P + 1.0 / P if K.kind == "segment" else P
-    pts = psi(K, w)
-    rows = [faber_poly(K, int(n))(pts) for n in ns]
-    return np.vstack(rows)
-
-
-def _fk_value(K: ContinuumSpec, n: int, z: complex) -> float:
-    if K.kind == "segment" and abs(z.imag) < 1e-9:
-        p = faber_poly(K, n)
-        t = (2.0 * z.real - K.a - K.b) / (K.b - K.a)
-        return abs(complex(np.polynomial.chebyshev.chebval(
-            t, p.cheb_floats(K.a, K.b))))
-    if K.kind == "disc":
-        return abs((z - K.center) / K.radius) ** n
-    return abs(faber_poly(K, n).eval_exact(z))
+    return K.pullback(ns, np.array([phi(K, complex(z))]))[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +204,7 @@ def fn_bounds(ctx: EstimateContext, n: int, z) -> FnBounds:
     q = (ctx.r / ctx.R) ** n * ctx.lg_r / d
     qn = q / _TWO_PI
     Rn = ctx.R ** n
-    actual = abs(_fn_at(ctx.K, n, z))
+    actual = abs(_fn_at(ctx.K, [n], z)[0])
     return FnBounds(
         upper=Rn * (1.0 + q),
         lower=Rn * (1.0 - q) if q < 1.0 else None,
@@ -258,7 +231,7 @@ def fk_bound(ctx: EstimateContext, n: int, z) -> FkBound:
     d = _dist(ctx.K, z, ctx.r, ctx.m)
     paper = ctx.r ** n * ctx.lg_r / d
     return FkBound(paper_bound=paper, normalized_bound=paper / _TWO_PI,
-                   actual=_fk_value(ctx.K, n, z))
+                   actual=ctx.K.abs_faber_on_k(n, z))
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +254,9 @@ def ineq11_check(ctx: EstimateContext, n: int) -> Ineq11:
     if not 1 <= n <= ctx.n_max:
         raise DomainError(f"index {n} outside the context range 1..{ctx.n_max}")
     a_n = ctx.theta_points[n - 1]
-    Fa = _fn_at(ctx.K, n, ctx.a)
-    Fan = _fn_at(ctx.K, n, a_n)
-    lhs = abs(Fan - Fa)
-    vals = _fn_on_level(ctx.K, np.array([n]), ctx.R, ctx.m)[0]
+    Fa = _fn_at(ctx.K, [n], ctx.a)[0]
+    lhs = abs(_fn_at(ctx.K, [n], a_n)[0] - Fa)
+    vals = ctx.K.pullback([n], ctx.R * np.exp(1j * _angles(ctx.m)))[0]
     boundary_sup = float(np.max(np.abs(vals - Fa)))
     rhs = 1.5 * ctx.R ** n
     return Ineq11(lhs=lhs, rhs=rhs, holds=bool(boundary_sup >= rhs),
@@ -321,8 +293,8 @@ def _condition_rows(K: ContinuumSpec, R: float, a: complex, C: float,
                     n_max: int, m: int, norms) -> list:
     """Rows (n, condition, lhs, rhs, margin) at one level; lhs <= rhs is good."""
     ns = np.arange(1, n_max + 1)
-    V = _fn_on_level(K, ns, R, m)
-    Fa = np.array([_fn_at(K, int(n), a) for n in ns])
+    V = K.pullback(ns, R * np.exp(1j * _angles(m)))
+    Fa = _fn_at(K, ns, a)
     S = np.max(np.abs(V - Fa[:, None]), axis=1)
     rows = []
     for i, n in enumerate(ns):
@@ -393,6 +365,8 @@ def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
     eps0 = float(eps0)
     if not eps0 > 0.0:
         raise DomainError("collar parameter eps0 must be positive")
+    if n_max < 1:
+        raise DomainError("n_max must be at least 1")
     r = 1.0 + eps0
     if not R > r:
         raise DomainError(f"level R={R} must exceed the collar level {r}")

@@ -18,36 +18,26 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
 from .continua import (
     ContinuumSpec,
     contains,
-    exterior_series,
     green,
-    phi,
     psi,
     psi_prime,
 )
 from .errors import (
     AliasingRisk,
     DomainError,
-    FaberBohrError,
     PointInsideK,
     PointInsideLevel,
     PointOutsideLevel,
     ReconstructionMismatch,
     WrongKind,
 )
-from .series import (
-    QC,
-    GradedLaurent,
-    laurent_mul,
-    qc_horner,
-    split_parts_exact,
-)
+from .series import QC, _affine_compose_qc, qc_horner
 
 __all__ = [
     "FaberPoly",
@@ -119,18 +109,6 @@ class FaberPoly:
 # ---------------------------------------------------------------------------
 # basis transforms
 
-def _affine_compose_qc(coeffs, alpha: QC, beta: QC):
-    """Coefficients of p(alpha*x + beta) from ascending coeffs of p."""
-    out = [coeffs[-1]]
-    for c in reversed(coeffs[:-1]):
-        nxt = [out[0] * beta + c]
-        for i in range(1, len(out) + 1):
-            prev = out[i] * beta if i < len(out) else QC(0)
-            nxt.append(out[i - 1] * alpha + prev)
-        out = nxt
-    return tuple(out)
-
-
 def _affine_compose_f(coeffs: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     out = np.array([coeffs[-1]], dtype=complex)
     for c in coeffs[-2::-1]:
@@ -168,57 +146,16 @@ def _default_depth(N: int) -> int:
     return 2 * N + 16
 
 
-def _polys_from_graded(g: GradedLaurent, N: int, M: int):
-    """Polynomial parts of g, g^2, ..., g^N; g must carry depth >= M + N."""
-    gamma = g.exact_coeff(1)
-    out = [(QC(1),)]
-    gpow = [QC(1), gamma]
-    cur = g
-    for n in range(1, N + 1):
-        if n > 1:
-            cur = laurent_mul(cur, g, M + N)
-            gpow.append(gpow[-1] * gamma)
-        poly, _ = split_parts_exact(cur.truncated(M))
-        out.append(poly)
-    return out, gpow
-
-
-def _make_poly(n: int, exact_coeffs, gamma_n: QC) -> FaberPoly:
-    arr = np.array([c.to_complex() for c in exact_coeffs], dtype=complex)
-    return FaberPoly(n=n, coeffs=arr, gamma_n=gamma_n.to_complex(),
+def _make_poly(exact_coeffs) -> FaberPoly:
+    """FaberPoly from exact ascending coefficients; the leading one is gamma^n."""
+    n = len(exact_coeffs) - 1
+    try:
+        arr = np.array([c.to_complex() for c in exact_coeffs], dtype=complex)
+    except OverflowError:
+        raise DomainError(f"coefficients of F_{n} overflow double "
+                          "precision") from None
+    return FaberPoly(n=n, coeffs=arr, gamma_n=complex(arr[-1]),
                      exact=tuple(exact_coeffs))
-
-
-def _disc_polys(K: ContinuumSpec, N: int):
-    r = Fraction(K.radius)
-    alpha = QC(1 / r)
-    beta = QC.of(complex(K.center)) * QC(-1 / r)
-    polys = []
-    apow = [QC(1)]
-    bpow = [QC(1)]
-    for _ in range(N):
-        apow.append(apow[-1] * alpha)
-        bpow.append(bpow[-1] * beta)
-    for n in range(N + 1):
-        coeffs = tuple(QC(comb(n, k)) * apow[k] * bpow[n - k]
-                       for k in range(n + 1))
-        polys.append(_make_poly(n, coeffs, apow[n]))
-    return polys
-
-
-def _transport_segment(polys_canonical, K: ContinuumSpec):
-    """Carry [-1, 1] Faber data to [a, b] by the exact affine change."""
-    alpha = QC(Fraction(2) / (Fraction(K.b) - Fraction(K.a)))
-    beta = QC(-(Fraction(K.a) + Fraction(K.b)) / (Fraction(K.b) - Fraction(K.a)))
-    g = alpha * QC(2)   # gamma of [a, b]
-    out = []
-    for p in polys_canonical:
-        comp = _affine_compose_qc(p.exact, alpha, beta)
-        gn = QC(1)
-        for _ in range(p.n):
-            gn = gn * g
-        out.append(_make_poly(p.n, comp, gn))
-    return out
 
 
 def faber_polys(K: ContinuumSpec, N: int, M: int | None = None):
@@ -233,27 +170,10 @@ def faber_polys(K: ContinuumSpec, N: int, M: int | None = None):
     if M is None:
         M = _default_depth(N)
     key = (K, N, M)
-    if key in _POLY_CACHE:
-        return _POLY_CACHE[key]
-
-    if K.kind == "disc":
-        polys = _disc_polys(K, N)
-    elif K.kind == "segment":
-        from .continua import segment as _segment
-        canon = K if (K.a, K.b) == (-1.0, 1.0) else _segment(-1.0, 1.0)
-        g = exterior_series(canon, M + N)
-        exact, gpow = _polys_from_graded(g, N, M)
-        polys = [_make_poly(n, exact[n], gpow[n]) for n in range(N + 1)]
-        if canon is not K:
-            polys = _transport_segment(polys, K)
-    else:
-        g = exterior_series(K, K.map_tail.M)
-        exact, gpow = _polys_from_graded(g, N, M)
-        polys = [_make_poly(n, exact[n], gpow[n]) for n in range(N + 1)]
-
-    polys = tuple(polys)
-    _POLY_CACHE[key] = polys
-    return polys
+    if key not in _POLY_CACHE:
+        _POLY_CACHE[key] = tuple(
+            _make_poly(p) for p in K.faber_exact(N, M, single=False))
+    return _POLY_CACHE[key]
 
 
 def faber_poly(K: ContinuumSpec, n: int, M: int | None = None) -> FaberPoly:
@@ -265,39 +185,12 @@ def faber_poly(K: ContinuumSpec, n: int, M: int | None = None) -> FaberPoly:
     key = (K, n, M)
     if key in _SINGLE_CACHE:
         return _SINGLE_CACHE[key]
-    full_key = (K, n, M)
     for (spec, N, MM), polys in _POLY_CACHE.items():
         if spec == K and N >= n and MM >= M:
             _SINGLE_CACHE[key] = polys[n]
             return polys[n]
-
-    if K.kind == "disc":
-        poly = _disc_polys(K, n)[n]
-    elif K.kind == "segment":
-        from .continua import segment as _segment
-        from .series import laurent_pow
-        canon = K if (K.a, K.b) == (-1.0, 1.0) else _segment(-1.0, 1.0)
-        g = exterior_series(canon, M + n)
-        p = laurent_pow(g, n, M)
-        exact, _ = split_parts_exact(p)
-        gamma_n = QC(1)
-        for _ in range(n):
-            gamma_n = gamma_n * QC(2)
-        poly = _make_poly(n, exact, gamma_n)
-        if canon is not K:
-            poly = _transport_segment([poly], K)[0]
-    else:
-        from .series import laurent_pow
-        g = exterior_series(K, K.map_tail.M)
-        p = laurent_pow(g, n, M)
-        exact, _ = split_parts_exact(p)
-        gamma_n = QC(1)
-        lead = g.exact_coeff(1)
-        for _ in range(n):
-            gamma_n = gamma_n * lead
-        poly = _make_poly(n, exact, gamma_n)
-    _SINGLE_CACHE[full_key] = poly
-    return poly
+    _SINGLE_CACHE[key] = _make_poly(K.faber_exact(n, M, single=True)[0])
+    return _SINGLE_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -339,29 +232,15 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
 def _contour_mp(K: ContinuumSpec, ns, zs, r, m, dps) -> np.ndarray:
     from mpmath import mp, mpc
 
-    if K.kind not in ("segment", "disc"):
-        raise FaberBohrError("high-precision contour is implemented for "
-                             "segment and disc continua only")
     out = np.zeros((len(ns), len(zs)), dtype=complex)
-    nmax = max(ns)
     with mp.workdps(dps):
         rr = mp.mpf(repr(float(r)))
         two_pi = 2 * mp.pi
-        ws, ts, dps_ = [], [], []
-        for j in range(m):
-            th = two_pi * j / m
-            w = rr * mpc(mp.cos(th), mp.sin(th))
-            if K.kind == "segment":
-                mid = (mp.mpf(repr(K.a)) + mp.mpf(repr(K.b))) / 2
-                quarter = (mp.mpf(repr(K.b)) - mp.mpf(repr(K.a))) / 4
-                t = mid + quarter * (w + 1 / w)
-                dpv = quarter * (1 - 1 / (w * w))
-            else:
-                t = mpc(K.center.real, K.center.imag) + mp.mpf(repr(K.radius)) * w
-                dpv = mp.mpf(repr(K.radius))
-            ws.append(w)
-            ts.append(t)
-            dps_.append(dpv * w)
+        ths = [two_pi * j / m for j in range(m)]
+        ws = [rr * mpc(mp.cos(th), mp.sin(th)) for th in ths]
+        ts, dpsi = K.mp_nodes(ws)
+        dps_ = [d * w for d, w in zip(dpsi, ws)]
+        nmax = max(ns)
         for jz, z in enumerate(zs):
             zq = mpc(z.real, z.imag)
             B = [dps_[j] / (ts[j] - zq) for j in range(m)]
@@ -450,20 +329,15 @@ class FaberSeries:
     def eval_w(self, w):
         """Evaluate through the target coordinate w = phi(z).
 
-        On segments the basis pulls back to w^n + w^-n, on discs to w^n;
-        custom continua fall back to eval_z(psi(w)).
+        Each basis term is the pullback F_n(psi(w)) of the continuum's
+        kind: w^n + w^-n on segments, w^n on discs.
         """
         w = np.asarray(w, dtype=complex)
-        if self.K.kind == "custom":
-            return self.eval_z(psi(self.K, w))
-        acc = np.full_like(w, self.coeffs[0])
-        pw = np.ones_like(w)
-        for n in range(1, len(self.coeffs)):
-            pw = pw * w
-            if self.coeffs[n] != 0:
-                term = pw + pw ** -1 if self.K.kind == "segment" else pw
-                acc = acc + self.coeffs[n] * term
-        return acc
+        ns = np.flatnonzero(self.coeffs)
+        if len(ns) == 0:
+            return np.zeros_like(w)
+        flat = self.coeffs[ns] @ self.K.pullback(ns, np.atleast_1d(w).ravel())
+        return flat.reshape(w.shape)
 
     def scaled(self, factor: complex) -> "FaberSeries":
         cert = None if self.cert_sup is None else self.cert_sup * abs(factor)

@@ -297,3 +297,33 @@ def split_parts_exact(s: GradedLaurent):
     poly = tuple(s.data[s.top - k] for k in range(s.top + 1))
     principal = tuple(s.data[s.top + k] for k in range(1, s.M + 1))
     return poly, principal
+
+
+def _affine_compose_qc(coeffs, alpha: QC, beta: QC):
+    """Coefficients of p(alpha*x + beta) from ascending coeffs of p."""
+    out = [coeffs[-1]]
+    for c in reversed(coeffs[:-1]):
+        nxt = [out[0] * beta + c]
+        for i in range(1, len(out) + 1):
+            prev = out[i] * beta if i < len(out) else _QC_ZERO
+            nxt.append(out[i - 1] * alpha + prev)
+        out = nxt
+    return tuple(out)
+
+
+def _polys_from_graded(g: GradedLaurent, N: int, M: int, single: bool = False):
+    """Exact polynomial parts of g^0, g^1, ..., g^N; g must carry depth >= M + N.
+
+    With single set only the part of g^N is returned, as a one-element
+    list, from repeated squaring; that is cheaper than the whole family
+    when the series is dense.
+    """
+    if single:
+        return [split_parts_exact(laurent_pow(g, N, M))[0]]
+    out = [(_QC_ONE,)]
+    cur = g
+    for n in range(1, N + 1):
+        if n > 1:
+            cur = laurent_mul(cur, g, M + N)
+        out.append(split_parts_exact(cur.truncated(M))[0])
+    return out

@@ -95,9 +95,13 @@ class TestBohrSum:
 class TestBasisNorm:
     def test_segment_and_disc(self, seg, udisc):
         assert fb.basis_norm(seg, 0) == 1.0
-        for n in (1, 2, 7):
-            assert fb.basis_norm(seg, n) == pytest.approx(2.0, abs=1e-9)
-            assert fb.basis_norm(udisc, n) == pytest.approx(1.0, abs=1e-9)
+        segments = (seg, fb.segment(0.3, 1.7))
+        discs = (udisc, fb.disc(0.3 + 0.1j, 0.7))
+        for n in range(1, 33):
+            for K in segments:
+                assert fb.basis_norm(K, n) == 2.0
+            for K in discs:
+                assert fb.basis_norm(K, n) == 1.0
 
 
 class TestToFaberBasis:

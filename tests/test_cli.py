@@ -1,11 +1,14 @@
 """Command line behaviour: payload shapes, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from faberbohr.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -45,6 +48,21 @@ class TestFaberCommand:
         assert rc == 0
         assert lines[0] == "n,k,re,im"
         assert len(lines) == 1 + 1 + 2
+
+    @pytest.mark.parametrize("output", ["text", "json", "csv"])
+    @pytest.mark.parametrize("name, continuum", [
+        ("segment_canonical", "segment:-1,1"),
+        ("segment_dyadic", "segment:-0.5,2"),
+        ("disc_dyadic", "disc:0.5,-0.25,1.5"),
+        ("custom_readme", f"custom:@{DATA / 'readme_map.json'}"),
+    ])
+    def test_golden_stdout(self, capsys, name, continuum, output):
+        # recorded with the same command line; any change in a
+        # coefficient bit or in the layout shows up here
+        rc, out, _ = run(capsys, "--continuum", continuum, "--output", output,
+                         "faber", "--n-max", "12")
+        assert rc == 0
+        assert out.encode() == (DATA / f"faber_{name}.{output}").read_bytes()
 
 
 class TestLevelsetCommand:
@@ -170,6 +188,11 @@ class TestFailureModes:
         (("--continuum", "custom:nofile.json", "faber"), "custom"),
         (("verify", "--sweep", "oops"), "--sweep"),
         (("coeffs", "--function", "nope:3"), "unknown function"),
+        (("--samples", "0", "faber", "--check-contour"), "--samples"),
+        (("estimates", "--n-max", "0"), "n_max"),
+        (("bohr-radius", "--tol", "nan"), "tol"),
+        (("--continuum", "disc:0,0,1e-300", "faber"), "overflow"),
+        (("coeffs", "--function", "faber:-3"), "faber:n"),
     ])
     def test_exit_two_with_diagnostic(self, capsys, argv, needle):
         rc, _, err = run(capsys, *argv)
