@@ -27,6 +27,7 @@ byte-identical between runs.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -60,13 +61,17 @@ _CONTOUR_GATE = 1e-7
 # ---------------------------------------------------------------------------
 # parsing helpers
 
-def _cnum(v) -> complex:
-    """A JSON number or [re, im] pair as a complex value."""
+def _cnum(v, name: str) -> complex:
+    """Map file field `name`, a number or an [re, im] pair, as a finite complex."""
     if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise DomainError(f"expected a number or an [re, im] pair, got {v!r}")
+        z = complex(v)
+    elif isinstance(v, (list, tuple)) and len(v) == 2:
+        z = complex(float(v[0]), float(v[1]))
+    else:
+        raise DomainError(f"expected a number or an [re, im] pair, got {v!r}")
+    if not cmath.isfinite(z):
+        raise DomainError(f"custom map field {name!r} must be finite; got {v!r}")
+    return z
 
 
 def parse_continuum(text: str) -> ContinuumSpec:
@@ -110,9 +115,9 @@ def parse_continuum(text: str) -> ContinuumSpec:
                     "(expected 'gamma', optional 'gamma0', and 'tail' as a "
                     "list of [re, im] pairs)")
         tail = LaurentTail.build(
-            _cnum(data["gamma"]),
-            _cnum(data.get("gamma0", 0)),
-            [_cnum(t) for t in data["tail"]],
+            _cnum(data["gamma"], "gamma"),
+            _cnum(data.get("gamma0", 0), "gamma0"),
+            [_cnum(t, "tail") for t in data["tail"]],
         )
         return custom(tail)
     raise DomainError(

@@ -20,6 +20,7 @@ complement is log|phi|.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +42,6 @@ from .series import (
     QC,
     GradedLaurent,
     LaurentTail,
-    _affine_compose_qc,
     _polys_from_graded,
 )
 
@@ -175,8 +175,8 @@ class DiscSpec(ContinuumSpec):
     def _closure(self, R: float, depth: int) -> ContinuumSpec:
         return disc(self.center, self.radius * R)
 
-    def faber_exact(self, N: int, M: int, single: bool) -> list:
-        """Exact coefficients of phi^n by the binomial theorem."""
+    def faber_exact(self, N: int) -> list:
+        """Exact coefficients of phi^0, ..., phi^N by the binomial theorem."""
         alpha, beta = self._series(0).data   # phi = alpha z + beta
         apow, bpow = [QC(1)], [QC(1)]
         for _ in range(N):
@@ -184,7 +184,7 @@ class DiscSpec(ContinuumSpec):
             bpow.append(bpow[-1] * beta)
         return [tuple(QC(comb(n, k)) * apow[k] * bpow[n - k]
                       for k in range(n + 1))
-                for n in ([N] if single else range(N + 1))]
+                for n in range(N + 1)]
 
     def pullback(self, ns, w: np.ndarray) -> np.ndarray:
         return w[None, :] ** np.asarray(ns, dtype=float)[:, None]
@@ -255,14 +255,22 @@ class SegmentSpec(ContinuumSpec):
             raise DomainError("series form only available for the segment [-1, 1]")
         return _canonical_segment_graded(depth)
 
-    def faber_exact(self, N: int, M: int, single: bool) -> list:
-        """Powers of the [-1, 1] series, moved to [a, b] by exact affine change."""
-        polys = _polys_from_graded(_canonical_segment_graded(M + N), N, M, single)
-        if self._canonical:
-            return polys
+    def faber_exact(self, N: int) -> list:
+        """F_0 = 1, F_n = 2 T_n(alpha z + beta), by the Chebyshev recurrence."""
         a, b = Fraction(self.a), Fraction(self.b)
-        alpha, beta = QC(2 / (b - a)), QC(-(a + b) / (b - a))
-        return [_affine_compose_qc(p, alpha, beta) for p in polys]
+        alpha, beta = 2 / (b - a), -(a + b) / (b - a)
+        polys = [(QC(1),)]
+        prev, cur = [Fraction(1)], [beta, alpha]   # T_0 and T_1 = u
+        for _ in range(N):
+            polys.append(tuple(QC(2 * c) for c in cur))
+            # T_{n+1} = 2 u T_n - T_{n-1}
+            nxt = [2 * beta * c for c in cur] + [Fraction(0)]
+            for k, c in enumerate(cur):
+                nxt[k + 1] += 2 * alpha * c
+            for k, c in enumerate(prev):
+                nxt[k] -= c
+            prev, cur = cur, nxt
+        return polys
 
     def pullback(self, ns, w: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns)
@@ -354,19 +362,29 @@ class CustomSpec(ContinuumSpec):
     def _series(self, depth: int) -> GradedLaurent:
         return self.map_tail.to_graded().truncated(depth)
 
-    def faber_exact(self, N: int, M: int, single: bool) -> list:
-        """Powers of the stored map tail."""
-        return _polys_from_graded(self.map_tail.to_graded(), N, M, single)
+    def faber_exact(self, N: int) -> list:
+        """Polynomial parts of the powers of the stored map tail."""
+        return _polys_from_graded(self.map_tail.to_graded(), N)
+
+
+def _check_finite(kind: str, **fields) -> None:
+    for name, value in fields.items():
+        if not cmath.isfinite(value):
+            raise DomainError(f"{kind} field {name!r} must be finite; "
+                              f"got {value!r}")
 
 
 def disc(center=0j, radius=1.0) -> ContinuumSpec:
+    center, radius = complex(center), float(radius)
+    _check_finite("disc", center=center, radius=radius)
     if not radius > 0:
         raise DomainError("disc radius must be positive")
-    return DiscSpec(center=complex(center), radius=float(radius))
+    return DiscSpec(center=center, radius=radius)
 
 
 def segment(a=-1.0, b=1.0) -> ContinuumSpec:
     a, b = float(a), float(b)
+    _check_finite("segment", a=a, b=b)
     if not a < b:
         raise DomainError("segment needs a < b")
     return SegmentSpec(a=a, b=b)
@@ -470,9 +488,9 @@ def _canonical_segment_graded(depth: int) -> GradedLaurent:
 def exterior_series(K: ContinuumSpec, depth: int) -> GradedLaurent:
     """Truncated Laurent series of phi at infinity, exact coefficients.
 
-    Segments are supported in canonical position [-1, 1] only; other
-    segments are handled upstream by affine transport of the canonical
-    data rather than by re-expanding the series.
+    Segments are supported in canonical position [-1, 1] only; their
+    Faber polynomials come from the Chebyshev recurrence, not from this
+    series.
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative")

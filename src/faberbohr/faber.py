@@ -5,7 +5,11 @@ n-th power of its exterior map; the remainder (the principal part) is
 what the polynomial misses, and it vanishes at infinity.  Two
 independent routes are implemented and kept separate on purpose:
 
-* the series route, exact arithmetic on the truncated Laurent expansion,
+* the exact route, one construction per kind in Gaussian-rational
+  arithmetic: the Chebyshev recurrence on segments (F_n = 2 T_n of the
+  affine variable), the binomial form on discs and powers of the map
+  tail on custom continua; faber_polys memoises one family per
+  continuum and faber_poly reads F_n from it,
 * the contour route, a Cauchy-type integral over a level curve
   normalised by 1/(2 pi i), evaluated with the periodic trapezoid rule.
 
@@ -61,16 +65,15 @@ class FaberPoly:
     """Monomial coefficients of one Faber polynomial, plus exact views.
 
     coeffs is ascending [c_0, ..., c_n]; the leading coefficient equals
-    gamma**n.  When the polynomial was produced from exact series data
-    the exact Gaussian-rational coefficients are retained, which is what
-    makes stable evaluation on segments possible at degrees where the
-    monomial form is hopeless in doubles.
+    gamma**n.  exact holds the same coefficients as Gaussian rationals,
+    which is what makes stable evaluation on segments possible at
+    degrees where the monomial form is hopeless in doubles.
     """
 
     n: int
     coeffs: np.ndarray
     gamma_n: complex
-    exact: tuple | None = field(default=None, repr=False)
+    exact: tuple = field(repr=False)
     _cheb: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, z):
@@ -78,24 +81,17 @@ class FaberPoly:
                                                 self.coeffs)
 
     def eval_exact(self, z) -> complex:
-        if self.exact is None:
-            return complex(self(complex(z)))
         return qc_horner(self.exact, QC.of(complex(z))).to_complex()
 
     def cheb_floats(self, a: float, b: float) -> np.ndarray:
         """Chebyshev-basis coefficients of self on [a, b], computed exactly."""
         key = (float(a), float(b))
         if key not in self._cheb:
-            if self.exact is None:
-                shifted = _affine_compose_f(self.coeffs, 0.5 * (b - a),
-                                            0.5 * (a + b))
-                self._cheb[key] = np.polynomial.polynomial.poly2cheb(shifted)
-            else:
-                half = Fraction(b) / 2 - Fraction(a) / 2
-                mid = Fraction(a) / 2 + Fraction(b) / 2
-                shifted = _affine_compose_qc(self.exact, QC(half), QC(mid))
-                cheb = _cheb_from_monomial_qc(shifted)
-                self._cheb[key] = np.array([c.to_complex() for c in cheb])
+            half = Fraction(b) / 2 - Fraction(a) / 2
+            mid = Fraction(a) / 2 + Fraction(b) / 2
+            shifted = _affine_compose_qc(self.exact, QC(half), QC(mid))
+            cheb = _cheb_from_monomial_qc(shifted)
+            self._cheb[key] = np.array([c.to_complex() for c in cheb])
         return self._cheb[key]
 
     def to_json_dict(self) -> dict:
@@ -108,17 +104,6 @@ class FaberPoly:
 
 # ---------------------------------------------------------------------------
 # basis transforms
-
-def _affine_compose_f(coeffs: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    out = np.array([coeffs[-1]], dtype=complex)
-    for c in coeffs[-2::-1]:
-        nxt = np.zeros(len(out) + 1, dtype=complex)
-        nxt[: len(out)] = out * beta
-        nxt[1:] += out * alpha
-        nxt[0] += c
-        out = nxt
-    return out
-
 
 def _cheb_from_monomial_qc(coeffs):
     """Exact monomial-to-Chebyshev transform (Horner with x*T recurrences)."""
@@ -138,12 +123,7 @@ def _cheb_from_monomial_qc(coeffs):
 # ---------------------------------------------------------------------------
 # construction
 
-_POLY_CACHE: dict = {}
-_SINGLE_CACHE: dict = {}
-
-
-def _default_depth(N: int) -> int:
-    return 2 * N + 16
+_FAMILIES: dict = {}   # continuum -> longest family built so far
 
 
 def _make_poly(exact_coeffs) -> FaberPoly:
@@ -158,39 +138,29 @@ def _make_poly(exact_coeffs) -> FaberPoly:
                      exact=tuple(exact_coeffs))
 
 
-def faber_polys(K: ContinuumSpec, N: int, M: int | None = None):
-    """Faber polynomials F_0, ..., F_N of K via the series route.
+def faber_polys(K: ContinuumSpec, N: int):
+    """Faber polynomials F_0, ..., F_N of K, exact, from one memoised family.
 
-    For discs the binomial form is exact; for segments the canonical
-    [-1, 1] series is powered and transported by the affine change of
-    variable; custom continua are powered from their stored map tail.
+    The family comes from the exact construction of K's kind
+    (faber_exact): the Chebyshev recurrence on segments, the binomial
+    form on discs and powers of the map tail on custom continua.  The
+    longest family built so far is kept per continuum; a longer request
+    rebuilds it to N and keeps the polynomials already made.
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
-    if M is None:
-        M = _default_depth(N)
-    key = (K, N, M)
-    if key not in _POLY_CACHE:
-        _POLY_CACHE[key] = tuple(
-            _make_poly(p) for p in K.faber_exact(N, M, single=False))
-    return _POLY_CACHE[key]
+    fam = _FAMILIES.get(K, ())
+    if len(fam) <= N:
+        fam += tuple(_make_poly(p) for p in K.faber_exact(N)[len(fam):])
+        _FAMILIES[K] = fam
+    return fam[: N + 1]
 
 
-def faber_poly(K: ContinuumSpec, n: int, M: int | None = None) -> FaberPoly:
-    """Single Faber polynomial; cheaper than the full family for large n."""
+def faber_poly(K: ContinuumSpec, n: int) -> FaberPoly:
+    """F_n of K, the n-th member of the family memoised by faber_polys."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    if M is None:
-        M = _default_depth(n)
-    key = (K, n, M)
-    if key in _SINGLE_CACHE:
-        return _SINGLE_CACHE[key]
-    for (spec, N, MM), polys in _POLY_CACHE.items():
-        if spec == K and N >= n and MM >= M:
-            _SINGLE_CACHE[key] = polys[n]
-            return polys[n]
-    _SINGLE_CACHE[key] = _make_poly(K.faber_exact(n, M, single=True)[0])
-    return _SINGLE_CACHE[key]
+    return faber_polys(K, n)[n]
 
 
 # ---------------------------------------------------------------------------

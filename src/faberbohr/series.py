@@ -311,19 +311,18 @@ def _affine_compose_qc(coeffs, alpha: QC, beta: QC):
     return tuple(out)
 
 
-def _polys_from_graded(g: GradedLaurent, N: int, M: int, single: bool = False):
-    """Exact polynomial parts of g^0, g^1, ..., g^N; g must carry depth >= M + N.
+def _polys_from_graded(g: GradedLaurent, N: int):
+    """Exact polynomial parts of g^0, g^1, ..., g^N.
 
-    With single set only the part of g^N is returned, as a one-element
-    list, from repeated squaring; that is cheaper than the whole family
-    when the series is dense.
+    g is an exact Laurent polynomial of top degree 1 (a map tail).
+    g^n is kept to depth N - n only: a dropped term climbs one exponent
+    per further product by g, N - n products follow, so truncation
+    errors never reach z^0.
     """
-    if single:
-        return [split_parts_exact(laurent_pow(g, N, M))[0]]
     out = [(_QC_ONE,)]
     cur = g
     for n in range(1, N + 1):
         if n > 1:
-            cur = laurent_mul(cur, g, M + N)
-        out.append(split_parts_exact(cur.truncated(M))[0])
+            cur = laurent_mul(cur, g, N - n)
+        out.append(split_parts_exact(cur)[0])
     return out

@@ -55,6 +55,8 @@ class TestFaberCommand:
         ("segment_dyadic", "segment:-0.5,2"),
         ("disc_dyadic", "disc:0.5,-0.25,1.5"),
         ("custom_readme", f"custom:@{DATA / 'readme_map.json'}"),
+        ("segment_full_mantissa",
+         "segment:-1.2345678901234567,2.718281828459045"),
     ])
     def test_golden_stdout(self, capsys, name, continuum, output):
         # recorded with the same command line; any change in a
@@ -193,6 +195,16 @@ class TestFailureModes:
         (("bohr-radius", "--tol", "nan"), "tol"),
         (("--continuum", "disc:0,0,1e-300", "faber"), "overflow"),
         (("coeffs", "--function", "faber:-3"), "faber:n"),
+        (("--continuum", "segment:-inf,1", "faber"), "'a' must be finite"),
+        (("--continuum", "segment:0,inf", "faber"), "'b' must be finite"),
+        (("--continuum", "disc:0,0,inf", "faber"), "'radius' must be finite"),
+        (("--continuum", "disc:inf,0,1", "faber"), "'center' must be finite"),
+        (("--continuum", "disc:nan,0,1", "faber"), "'center' must be finite"),
+        (("--continuum", "segment:-inf,1", "coeffs"), "'a' must be finite"),
+        (("--continuum", f"custom:@{DATA / 'map_inf_gamma.json'}", "faber"),
+         "'gamma' must be finite"),
+        (("--continuum", f"custom:@{DATA / 'map_inf_tail.json'}", "faber"),
+         "'tail' must be finite"),
     ])
     def test_exit_two_with_diagnostic(self, capsys, argv, needle):
         rc, _, err = run(capsys, *argv)

@@ -1,7 +1,10 @@
 """Faber polynomials: series route, contour route, coefficients, identities."""
 
+import cmath
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,14 @@ from faberbohr.errors import (
     ReconstructionMismatch,
     WrongKind,
 )
+from faberbohr.series import (
+    QC,
+    _affine_compose_qc,
+    laurent_pow,
+    split_parts_exact,
+)
+
+FULL_MANTISSA = (-1.2345678901234567, 2.718281828459045)
 
 
 def _cheb_exact(n: int):
@@ -74,6 +85,68 @@ class TestSegmentConstruction:
         batch = fb.faber_polys(seg, 10)
         one = fb.faber_poly(seg, 7)
         assert np.array_equal(one.coeffs, batch[7].coeffs)
+
+    @pytest.mark.parametrize("a, b", [(-0.5, 2.0), FULL_MANTISSA])
+    def test_transported_chebyshev_view(self, a, b):
+        """On [a, b] the exact Chebyshev view of F_n is exactly 2 T_n."""
+        polys = fb.faber_polys(fb.segment(a, b), 24)
+        for n in range(1, 25):
+            assert np.array_equal(polys[n].cheb_floats(a, b), [0] * n + [2])
+
+
+def _three_term_map():
+    """1.0057 z + g0 + t1/z + t2/z^2 + t3/z^3 with full-mantissa coefficients.
+
+    Its critical values lie in |w| <= 0.88, so the map is univalent.
+    """
+    return fb.custom(fb.LaurentTail.build(
+        1.0057, cmath.rect(0.1, 2.1),
+        (cmath.rect(0.12, 2.5), cmath.rect(0.05, 1.9), cmath.rect(0.025, 1.3))))
+
+
+def _readme_map():
+    data = json.loads((Path(__file__).parent / "data" / "readme_map.json")
+                      .read_text())
+    return fb.custom(fb.LaurentTail.build(
+        data["gamma"], complex(*data["gamma0"]),
+        [complex(*t) for t in data["tail"]]))
+
+
+def _series_route(K, N):
+    """Polynomial parts of phi^0, ..., phi^N by powering the exterior series.
+
+    Segments are powered in canonical position and moved to [a, b] by
+    the exact affine change of variable.
+    """
+    base = fb.segment() if K.kind == "segment" else K
+    # depth N + 4 covers every map tail below; powering to n needs depth n
+    s = fb.exterior_series(base, N + 4)
+    polys = [split_parts_exact(laurent_pow(s, n, 0))[0] for n in range(N + 1)]
+    if K.kind != "segment":
+        return polys
+    a, b = Fraction(K.a), Fraction(K.b)
+    alpha, beta = QC(2 / (b - a)), QC(-(a + b) / (b - a))
+    return [_affine_compose_qc(p, alpha, beta) for p in polys]
+
+
+class TestExactRoute:
+    @pytest.mark.parametrize("make, N", [
+        (lambda: fb.segment(-1.0, 1.0), 40),
+        (lambda: fb.segment(*FULL_MANTISSA), 24),
+        (lambda: fb.disc(0.3 + 0.1j, 0.7), 24),   # 1/r is not dyadic
+        (_readme_map, 24),
+        (lambda: fb.custom(fb.LaurentTail.build(2.0, 0.1, (0.5, 0.0, 0.125))),
+         24),   # the custom_spec fixture
+        (_three_term_map, 24),
+    ], ids=["segment", "segment-full-mantissa", "disc", "readme-map",
+            "custom-fixture", "three-term-map"])
+    def test_equals_series_route(self, make, N):
+        K = make()
+        polys = fb.faber_polys(K, N)
+        for n, ref in enumerate(_series_route(K, N)):
+            assert polys[n].exact == ref
+        for n in range(N):
+            assert fb.faber_poly(K, n) is polys[n]
 
 
 class TestDiscConstruction:
