@@ -166,17 +166,25 @@ def faber_poly(K: ContinuumSpec, n: int) -> FaberPoly:
 # ---------------------------------------------------------------------------
 # contour route
 
-_NODE_CACHE: dict = {}
+_NODE_CACHE: dict = {}   # (K, r, m, dps) -> nodes; (m, dps) -> mp roots of unity
 
 
-def _nodes(K: ContinuumSpec, r: float, m: int):
-    key = (K, float(r), int(m))
+def _nodes(K: ContinuumSpec, r: float, m: int, dps: int | None = None):
+    """(w, psi(w), psi'(w) w) at w_j = r omega^j as numpy arrays; for a dps,
+    mpmath lists built under workdps(dps), led by omega^j shared per (m, dps)."""
+    key = (K, float(r), int(m), dps)
     if key not in _NODE_CACHE:
-        th = 2.0 * np.pi * np.arange(m) / m
-        w = r * np.exp(1j * th)
-        t = psi(K, w)
-        dp = psi_prime(K, w)
-        _NODE_CACHE[key] = (w, t, dp)
+        if dps is None:
+            w = r * np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+            _NODE_CACHE[key] = (w, psi(K, w), psi_prime(K, w) * w)
+        else:
+            from mpmath import mp
+
+            omega = _NODE_CACHE.get((m, dps)) or mp.unitroots(m)
+            ws = [mp.mpf(repr(float(r))) * o for o in omega]
+            ts, dpsi = K.mp_nodes(ws)   # custom maps raise before any store
+            _NODE_CACHE[(m, dps)] = omega
+            _NODE_CACHE[key] = (omega, ts, [d * w for d, w in zip(dpsi, ws)])
     return _NODE_CACHE[key]
 
 
@@ -186,15 +194,19 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
 
     Returns the matrix V[i, j] for n = ns[i], z = zs[j], normalised by
     1/(2 pi i).  For points inside the level curve this is the Faber
-    polynomial value; the optional dps switches to high-precision
-    arithmetic, needed when r**n overwhelms double-precision summation.
+    polynomial value; the optional dps switches to mpmath arithmetic,
+    needed when r**n overwhelms double-precision summation.  The nodes
+    are memoised per (K, r, m, dps).  With w_j^n = r^n omega^(jn mod m),
+    each z costs one pass of m divisions and each n one mp.fdot of a
+    row of roots of unity, rounded once.  Custom maps have no mpmath
+    route and raise FaberBohrError.
     """
     ns = list(ns)
     zs = np.asarray(zs, dtype=complex).ravel()
     if dps is not None:
         return _contour_mp(K, ns, zs, r, m, dps)
-    w, t, dp = _nodes(K, r, m)
-    B = (dp * w)[:, None] / (t[:, None] - zs[None, :])
+    w, t, dw = _nodes(K, r, m)
+    B = dw[:, None] / (t[:, None] - zs[None, :])
     P = w[None, :] ** np.asarray(ns, dtype=float)[:, None]
     return (P @ B) / m
 
@@ -204,31 +216,13 @@ def _contour_mp(K: ContinuumSpec, ns, zs, r, m, dps) -> np.ndarray:
 
     out = np.zeros((len(ns), len(zs)), dtype=complex)
     with mp.workdps(dps):
+        omega, ts, dw = _nodes(K, r, m, dps)
         rr = mp.mpf(repr(float(r)))
-        two_pi = 2 * mp.pi
-        ths = [two_pi * j / m for j in range(m)]
-        ws = [rr * mpc(mp.cos(th), mp.sin(th)) for th in ths]
-        ts, dpsi = K.mp_nodes(ws)
-        dps_ = [d * w for d, w in zip(dpsi, ws)]
-        nmax = max(ns)
-        for jz, z in enumerate(zs):
-            zq = mpc(z.real, z.imag)
-            B = [dps_[j] / (ts[j] - zq) for j in range(m)]
-            # accumulate powers incrementally across n
-            pw = [mpc(1, 0)] * m
-            sums = {}
-            for n in range(nmax + 1):
-                if n in ns:
-                    acc = mpc(0, 0)
-                    for j in range(m):
-                        acc += pw[j] * B[j]
-                    sums[n] = acc / m
-                if n < nmax:
-                    for j in range(m):
-                        pw[j] = pw[j] * ws[j]
-            for ji, n in enumerate(ns):
-                v = sums[n]
-                out[ji, jz] = complex(float(v.real), float(v.imag))
+        rows = [([omega[j * n % m] for j in range(m)], rr ** n / m) for n in ns]
+        for jz, zq in enumerate(map(mpc, zs)):
+            B = [d / (t - zq) for t, d in zip(ts, dw)]
+            for i, (row, scale) in enumerate(rows):
+                out[i, jz] = complex(mp.fdot(row, B) * scale)
     return out
 
 

@@ -37,7 +37,11 @@ def _fraction(x) -> Fraction:
         return x
     if isinstance(x, (int, float)):
         # Fraction(float) is exact, not a decimal approximation.
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (OverflowError, ValueError):
+            raise DomainError(f"cannot represent {x!r} exactly; values must "
+                              "be finite") from None
     raise TypeError(f"cannot represent {type(x).__name__} exactly")
 
 

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import faberbohr as fb
+from faberbohr import faber as faber_mod
 from faberbohr.errors import (
     AliasingRisk,
     DomainError,
+    FaberBohrError,
     PointInsideK,
     PointInsideLevel,
     PointOutsideLevel,
@@ -203,6 +205,90 @@ class TestContourRoute:
             Fn = fb.faber_poly(seg, n).eval_exact(z)
             En = fb.faber_remainder(seg, n, z, 2.0)
             assert abs(ph ** n - (Fn + En)) < 1e-8 * max(1.0, abs(ph) ** n)
+
+
+def _contour_mp_accumulated(K, ns, zs, r, m, dps):
+    """The per-point accumulation loop that the memoised mpmath route replaced.
+
+    For every z the powers w_j^n are multiplied up one degree at a time
+    and each requested n is summed in a Python loop.
+    """
+    from mpmath import mp, mpc
+
+    out = np.zeros((len(ns), len(zs)), dtype=complex)
+    with mp.workdps(dps):
+        rr = mp.mpf(repr(float(r)))
+        ws = [rr * mpc(mp.cos(2 * mp.pi * j / m), mp.sin(2 * mp.pi * j / m))
+              for j in range(m)]
+        ts, dpsi = K.mp_nodes(ws)
+        dw = [d * w for d, w in zip(dpsi, ws)]
+        for jz, z in enumerate(zs):
+            zq = mpc(z.real, z.imag)
+            B = [dw[j] / (ts[j] - zq) for j in range(m)]
+            pw = [mpc(1, 0)] * m
+            sums = {}
+            for n in range(max(ns) + 1):
+                if n in ns:
+                    acc = mpc(0, 0)
+                    for j in range(m):
+                        acc += pw[j] * B[j]
+                    sums[n] = acc / m
+                pw = [p * w for p, w in zip(pw, ws)]
+            for i, n in enumerate(ns):
+                out[i, jz] = complex(sums[n])
+    return out
+
+
+class TestContourMp:
+    NS = [7, 0, 12, 3, 7, 1, 12]   # unsorted, with duplicates
+
+    @staticmethod
+    def _points(K):
+        """Three points on the level 1.2 curve and one point of K."""
+        band = fb.psi(K, 1.2 * np.exp(1j * np.array([0.3, 2.0, 4.4])))
+        on_k = (0.3 * K.a + 0.7 * K.b if K.kind == "segment"
+                else K.center + 0.5 * K.radius * cmath.exp(1j))
+        return np.append(band, on_k)
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("make", [
+        lambda: fb.segment(-1.0, 1.0),
+        lambda: fb.segment(-0.5, 2.0),
+        lambda: fb.disc(0.3 + 0.1j, 0.7),
+    ], ids=["segment", "segment-shifted", "disc"])
+    def test_matches_accumulation_loop(self, make, r, monkeypatch):
+        K = make()
+        zs = self._points(K)
+        monkeypatch.setattr(faber_mod, "_NODE_CACHE", {})
+        ref = _contour_mp_accumulated(K, self.NS, zs, r, 256, 30)
+        got = fb.contour_values(K, self.NS, zs, r, m=256, dps=30)
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+        calls = []
+        built = type(K).mp_nodes
+        monkeypatch.setattr(type(K), "mp_nodes",
+                            lambda self, ws: calls.append(len(ws)) or built(self, ws))
+        again = fb.contour_values(K, self.NS, zs, r, m=256, dps=30)
+        assert np.array_equal(again, got)
+        assert calls == []
+
+    def test_negative_degree_matches_float_route(self, seg):
+        zs = [0.3, 0.1 + 0.2j, fb.psi(seg, 1.3j)]
+        flt = fb.contour_values(seg, [-1, 2], zs, 2.0, m=256)
+        high = fb.contour_values(seg, [-1, 2], zs, 2.0, m=256, dps=20)
+        assert np.max(np.abs(high - flt)) < 1e-12
+
+    @pytest.mark.parametrize("dps", [None, 20])
+    def test_empty_degrees(self, seg, dps):
+        got = fb.contour_values(seg, [], [0.3, 0.1 + 0.2j, -0.5], 2.0, m=64,
+                                dps=dps)
+        assert got.shape == (0, 3)
+
+    def test_custom_map_has_no_mp_route(self, custom_spec, monkeypatch):
+        monkeypatch.setattr(faber_mod, "_NODE_CACHE", {})
+        with pytest.raises(FaberBohrError,
+                           match="implemented for segment and disc continua only"):
+            fb.contour_values(custom_spec, [1], [0.1 + 0.1j], 2.0, m=64, dps=20)
+        assert faber_mod._NODE_CACHE == {}
 
 
 class TestCoefficients:

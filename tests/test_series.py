@@ -46,6 +46,23 @@ class TestQC:
         want = complex(np.polynomial.polynomial.polyval(z, coeffs))
         assert got == want
 
+    @pytest.mark.parametrize("bad", [
+        float("inf"), -float("inf"), float("nan"),
+        complex(float("inf"), 0.0), complex(0.5, float("nan")),
+    ])
+    def test_of_non_finite_is_domain_error(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            QC.of(bad)
+
+    @pytest.mark.parametrize("args", [
+        (float("inf"),),
+        (2.0, float("nan")),
+        (2.0, 0.1, (0.5, complex(0.0, float("-inf")))),
+    ], ids=["lead", "c0", "tail"])
+    def test_map_from_non_finite_float(self, args):
+        with pytest.raises(DomainError, match="finite"):
+            fb.custom(fb.LaurentTail.build(*args))
+
 
 class TestSegmentSeries:
     """Head of the exterior map of [-1, 1]: 2z - 1/(2z) - 1/(8z^3) - ..."""
