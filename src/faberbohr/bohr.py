@@ -81,29 +81,22 @@ class BohrReport:
         return self.verdict == "Holds"
 
 
-_NORM_CACHE: dict = {}
-
-
 def basis_norm(K: ContinuumSpec, n: int, up_to: int | None = None) -> float:
     """sup over K of |F_n|; the index-0 norm is 1.
 
     Exact where the kind has a closed form (2 on segments, 1 on discs);
-    otherwise sampled, for every index up to max(n, up_to) at once, and
-    cached per (K, n).
+    otherwise sampled and kept on K in one list of norms, which a miss
+    extends to max(n, up_to) in one pass.
     """
     if n == 0:
         return 1.0
     if K.faber_sup is not None:
         return K.faber_sup
-    key = (K, n)
-    if key not in _NORM_CACHE:
-        top = max(n, up_to if up_to is not None else 0)
-        polys = faber_polys(K, top)
-        for j in range(top + 1):
-            jkey = (K, j)
-            if jkey not in _NORM_CACHE:
-                _NORM_CACHE[jkey] = 1.0 if j == 0 else float(sup_norm(polys[j], K))
-    return _NORM_CACHE[key]
+    norms = K._memo.setdefault("norms", [1.0])
+    if n >= len(norms):
+        polys = faber_polys(K, max(n, up_to or 0))
+        norms += [float(sup_norm(p, K)) for p in polys[len(norms):]]
+    return norms[n]
 
 
 def bohr_sum(f: FaberSeries, K: ContinuumSpec | None = None) -> BohrReport:
@@ -391,8 +384,11 @@ def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
 
     if family.kind == "moebius":
         if family.sweep is not None:
-            a_values = np.linspace(family.sweep[0], family.sweep[1],
-                                   family.count)
+            lo, hi = family.sweep
+            if not (0.0 < lo < 1.0 and 0.0 < hi < 1.0):
+                raise DomainError(f"moebius sweep must lie in (0, 1); "
+                                  f"got {family.sweep}")
+            a_values = np.linspace(lo, hi, family.count)
             # the natural degree-1 map of the level region into the unit disc
             c, s = K.level_disc(R, _CERT_SAMPLES)
         else:

@@ -461,6 +461,10 @@ def main(argv=None) -> int:
         if args.samples < 1:
             raise DomainError(
                 f"--samples must be a positive integer; got {args.samples}")
+        for flag in ("R", "r"):
+            value = getattr(args, flag, 0.0)
+            if not np.isfinite(value):
+                raise DomainError(f"--{flag} must be finite; got {value}")
         if args.cmd == "bohr-radius":
             return _cmd_bohr_radius(args)
         K = parse_continuum(args.continuum)

@@ -24,7 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from math import comb
 from typing import ClassVar
 
@@ -87,6 +87,12 @@ class ContinuumSpec:
 
     kind: ClassVar[str]
     faber_sup: ClassVar[float | None] = None
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Data derived from this continuum, kept in its __dict__ (not a
+        field) so that it is freed with it."""
+        return {}
 
     @property
     def capacity(self) -> float:
@@ -461,7 +467,6 @@ def green(K: ContinuumSpec, z):
 # ---------------------------------------------------------------------------
 # exact series of the exterior map
 
-@lru_cache(maxsize=None)
 def _sqrt_binomials(depth: int) -> tuple:
     """Coefficients of (1 - x)**(1/2): 1, -1/2, -1/8, -1/16, -5/128, ..."""
     out = [Fraction(1)]
@@ -472,7 +477,6 @@ def _sqrt_binomials(depth: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _canonical_segment_graded(depth: int) -> GradedLaurent:
     """z + sqrt(z^2-1) = 2z - (1/2)/z - (1/8)/z^3 - ... to the given depth."""
     b = _sqrt_binomials(depth // 2 + 1)

@@ -134,14 +134,11 @@ def make_context(K: ContinuumSpec, r: float, R: float, a=None,
 # ---------------------------------------------------------------------------
 # stable evaluation helpers
 
-_DIST_CACHE: dict = {}
-
-
 def _dist(K: ContinuumSpec, z: complex, r: float, m: int) -> float:
-    key = (K, z, float(r), int(m))
-    if key not in _DIST_CACHE:
-        _DIST_CACHE[key] = dist_to_level(K, z, r, m)
-    return _DIST_CACHE[key]
+    memo, key = K._memo, ("dist", z, float(r), int(m))
+    if key not in memo:
+        memo[key] = dist_to_level(K, z, r, m)
+    return memo[key]
 
 
 def _fn_at(K: ContinuumSpec, ns, z: complex) -> np.ndarray:

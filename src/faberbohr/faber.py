@@ -123,9 +123,6 @@ def _cheb_from_monomial_qc(coeffs):
 # ---------------------------------------------------------------------------
 # construction
 
-_FAMILIES: dict = {}   # continuum -> longest family built so far
-
-
 def _make_poly(exact_coeffs) -> FaberPoly:
     """FaberPoly from exact ascending coefficients; the leading one is gamma^n."""
     n = len(exact_coeffs) - 1
@@ -144,15 +141,15 @@ def faber_polys(K: ContinuumSpec, N: int):
     The family comes from the exact construction of K's kind
     (faber_exact): the Chebyshev recurrence on segments, the binomial
     form on discs and powers of the map tail on custom continua.  The
-    longest family built so far is kept per continuum; a longer request
-    rebuilds it to N and keeps the polynomials already made.
+    longest family built so far is kept on K; a longer request rebuilds
+    it to N and keeps the polynomials already made.
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
-    fam = _FAMILIES.get(K, ())
+    fam = K._memo.get("faber", ())
     if len(fam) <= N:
         fam += tuple(_make_poly(p) for p in K.faber_exact(N)[len(fam):])
-        _FAMILIES[K] = fam
+        K._memo["faber"] = fam
     return fam[: N + 1]
 
 
@@ -166,26 +163,24 @@ def faber_poly(K: ContinuumSpec, n: int) -> FaberPoly:
 # ---------------------------------------------------------------------------
 # contour route
 
-_NODE_CACHE: dict = {}   # (K, r, m, dps) -> nodes; (m, dps) -> mp roots of unity
-
-
 def _nodes(K: ContinuumSpec, r: float, m: int, dps: int | None = None):
     """(w, psi(w), psi'(w) w) at w_j = r omega^j as numpy arrays; for a dps,
-    mpmath lists built under workdps(dps), led by omega^j shared per (m, dps)."""
-    key = (K, float(r), int(m), dps)
-    if key not in _NODE_CACHE:
+    mpmath lists built under workdps(dps), led by omega^j.  Both are kept
+    on K: the nodes under ("nodes", r, m, dps), omega^j under (m, dps)."""
+    memo, key = K._memo, ("nodes", float(r), int(m), dps)
+    if key not in memo:
         if dps is None:
             w = r * np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
-            _NODE_CACHE[key] = (w, psi(K, w), psi_prime(K, w) * w)
+            memo[key] = (w, psi(K, w), psi_prime(K, w) * w)
         else:
             from mpmath import mp
 
-            omega = _NODE_CACHE.get((m, dps)) or mp.unitroots(m)
+            omega = memo.get((m, dps)) or mp.unitroots(m)
             ws = [mp.mpf(repr(float(r))) * o for o in omega]
             ts, dpsi = K.mp_nodes(ws)   # custom maps raise before any store
-            _NODE_CACHE[(m, dps)] = omega
-            _NODE_CACHE[key] = (omega, ts, [d * w for d, w in zip(dpsi, ws)])
-    return _NODE_CACHE[key]
+            memo[(m, dps)] = omega
+            memo[key] = (omega, ts, [d * w for d, w in zip(dpsi, ws)])
+    return memo[key]
 
 
 def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
@@ -196,7 +191,7 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
     1/(2 pi i).  For points inside the level curve this is the Faber
     polynomial value; the optional dps switches to mpmath arithmetic,
     needed when r**n overwhelms double-precision summation.  The nodes
-    are memoised per (K, r, m, dps).  With w_j^n = r^n omega^(jn mod m),
+    are memoised on K per (r, m, dps).  With w_j^n = r^n omega^(jn mod m),
     each z costs one pass of m divisions and each n one mp.fdot of a
     row of roots of unity, rounded once.  Custom maps have no mpmath
     route and raise FaberBohrError.
@@ -335,6 +330,8 @@ def faber_coeffs(samples, K: ContinuumSpec, r: float, N: int,
     m = len(samples)
     if not r > 1.0:
         raise DomainError("extraction radius must exceed 1")
+    if N < 0:
+        raise DomainError("N must be nonnegative")
     if N > m // 4:
         raise DomainError(f"N={N} exceeds the anti-aliasing limit m/4={m // 4}")
     bins = np.fft.fft(samples) / m

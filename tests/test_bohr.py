@@ -1,5 +1,7 @@
 """Coefficient sums, the sufficient segment level, bounded families."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +203,13 @@ class TestBoundedFamilies:
     def test_bad_margin(self, seg):
         with pytest.raises(DomainError):
             fb.gen_bounded(seg, 2.0, fb.BoundedFamily(margin=1.5))
+
+    @pytest.mark.parametrize("sweep", [(2.0, 3.0), (0.5, 1.5), (0.5, math.nan)])
+    def test_sweep_outside_unit_interval(self, seg, sweep):
+        """A moebius parameter a outside (0, 1) puts a pole in the level region."""
+        fam = fb.BoundedFamily(kind="moebius", count=3, sweep=sweep)
+        with pytest.raises(DomainError, match="sweep"):
+            fb.gen_bounded(seg, 3.0, fam)
 
 
 class TestCampaigns:

@@ -205,6 +205,12 @@ class TestFailureModes:
          "'gamma' must be finite"),
         (("--continuum", f"custom:@{DATA / 'map_inf_tail.json'}", "faber"),
          "'tail' must be finite"),
+        (("verify", "--sweep", "2,3"), "sweep"),
+        (("levelset", "--R", "inf"), "--R"),
+        (("verify", "--R", "inf"), "--R"),
+        (("estimates", "--R", "inf"), "--R"),
+        (("coeffs", "--r", "nan"), "--r"),
+        (("coeffs", "--n-coeffs", "-1"), "N must be nonnegative"),
     ])
     def test_exit_two_with_diagnostic(self, capsys, argv, needle):
         rc, _, err = run(capsys, *argv)

@@ -1,6 +1,9 @@
 """Conformal geometry: exterior coordinates, level curves, distances, sups."""
 
+import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -153,3 +156,26 @@ class TestSupNorm:
         p = fb.faber_poly(seg, 1)
         # sup of |w + 1/w| on |w| = 2 is 2.5
         assert float(fb.sup_norm(p, ls)) == pytest.approx(2.5, abs=1e-6)
+
+
+class TestMemoLifetime:
+    def test_dropped_continua_are_freed(self):
+        """Data derived from K is memoised on K, so it goes when K goes."""
+        refs = []
+        for K in (fb.segment(-0.5, 2.0), fb.disc(0.3 + 0.1j, 0.7),
+                  fb.custom(fb.LaurentTail.build(
+                      1.0057, cmath.rect(0.1, 2.1),
+                      (cmath.rect(0.12, 2.5), cmath.rect(0.05, 1.9),
+                       cmath.rect(0.025, 1.3))))):
+            z = complex(fb.psi(K, 1.2))
+            fb.faber_polys(K, 6)
+            fb.contour_values(K, [2], [z], 1.5, m=64)
+            if K.kind != "custom":
+                fb.contour_values(K, [2], [z], 1.5, m=64, dps=20)
+            fb.basis_norm(K, 3, up_to=5)
+            ctx = fb.make_context(K, 1.5, 2.5, n_max=4, m=128)
+            fb.en_bound(ctx, 3, ctx.a)
+            refs.append(weakref.ref(K))
+        del K, ctx
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import faberbohr as fb
-from faberbohr import faber as faber_mod
 from faberbohr.errors import (
     AliasingRisk,
     DomainError,
@@ -259,7 +258,6 @@ class TestContourMp:
     def test_matches_accumulation_loop(self, make, r, monkeypatch):
         K = make()
         zs = self._points(K)
-        monkeypatch.setattr(faber_mod, "_NODE_CACHE", {})
         ref = _contour_mp_accumulated(K, self.NS, zs, r, 256, 30)
         got = fb.contour_values(K, self.NS, zs, r, m=256, dps=30)
         assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
@@ -283,12 +281,11 @@ class TestContourMp:
                                 dps=dps)
         assert got.shape == (0, 3)
 
-    def test_custom_map_has_no_mp_route(self, custom_spec, monkeypatch):
-        monkeypatch.setattr(faber_mod, "_NODE_CACHE", {})
+    def test_custom_map_has_no_mp_route(self, custom_spec):
         with pytest.raises(FaberBohrError,
                            match="implemented for segment and disc continua only"):
             fb.contour_values(custom_spec, [1], [0.1 + 0.1j], 2.0, m=64, dps=20)
-        assert faber_mod._NODE_CACHE == {}
+        assert custom_spec._memo == {}
 
 
 class TestCoefficients:
@@ -314,6 +311,10 @@ class TestCoefficients:
     def test_anti_aliasing_limit(self, seg):
         with pytest.raises(DomainError):
             fb.faber_coeffs(np.ones(64), seg, 2.0, 17)
+
+    def test_negative_count(self, seg):
+        with pytest.raises(DomainError, match="N must be nonnegative"):
+            fb.faber_coeffs(np.ones(64), seg, 2.0, -1)
 
     def test_aliasing_warning(self, seg):
         m = 64
