@@ -21,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continua import (
+    DEFAULT_SAMPLES,
     ContinuumSpec,
+    _row_sups,
     _sample_refine,
     eccentricity,
     psi,
-    sup_norm,
 )
 from .errors import (
     CertificationFailed,
@@ -85,8 +86,9 @@ def basis_norm(K: ContinuumSpec, n: int, up_to: int | None = None) -> float:
     """sup over K of |F_n|; the index-0 norm is 1.
 
     Exact where the kind has a closed form (2 on segments, 1 on discs);
-    otherwise sampled and kept on K in one list of norms, which a miss
-    extends to max(n, up_to) in one pass.
+    otherwise sampled on the boundary like sup_norm and kept on K in one
+    list of norms, which a miss extends to max(n, up_to) in one batched
+    sample-and-refine pass.
     """
     if n == 0:
         return 1.0
@@ -94,8 +96,12 @@ def basis_norm(K: ContinuumSpec, n: int, up_to: int | None = None) -> float:
         return K.faber_sup
     norms = K._memo.setdefault("norms", [1.0])
     if n >= len(norms):
-        polys = faber_polys(K, max(n, up_to or 0))
-        norms += [float(sup_norm(p, K)) for p in polys[len(norms):]]
+        polys = faber_polys(K, max(n, up_to or 0))[len(norms):]
+        C = np.zeros((polys[-1].n + 1, len(polys)), dtype=complex)
+        for i, p in enumerate(polys):
+            C[: p.n + 1, i] = p.coeffs
+        norms += _row_sups(K._boundary, _poly_rows(C), len(polys),
+                           DEFAULT_SAMPLES).tolist()
     return norms[n]
 
 
@@ -330,38 +336,81 @@ class BoundedFamily:
         }
 
 
-def _fn_sup(fn, K: ContinuumSpec, R: float, m: int = _CERT_SAMPLES) -> float:
-    """Sampled sup of |fn| on the level curve, with one refinement pass."""
-    return _sample_refine(
-        lambda t: np.abs(fn(psi(K, R * np.exp(1j * t)))), m, 1.0)
+def _poly_rows(C):
+    """Row values for _row_sups: the polynomial in column i of C."""
+    return lambda z, i: np.polynomial.polynomial.polyval(z, C[:, i],
+                                                         tensor=False)
 
 
-def _series_sup(series: FaberSeries, R: float, m: int = _CERT_SAMPLES) -> float:
-    return _sample_refine(
-        lambda t: np.abs(series.eval_w(R * np.exp(1j * t))), m, 1.0)
+def _draw_polys(rng, family: BoundedFamily) -> np.ndarray:
+    """family.count random complex polynomials, one per column, in rng order."""
+    d = family.degree + 1
+    draws = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
+             for _ in range(family.count)]
+    return np.array(draws, dtype=complex).reshape(family.count, d).T
 
 
-def _poly_values(coeffs):
-    return lambda z: np.polynomial.polynomial.polyval(
-        np.asarray(z, dtype=complex), coeffs)
+def _extract_members(fn, sups, K: ContinuumSpec, R: float,
+                     family: BoundedFamily, target: float, labels: list) -> list:
+    """Faber coefficients of each fn row with a certified boundary sup <= target.
 
-
-def _extract_member(fn, K: ContinuumSpec, R: float, family: BoundedFamily,
-                    target: float, label: str) -> FaberSeries:
-    """Faber coefficients of fn with a certified boundary sup <= target."""
+    fn(z, i) is member i at the points z (see _row_sups) and sups holds
+    the members' sampled sups on the level curve; the extraction circle
+    goes through psi once for the family.
+    """
     m = max(family.samples, 4 * family.n_coeffs)
     r_ext = math.sqrt(R)
-    w = r_ext * np.exp(2j * np.pi * np.arange(m) / m)
-    samples = np.atleast_1d(fn(psi(K, w)))
-    s_raw = _fn_sup(fn, K, R)
-    factor = 1.0 if s_raw <= target else target / s_raw
-    series = faber_coeffs(samples, K, r_ext, family.n_coeffs)
-    cert = s_raw * factor
-    if cert >= 1.0:
-        raise CertificationFailed(
-            f"{label}: certified sup {cert} is not below 1")
-    return FaberSeries(K=K, R=float(R), coeffs=series.coeffs * factor,
-                       cert_sup=cert, label=label)
+    z_ext = psi(K, r_ext * np.exp(2j * np.pi * np.arange(m) / m))
+    out = []
+    for i, (label, s_raw) in enumerate(zip(labels, sups.tolist())):
+        factor = 1.0 if s_raw <= target else target / s_raw
+        series = faber_coeffs(fn(z_ext, i), K, r_ext, family.n_coeffs)
+        cert = s_raw * factor
+        if cert >= 1.0:
+            raise CertificationFailed(
+                f"{label}: certified sup {cert} is not below 1")
+        out.append(FaberSeries(K=K, R=float(R), coeffs=series.coeffs * factor,
+                               cert_sup=cert, label=label))
+    return out
+
+
+def _series_sups(K: ContinuumSpec, R: float, coeffs: list) -> np.ndarray:
+    """Sampled and refined sups on |w| = R of Faber series with these coeffs.
+
+    One pullback serves every series at each sample grid and golden
+    stage.  Each series keeps its own a[ns] @ pullback product over its
+    nonzero indices ns, as FaberSeries.eval_w does, so its values are
+    those of eval_w to the bit.
+    """
+    terms = [(a[ns], ns) for a, ns in zip(coeffs, map(np.flatnonzero, coeffs))]
+    top = max(map(len, coeffs), default=1)
+
+    def pull(t):
+        return K.pullback(np.arange(top), R * np.exp(1j * t))
+
+    def rows(th):
+        P = pull(th)
+        return (np.abs(a @ P[ns]) for a, ns in terms)
+
+    def stage(t):
+        P = pull(t)
+        return np.abs([(a @ P[ns, i:i + 1])[0]
+                       for i, (a, ns) in enumerate(terms)])
+
+    return _sample_refine(rows, stage, _CERT_SAMPLES, 1.0)
+
+
+def _certified(K: ContinuumSpec, R: float, coeffs: list, name: str) -> list:
+    """Faber series with these coeffs, their sups on |w| = R as certificates."""
+    out = []
+    for i, (a, cert) in enumerate(zip(coeffs,
+                                      _series_sups(K, R, coeffs).tolist())):
+        if cert >= 1.0:
+            raise CertificationFailed(
+                f"{name}[{i}]: certified sup {cert} is not below 1")
+        out.append(FaberSeries(K=K, R=float(R), coeffs=a, cert_sup=cert,
+                               label=f"{name}[{i}]"))
+    return out
 
 
 def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
@@ -371,6 +420,11 @@ def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
     the returned coefficients are its first n_coeffs+1 Faber
     coefficients, so Bohr sums computed from them under-estimate the
     generator's full sum and any violation they exhibit is genuine.
+
+    The family is built in phases: every member's random data is drawn
+    first, then the sups of all members are sampled and refined together
+    (the inner polynomials of moebius, the polynomials and then the
+    series of scaled_poly, the series of faber_series).
     """
     if not R > 1.0:
         raise DomainError("level parameter R must exceed 1")
@@ -380,7 +434,11 @@ def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
         raise DomainError("family count must be nonnegative")
     rng = np.random.default_rng(family.seed)
     target = 1.0 - family.margin / 2.0
-    out = []
+    count = family.count
+
+    def level_sups(values):
+        return _row_sups(lambda t: psi(K, R * np.exp(1j * t)), values, count,
+                         _CERT_SAMPLES)
 
     if family.kind == "moebius":
         if family.sweep is not None:
@@ -388,64 +446,46 @@ def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
             if not (0.0 < lo < 1.0 and 0.0 < hi < 1.0):
                 raise DomainError(f"moebius sweep must lie in (0, 1); "
                                   f"got {family.sweep}")
-            a_values = np.linspace(lo, hi, family.count)
+            a = np.linspace(lo, hi, count)
             # the natural degree-1 map of the level region into the unit disc
             c, s = K.level_disc(R, _CERT_SAMPLES)
+
+            def inner(z, i):
+                return (z - c) / s
         else:
-            a_values = 0.05 + 0.90 * rng.random(family.count)
-        for i, a in enumerate(a_values):
-            a = float(a)
-            if family.sweep is not None:
-                inner = lambda z: (z - c) / s
-            else:
-                coeffs = (rng.standard_normal(family.degree + 1)
-                          + 1j * rng.standard_normal(family.degree + 1))
-                p = _poly_values(coeffs)
-                den = (1.0 + family.margin) * _fn_sup(p, K, R)
-                inner = lambda z, p=p, den=den: p(z) / den
+            a = 0.05 + 0.90 * rng.random(count)
+            poly = _poly_rows(_draw_polys(rng, family))
+            den = (1.0 + family.margin) * level_sups(poly)
 
-            def fn(z, a=a, inner=inner):
-                u = inner(z)
-                return (a - u) / (1.0 - a * u)
+            def inner(z, i):
+                return poly(z, i) / den[i]
 
-            out.append(_extract_member(fn, K, R, family, target,
-                                       label=f"moebius[{i}] a={a:.6g}"))
+        def fn(z, i):
+            u = inner(z, i)
+            return (a[i] - u) / (1.0 - a[i] * u)
 
-    elif family.kind == "scaled_poly":
-        for i in range(family.count):
-            coeffs = (rng.standard_normal(family.degree + 1)
-                      + 1j * rng.standard_normal(family.degree + 1))
-            s = _fn_sup(_poly_values(coeffs), K, R)
-            scaled = coeffs / ((1.0 + family.margin) * s)
-            fab = to_faber_basis(K, scaled)
-            member = FaberSeries(K=K, R=float(R), coeffs=fab)
-            cert = _series_sup(member, R)
-            if cert >= 1.0:
-                raise CertificationFailed(
-                    f"scaled_poly[{i}]: certified sup {cert} is not below 1")
-            out.append(FaberSeries(K=K, R=float(R), coeffs=fab, cert_sup=cert,
-                                   label=f"scaled_poly[{i}]"))
+        labels = [f"moebius[{i}] a={float(ai):.6g}" for i, ai in enumerate(a)]
+        return _extract_members(fn, level_sups(fn), K, R, family, target,
+                                labels)
 
-    elif family.kind == "faber_series":
+    if family.kind == "scaled_poly":
+        C = _draw_polys(rng, family)
+        C = C / ((1.0 + family.margin) * level_sups(_poly_rows(C)))
+        return _certified(K, R, [to_faber_basis(K, c) for c in C.T],
+                          "scaled_poly")
+
+    if family.kind == "faber_series":
         c = target * (1.0 - family.rho) / 2.0
         decay = np.power(family.rho, np.arange(family.n_coeffs + 1))
         scale = np.power(float(R), -np.arange(family.n_coeffs + 1))
-        for i in range(family.count):
+        coeffs = []
+        for _ in range(count):
             mags = rng.random(family.n_coeffs + 1)
             phases = np.exp(2j * np.pi * rng.random(family.n_coeffs + 1))
-            a = c * mags * phases * decay * scale
-            member = FaberSeries(K=K, R=float(R), coeffs=a)
-            cert = _series_sup(member, R)
-            if cert >= 1.0:
-                raise CertificationFailed(
-                    f"faber_series[{i}]: certified sup {cert} is not below 1")
-            out.append(FaberSeries(K=K, R=float(R), coeffs=a, cert_sup=cert,
-                                   label=f"faber_series[{i}]"))
+            coeffs.append(c * mags * phases * decay * scale)
+        return _certified(K, R, coeffs, "faber_series")
 
-    else:
-        raise DomainError(f"unknown family kind {family.kind!r}")
-
-    return out
+    raise DomainError(f"unknown family kind {family.kind!r}")
 
 
 # ---------------------------------------------------------------------------

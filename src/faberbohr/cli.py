@@ -18,7 +18,8 @@ A continuum is named as ``segment:a,b``, ``disc:re,im,radius`` or
 may be plain numbers or ``[re, im]`` pairs.
 
 Exit codes: 0 success, 2 bad arguments or input, 3 contour mismatch,
-4 campaign found a violation.
+4 campaign found a violation, 141 stdout was closed early (as by
+``| head``).
 
 All output for a fixed command line (including ``--seed``) is
 byte-identical between runs.
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import sys
 
 import numpy as np
@@ -376,6 +378,11 @@ def _cmd_coeffs(args, K: ContinuumSpec) -> int:
     return 0
 
 
+_COMMANDS = {"faber": _cmd_faber, "levelset": _cmd_levelset,
+             "verify": _cmd_verify, "estimates": _cmd_estimates,
+             "coeffs": _cmd_coeffs}
+
+
 # ---------------------------------------------------------------------------
 # driver
 
@@ -466,22 +473,19 @@ def main(argv=None) -> int:
             if not np.isfinite(value):
                 raise DomainError(f"--{flag} must be finite; got {value}")
         if args.cmd == "bohr-radius":
-            return _cmd_bohr_radius(args)
-        K = parse_continuum(args.continuum)
-        if args.cmd == "faber":
-            return _cmd_faber(args, K)
-        if args.cmd == "levelset":
-            return _cmd_levelset(args, K)
-        if args.cmd == "verify":
-            return _cmd_verify(args, K)
-        if args.cmd == "estimates":
-            return _cmd_estimates(args, K)
-        if args.cmd == "coeffs":
-            return _cmd_coeffs(args, K)
+            status = _cmd_bohr_radius(args)
+        else:
+            K = parse_continuum(args.continuum)
+            status = _COMMANDS[args.cmd](args, K)
+        sys.stdout.flush()   # a closed pipe shows here, not at exit
+        return status
     except FaberBohrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away: the interpreter's last flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")

@@ -120,10 +120,13 @@ class ContinuumSpec:
 
         return abs(faber_poly(self, n).eval_exact(z))
 
+    def _boundary(self, t):
+        """Boundary angle -> points of K's boundary, as psi just outside |w| = 1."""
+        return psi(self, (1.0 + 1e-9) * np.exp(1j * t))
+
     def _boundary_path(self, p):
         """Boundary angle -> values of the polynomial p on the boundary of K."""
-        rr = 1.0 + 1e-9
-        return lambda t: _eval_on_values(p, psi(self, rr * np.exp(1j * t)))
+        return lambda t: _eval_on_values(p, self._boundary(t))
 
     def level_disc(self, R: float, m: int) -> tuple:
         """Centre c and radius s with |z - c| <= s on {|phi| = R}.
@@ -131,11 +134,13 @@ class ContinuumSpec:
         Here the centroid of m level points and the sampled, refined
         largest distance from it.
         """
-        def level(t):
-            return psi(self, R * np.exp(1j * t))
+        def dist(t):
+            return np.abs(psi(self, R * np.exp(1j * t)) - zc)
 
-        zc = complex(np.mean(level(_angles(m))))
-        return zc, _sample_refine(lambda t: np.abs(level(t) - zc), m, 1.0)
+        z = psi(self, R * np.exp(1j * _angles(m)))
+        zc = complex(np.mean(z))
+        return zc, float(_sample_refine(lambda th: [np.abs(z - zc)], dist, m,
+                                        1.0)[0])
 
     def mp_nodes(self, ws):
         """psi and psi' at the mpmath nodes ws, in the current precision."""
@@ -324,6 +329,12 @@ class CustomSpec(ContinuumSpec):
     def describe(self) -> str:
         return f"custom(gamma={self.gamma}, depth={self.map_tail.M})"
 
+    @cached_property
+    def _complex(self) -> tuple:
+        """The map's lead, c0 and tail as complex floats, built once."""
+        t = self.map_tail
+        return t.lead_complex, t.c0_complex, t.tail_complex()
+
     def _contains(self, z: complex) -> bool:
         w = self._phi(np.array([z], dtype=complex))[0]
         if not np.isfinite(w):
@@ -331,26 +342,25 @@ class CustomSpec(ContinuumSpec):
         return abs(w) <= 1.0 + MEMBERSHIP_TOL
 
     def _phi(self, z):
-        t = self.map_tail
+        lead, c0, tail = self._complex
         with np.errstate(divide="ignore", invalid="ignore"):
             u = 1.0 / z
             acc = np.zeros_like(z)
-            for g in t.tail_complex()[::-1]:
+            for g in tail[::-1]:
                 acc = (acc + g) * u
-            return t.lead_complex * z + t.c0_complex + acc
+            return lead * z + c0 + acc
 
     def _phi_deriv(self, z):
-        t = self.map_tail
+        lead, _, tail = self._complex
         u = 1.0 / z
         acc = np.zeros_like(z)
-        tc = t.tail_complex()
-        for k in range(len(tc), 0, -1):
-            acc = (acc - k * tc[k - 1]) * u
-        return t.lead_complex + acc * u
+        for k in range(len(tail), 0, -1):
+            acc = (acc - k * tail[k - 1]) * u
+        return lead + acc * u
 
     def _psi(self, w):
-        t = self.map_tail
-        z = (w - t.c0_complex) / t.lead_complex
+        lead, c0, _ = self._complex
+        z = (w - c0) / lead
         tol = 1e-13 * np.maximum(1.0, np.abs(w))
         for _ in range(60):
             f = self._phi(z) - w
@@ -589,49 +599,59 @@ def arc_length(K: ContinuumSpec, r: float, m: int = DEFAULT_SAMPLES,
     raise NonConvergent("arc length did not stabilise; is the map tail sane?")
 
 
-def _golden_extremum(f, lo: float, hi: float, sign: float, iters: int = 60) -> float:
-    """Golden-section search for extremum of f on [lo, hi]; returns f value."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
+def _golden_extremum(f, lo, hi, sign: float, iters: int = 60) -> np.ndarray:
+    """Golden-section searches for the extrema of f, one per row, in lockstep.
+
+    lo and hi hold one bracket per row, and f maps an array of angles,
+    one per row, to each row's value at its own angle.  Every stage is
+    one call of f; each row takes the branch and the arithmetic of a
+    scalar golden-section search.  Returns the extremal values.
+    """
+    d = _GOLDEN * (hi - lo)
+    x1, x2 = hi - d, lo + d
     f1, f2 = sign * f(x1), sign * f(x2)
     for _ in range(iters):
-        if f1 <= f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = sign * f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = sign * f(x1)
-    return sign * max(f1, f2)
+        left = f1 <= f2   # keep [x1, hi], else [lo, x2]
+        lo, hi = np.where(left, x1, lo), np.where(left, hi, x2)
+        d = _GOLDEN * (hi - lo)
+        xn = np.where(left, lo + d, hi - d)
+        fn = sign * f(xn)
+        x1, x2 = np.where(left, x2, xn), np.where(left, xn, x1)
+        f1, f2 = np.where(left, f2, fn), np.where(left, fn, f1)
+    return sign * np.where(f2 > f1, f2, f1)
 
 
 def _angles(m: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(m) / m
 
 
-def _sample_refine(f, m: int, sign: float, fallback: bool = False) -> float:
-    """Extremum of f over the boundary angle: max for sign 1, min for -1.
+def _sample_refine(rows, f, m: int, sign: float,
+                   fallback: bool = False) -> np.ndarray:
+    """Extrema over the boundary angle of k rows: max for sign 1, min for -1.
 
-    f maps an array of angles to real values.  It is sampled at m
-    equispaced angles, then one 60-step golden section stage refines
-    within 2 pi/m of the best sample; the better of the two is returned.
-    With fallback set, the sampled value is returned when refinement
-    fails to converge.
+    rows(th) yields each row's real values at the m equispaced angles
+    th, one row at a time, so no k-by-m array is held.  f maps an array
+    of k angles to each row's value at its own angle.  Every row is
+    refined by a 60-step golden-section search within 2 pi/m of its best
+    sample, all rows in lockstep, and keeps the better of the two.  When
+    refinement fails to converge, fallback returns the sampled values of
+    every row instead of raising.
     """
     th = _angles(m)
-    vals = f(th)
-    j = int(np.argmax(sign * vals))
-    coarse = float(vals[j])
+    coarse, centre = [], []
+    for vals in rows(th):
+        j = int(np.argmax(sign * vals))
+        coarse.append(vals[j])
+        centre.append(th[j])
+    coarse, centre = np.array(coarse, dtype=float), np.array(centre)
     step = 2.0 * np.pi / m
     try:
-        fine = _golden_extremum(lambda t: float(f(np.array([t]))[0]),
-                                th[j] - step, th[j] + step, sign)
+        fine = _golden_extremum(f, centre - step, centre + step, sign)
     except NonConvergent:
         if not fallback:
             raise
         return coarse
-    return sign * max(sign * coarse, sign * fine)
+    return np.where(sign * fine > sign * coarse, fine, coarse)
 
 
 def dist_to_level(K: ContinuumSpec, z, r: float, m: int = DEFAULT_SAMPLES) -> float:
@@ -644,8 +664,12 @@ def dist_to_level(K: ContinuumSpec, z, r: float, m: int = DEFAULT_SAMPLES) -> fl
     an underestimate only loosens them.
     """
     z = complex(z)
-    return _sample_refine(lambda t: np.abs(psi(K, r * np.exp(1j * t)) - z),
-                          m, -1.0, fallback=True)
+
+    def f(t):
+        return np.abs(psi(K, r * np.exp(1j * t)) - z)
+
+    return float(_sample_refine(lambda th: [f(th)], f, m, -1.0,
+                                fallback=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -682,4 +706,20 @@ def sup_norm(p, S, m: int = DEFAULT_SAMPLES) -> SupNorm:
         path = S._boundary_path(p)
     else:
         raise WrongKind(f"cannot take a sup norm over {type(S).__name__}")
-    return SupNorm(_sample_refine(lambda t: np.abs(path(t)), m, 1.0), m)
+    return SupNorm(_row_sups(path, lambda v, i: v, 1, m)[0], m)
+
+
+def _row_sups(path, values, k: int, m: int) -> np.ndarray:
+    """Sampled and refined sups of |values(path(t), i)| over t, rows i < k.
+
+    values(x, i) gives row i at the points x for an integer i and, for
+    an index array i, row i[j] at x[j].  The grid goes through path
+    once and each row is sampled on it by itself; every golden stage
+    is one path call and one values call for all rows.
+    """
+    def rows(th):
+        x = path(th)
+        return (np.abs(values(x, i)) for i in range(k))
+
+    idx = np.arange(k)
+    return _sample_refine(rows, lambda t: np.abs(values(path(t), idx)), m, 1.0)

@@ -134,13 +134,6 @@ def make_context(K: ContinuumSpec, r: float, R: float, a=None,
 # ---------------------------------------------------------------------------
 # stable evaluation helpers
 
-def _dist(K: ContinuumSpec, z: complex, r: float, m: int) -> float:
-    memo, key = K._memo, ("dist", z, float(r), int(m))
-    if key not in memo:
-        memo[key] = dist_to_level(K, z, r, m)
-    return memo[key]
-
-
 def _fn_at(K: ContinuumSpec, ns, z: complex) -> np.ndarray:
     """F_n at a point of the exterior for each n in ns, through w = phi(z).
 
@@ -168,7 +161,7 @@ def en_bound(ctx: EstimateContext, n: int, z) -> EnBound:
     """
     z = complex(z)
     actual = abs(faber_remainder(ctx.K, n, z, ctx.r, ctx.m))
-    d = _dist(ctx.K, z, ctx.r, ctx.m)
+    d = dist_to_level(ctx.K, z, ctx.r, ctx.m)
     paper = ctx.r ** n * ctx.lg_r / d
     return EnBound(paper_bound=paper, normalized_bound=paper / _TWO_PI,
                    actual=actual)
@@ -197,7 +190,7 @@ def fn_bounds(ctx: EstimateContext, n: int, z) -> FnBounds:
     z = complex(z)
     if abs(abs(phi(ctx.K, z)) - ctx.R) > 1e-9 * max(1.0, ctx.R):
         raise NotOnLevel(f"{z} is not on the level curve at R={ctx.R}")
-    d = _dist(ctx.K, z, ctx.r, ctx.m)
+    d = dist_to_level(ctx.K, z, ctx.r, ctx.m)
     q = (ctx.r / ctx.R) ** n * ctx.lg_r / d
     qn = q / _TWO_PI
     Rn = ctx.R ** n
@@ -225,7 +218,7 @@ def fk_bound(ctx: EstimateContext, n: int, z) -> FkBound:
     z = complex(z)
     if not contains(ctx.K, z):
         raise PointOutsideK(f"{z} does not lie on {ctx.K.describe()}")
-    d = _dist(ctx.K, z, ctx.r, ctx.m)
+    d = dist_to_level(ctx.K, z, ctx.r, ctx.m)
     paper = ctx.r ** n * ctx.lg_r / d
     return FkBound(paper_bound=paper, normalized_bound=paper / _TWO_PI,
                    actual=ctx.K.abs_faber_on_k(n, z))

@@ -1,5 +1,6 @@
 """Coefficient sums, the sufficient segment level, bounded families."""
 
+import cmath
 import math
 
 import numpy as np
@@ -213,6 +214,31 @@ class TestBoundedFamilies:
 
 
 class TestCampaigns:
+    @pytest.mark.parametrize("kind, sweep", [
+        ("moebius", (0.8, 0.99)), ("moebius", None), ("scaled_poly", None),
+        ("faber_series", None)])
+    def test_family_is_refined_in_lockstep(self, monkeypatch, kind, sweep):
+        """A campaign maps each grid through psi once and refines every
+        member's sup together, one psi call per golden stage: a few hundred
+        Newton inversions, not one per member and stage."""
+        K = fb.custom(fb.LaurentTail.build(
+            1.0057, cmath.rect(0.1, 2.1),
+            (cmath.rect(0.12, 2.5), cmath.rect(0.05, 1.9),
+             cmath.rect(0.025, 1.3))))
+        calls = []
+        inner = type(K)._psi
+
+        def counted(self, w):
+            calls.append(len(w))
+            return inner(self, w)
+
+        monkeypatch.setattr(type(K), "_psi", counted)
+        fam = fb.BoundedFamily(kind=kind, count=100, sweep=sweep)
+        rep = fb.bohr_verify(K, 3.0, fam)
+        assert rep.count == 100
+        assert len(calls) <= 300
+
+
     def test_disc_classical_threshold(self, udisc):
         fam = fb.BoundedFamily(kind="moebius", seed=1, count=24,
                                sweep=(0.8, 0.99))

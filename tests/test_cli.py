@@ -1,6 +1,9 @@
 """Command line behaviour: payload shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +145,28 @@ class TestVerifyCommand:
         assert rc1 == rc2
         assert out1 == out2
 
+    @pytest.mark.parametrize("name, rc, argv", [
+        ("segment_moebius", 4,
+         ("--continuum", "segment:-0.5,2", "verify", "--family", "moebius",
+          "--count", "10")),
+        ("segment_moebius_random", 0,
+         ("--continuum", "segment:-0.5,2", "verify", "--family", "moebius",
+          "--sweep", "none")),
+        ("segment_scaled_poly", 0,
+         ("--continuum", "segment:-0.5,2", "verify", "--family",
+          "scaled_poly")),
+        ("segment_faber_series", 0,
+         ("--continuum", "segment:-0.5,2", "verify", "--family",
+          "faber_series")),
+        ("disc_default", 0, ("--continuum", "disc:0.5,-0.25,1.5", "verify")),
+    ])
+    def test_golden_stdout(self, capsys, name, rc, argv):
+        # recorded with the same command line; every member's sup, sum
+        # and violating coefficient is pinned to the bit
+        got, out, _ = run(capsys, "--output", "json", *argv)
+        assert got == rc
+        assert out.encode() == (DATA / f"verify_{name}.json").read_bytes()
+
 
 class TestEstimatesCommand:
     def test_json_payload(self, capsys):
@@ -222,3 +247,22 @@ class TestFailureModes:
                          "faber")
         assert rc == 2
         assert "nonexistent" in err
+
+    def test_closed_pipe_ends_quietly(self):
+        """A reader that stops early (`| head -1`) is not bad input: the
+        command exits 141 (128 + SIGPIPE) with nothing on stderr."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        # ~93 KB of output, more than the pipe holds, so the writer is
+        # still writing when the pipe closes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "faberbohr", "faber", "--n-max", "100",
+             "--output", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            bufsize=0)
+        assert proc.stdout.readline() == b"n,k,re,im\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""

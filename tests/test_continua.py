@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import faberbohr as fb
+from faberbohr.continua import _sample_refine
 from faberbohr.errors import (
     DomainError,
     InsideUnitDisc,
+    NonConvergent,
     PointInsideK,
 )
 
@@ -156,6 +158,53 @@ class TestSupNorm:
         p = fb.faber_poly(seg, 1)
         # sup of |w + 1/w| on |w| = 2 is 2.5
         assert float(fb.sup_norm(p, ls)) == pytest.approx(2.5, abs=1e-6)
+
+
+def _refine_distances(K, zs, sign, fallback=False, m=64):
+    """Extremal distance from each zs[i] to the level curve at 2, one row each."""
+    def level(t):
+        return fb.psi(K, 2.0 * np.exp(1j * t))
+
+    return _sample_refine(lambda th: (np.abs(level(th) - z) for z in zs),
+                          lambda t: np.abs(level(t) - zs), m, sign, fallback)
+
+
+class TestLockstepRefine:
+    @pytest.mark.parametrize("fallback", [False, True])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("K", [fb.segment(-0.5, 2.0),
+                                   fb.disc(0.3 + 0.1j, 0.7)],
+                             ids=["segment", "disc"])
+    def test_rows_equal_single_row_calls(self, K, sign, fallback):
+        rng = np.random.default_rng(11)
+        rho = 1.2 + 3.0 * rng.random(9)
+        zs = np.asarray(fb.psi(K, rho * np.exp(2j * np.pi * rng.random(9))))
+        together = _refine_distances(K, zs, sign, fallback)
+        alone = [float(_refine_distances(K, zs[i:i + 1], sign, fallback)[0])
+                 for i in range(len(zs))]
+        assert together.tolist() == alone
+        if sign < 0 and fallback:
+            # the single-row form is dist_to_level itself
+            assert alone == [fb.dist_to_level(K, z, 2.0, 64) for z in zs]
+
+    def test_refinement_beats_the_samples(self, seg):
+        zs = np.array([0.3 + 0.2j, -2.0 + 0.5j, 3.0j])
+        th = 2.0 * np.pi * np.arange(64) / 64
+        d = np.abs(np.asarray(fb.psi(seg, 2.0 * np.exp(1j * th)))[None, :]
+                   - zs[:, None])
+        assert np.all(_refine_distances(seg, zs, 1.0) >= d.max(axis=1))
+        assert np.all(_refine_distances(seg, zs, -1.0) <= d.min(axis=1))
+
+    def test_stalled_stage_falls_back_to_samples(self):
+        vals = [np.array([0.0, 2.0, 1.0, 0.5]), np.array([3.0, 1.0, 0.0, 1.0])]
+
+        def stalls(t):
+            raise NonConvergent("stalled")
+
+        got = _sample_refine(lambda th: vals, stalls, 4, 1.0, fallback=True)
+        assert got.tolist() == [2.0, 3.0]
+        with pytest.raises(NonConvergent):
+            _sample_refine(lambda th: vals, stalls, 4, 1.0)
 
 
 class TestMemoLifetime:

@@ -69,6 +69,22 @@ class TestRemainderBound:
                 eb = fb.en_bound(ctx, n, z)
                 assert eb.actual <= eb.normalized_bound
 
+    def test_memo_does_not_grow_with_fresh_points(self):
+        """Distances to the level curve are not memoised per point: fresh
+        exterior points every pass must leave K's memo the same size."""
+        sizes = []
+        for count in (5, 50):
+            K = fb.segment(-1.0, 1.0)
+            c = fb.make_context(K, 2.0, 4.0, n_max=4, m=256)
+            rng = np.random.default_rng(count)
+            for _ in range(3):
+                rho = 2.2 + 0.6 * rng.random(count)
+                ws = rho * np.exp(2j * np.pi * rng.random(count))
+                for z in np.asarray(fb.psi(K, ws)):
+                    fb.en_bound(c, 3, z)
+            sizes.append(len(K._memo))
+        assert sizes[0] == sizes[1]
+
 
 class TestLevelEnvelope:
     def test_disc_exact_modulus(self, dctx):
