@@ -186,8 +186,9 @@ class DiscSpec(ContinuumSpec):
     def _closure(self, R: float, depth: int) -> ContinuumSpec:
         return disc(self.center, self.radius * R)
 
-    def faber_exact(self, N: int) -> list:
-        """Exact coefficients of phi^0, ..., phi^N by the binomial theorem."""
+    def faber_exact(self, N: int, have: tuple = ()) -> list:
+        """Exact coefficients of phi^k, ..., phi^N by the binomial theorem,
+        k = len(have); the members in have are not rebuilt."""
         alpha, beta = self._series(0).data   # phi = alpha z + beta
         apow, bpow = [QC(1)], [QC(1)]
         for _ in range(N):
@@ -195,7 +196,7 @@ class DiscSpec(ContinuumSpec):
             bpow.append(bpow[-1] * beta)
         return [tuple(QC(comb(n, k)) * apow[k] * bpow[n - k]
                       for k in range(n + 1))
-                for n in range(N + 1)]
+                for n in range(len(have), N + 1)]
 
     def pullback(self, ns, w: np.ndarray) -> np.ndarray:
         return w[None, :] ** np.asarray(ns, dtype=float)[:, None]
@@ -266,21 +267,28 @@ class SegmentSpec(ContinuumSpec):
             raise DomainError("series form only available for the segment [-1, 1]")
         return _canonical_segment_graded(depth)
 
-    def faber_exact(self, N: int) -> list:
-        """F_0 = 1, F_n = 2 T_n(alpha z + beta), by the Chebyshev recurrence."""
+    def faber_exact(self, N: int, have: tuple = ()) -> list:
+        """F_k, ..., F_N for k = len(have): F_0 = 1, F_n = 2 T_n(alpha z +
+        beta), by the Chebyshev recurrence continued from the last two
+        members in have."""
         a, b = Fraction(self.a), Fraction(self.b)
         alpha, beta = 2 / (b - a), -(a + b) / (b - a)
-        polys = [(QC(1),)]
-        prev, cur = [Fraction(1)], [beta, alpha]   # T_0 and T_1 = u
-        for _ in range(N):
-            polys.append(tuple(QC(2 * c) for c in cur))
+        k = len(have)
+        if k < 3:
+            start, prev, cur = 1, [Fraction(1)], [beta, alpha]   # T_0, T_1 = u
+            polys = [(QC(1),), tuple(QC(2 * c) for c in cur)][k:N + 1]
+        else:   # T_{k-2}, T_{k-1} = F_{k-2} / 2, F_{k-1} / 2
+            start, polys = k - 1, []
+            prev, cur = ([c.re / 2 for c in f] for f in have[-2:])
+        for _ in range(start, N):
             # T_{n+1} = 2 u T_n - T_{n-1}
             nxt = [2 * beta * c for c in cur] + [Fraction(0)]
-            for k, c in enumerate(cur):
-                nxt[k + 1] += 2 * alpha * c
-            for k, c in enumerate(prev):
-                nxt[k] -= c
+            for j, c in enumerate(cur):
+                nxt[j + 1] += 2 * alpha * c
+            for j, c in enumerate(prev):
+                nxt[j] -= c
             prev, cur = cur, nxt
+            polys.append(tuple(QC(2 * c) for c in cur))
         return polys
 
     def pullback(self, ns, w: np.ndarray) -> np.ndarray:
@@ -378,9 +386,11 @@ class CustomSpec(ContinuumSpec):
     def _series(self, depth: int) -> GradedLaurent:
         return self.map_tail.to_graded().truncated(depth)
 
-    def faber_exact(self, N: int) -> list:
-        """Polynomial parts of the powers of the stored map tail."""
-        return _polys_from_graded(self.map_tail.to_graded(), N)
+    def faber_exact(self, N: int, have: tuple = ()) -> list:
+        """Polynomial parts of the powers k = len(have), ..., N of the
+        stored map tail.  The powers are truncated at depths that depend
+        on N, so the whole family is rebuilt and the first k dropped."""
+        return _polys_from_graded(self.map_tail.to_graded(), N)[len(have):]
 
 
 def _check_finite(kind: str, **fields) -> None:

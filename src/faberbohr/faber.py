@@ -22,6 +22,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -141,14 +142,16 @@ def faber_polys(K: ContinuumSpec, N: int):
     The family comes from the exact construction of K's kind
     (faber_exact): the Chebyshev recurrence on segments, the binomial
     form on discs and powers of the map tail on custom continua.  The
-    longest family built so far is kept on K; a longer request rebuilds
-    it to N and keeps the polynomials already made.
+    longest family built so far is kept on K; a longer request builds
+    only the new members on segments and discs, while custom maps
+    rebuild the whole family, since their tail truncation depends on N.
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
     fam = K._memo.get("faber", ())
     if len(fam) <= N:
-        fam += tuple(_make_poly(p) for p in K.faber_exact(N)[len(fam):])
+        fam += tuple(map(_make_poly,
+                         K.faber_exact(N, tuple(p.exact for p in fam))))
         K._memo["faber"] = fam
     return fam[: N + 1]
 
@@ -163,24 +166,53 @@ def faber_poly(K: ContinuumSpec, n: int) -> FaberPoly:
 # ---------------------------------------------------------------------------
 # contour route
 
-def _nodes(K: ContinuumSpec, r: float, m: int, dps: int | None = None):
-    """(w, psi(w), psi'(w) w) at w_j = r omega^j as numpy arrays; for a dps,
-    mpmath lists built under workdps(dps), led by omega^j.  Both are kept
-    on K: the nodes under ("nodes", r, m, dps), omega^j under (m, dps)."""
-    memo, key = K._memo, ("nodes", float(r), int(m), dps)
-    if key not in memo:
-        if dps is None:
-            w = r * np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
-            memo[key] = (w, psi(K, w), psi_prime(K, w) * w)
-        else:
-            from mpmath import mp
+_GUARD_BITS = 8
 
-            omega = memo.get((m, dps)) or mp.unitroots(m)
-            ws = [mp.mpf(repr(float(r))) * o for o in omega]
-            ts, dpsi = K.mp_nodes(ws)   # custom maps raise before any store
-            memo[(m, dps)] = omega
-            memo[key] = (omega, ts, [d * w for d, w in zip(dpsi, ws)])
-    return memo[key]
+
+def _nodes(K: ContinuumSpec, r: float, m: int):
+    """(w, psi(w), psi'(w) w) at w_j = r omega^j, memoised on K."""
+    key = ("nodes", float(r), int(m))
+    if key not in K._memo:
+        w = r * np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+        K._memo[key] = (w, psi(K, w), psi_prime(K, w) * w)
+    return K._memo[key]
+
+
+def _fixed(values, shift: int):
+    """Real and imaginary parts of mpc values times 2**shift, as two lists
+    of Python ints (rounded down)."""
+    from mpmath import mpc
+    from mpmath.libmp import to_fixed
+
+    parts = [mpc(v)._mpc_ for v in values]
+    return ([to_fixed(re, shift) for re, _ in parts],
+            [to_fixed(im, shift) for _, im in parts])
+
+
+def _fixed_nodes(K: ContinuumSpec, r: float, m: int, dps: int):
+    """Fixed-point data of the high-precision route, under mp.workdps(dps).
+
+    Returns P, the roots of unity omega^j at 2**P, the centre c and
+    exponent e of the node set, and, at 2**P in the coordinate
+    (t - c)/2^e, the nodes psi(w_j) and the weights psi'(w_j) w_j.  The
+    roots are kept on K under ("roots", m, dps), shared by the levels;
+    the rest under ("fixed nodes", r, m, dps).
+    """
+    from mpmath import mp
+
+    P = mp.prec + int(m).bit_length() + _GUARD_BITS
+    memo = K._memo
+    roots, key = ("roots", int(m), dps), ("fixed nodes", float(r), int(m), dps)
+    if key not in memo:
+        omega = mp.unitroots(m)
+        ws = [mp.mpf(repr(float(r))) * o for o in omega]
+        ts, dpsi = K.mp_nodes(ws)   # custom maps raise before any store
+        c = mp.fsum(ts) / m
+        e = max(mp.mag(t - c) for t in ts)
+        memo.setdefault(roots, _fixed(omega, P))
+        memo[key] = (c, e, _fixed([t - c for t in ts], P - e),
+                     _fixed([d * w for d, w in zip(dpsi, ws)], P - e))
+    return (P, memo[roots]) + memo[key]
 
 
 def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
@@ -189,12 +221,19 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
 
     Returns the matrix V[i, j] for n = ns[i], z = zs[j], normalised by
     1/(2 pi i).  For points inside the level curve this is the Faber
-    polynomial value; the optional dps switches to mpmath arithmetic,
-    needed when r**n overwhelms double-precision summation.  The nodes
-    are memoised on K per (r, m, dps).  With w_j^n = r^n omega^(jn mod m),
-    each z costs one pass of m divisions and each n one mp.fdot of a
-    row of roots of unity, rounded once.  Custom maps have no mpmath
-    route and raise FaberBohrError.
+    polynomial value.  The optional dps switches to a high-precision
+    route, needed when r**n overwhelms double-precision summation.  It
+    works in mpmath's precision for dps decimal digits, prec bits, and
+    holds every quantity as an exact Python int in fixed point at 2**P,
+    P = prec + bits(m) + 8 guard bits.  The nodes are centred on their
+    mean c and scaled by 2^-e to size about 1; the Cauchy weight
+    dw/(t - z) does not change under this affine map, so the accuracy
+    does not depend on where K lies or how large it is.  Nodes and roots
+    of unity are converted once and memoised on K per (r, m, dps).  With
+    w_j^n = r^n omega^(jn mod m), each z costs m integer complex
+    divisions and each n three integer dot products, rounded once to
+    mpmath.  Custom maps have no high-precision route and raise
+    FaberBohrError.
     """
     ns = list(ns)
     zs = np.asarray(zs, dtype=complex).ravel()
@@ -211,13 +250,32 @@ def _contour_mp(K: ContinuumSpec, ns, zs, r, m, dps) -> np.ndarray:
 
     out = np.zeros((len(ns), len(zs)), dtype=complex)
     with mp.workdps(dps):
-        omega, ts, dw = _nodes(K, r, m, dps)
+        P, (wr, wi), c, e, (tr, ti), (dr, di) = _fixed_nodes(K, r, m, dps)
+        rows = {}
+        for k in {n % m for n in ns}:
+            x = [wr[j * k % m] for j in range(m)]
+            y = [wi[j * k % m] for j in range(m)]
+            rows[k] = (x, y, list(map(add, x, y)))
         rr = mp.mpf(repr(float(r)))
-        rows = [([omega[j * n % m] for j in range(m)], rr ** n / m) for n in ns]
-        for jz, zq in enumerate(map(mpc, zs)):
-            B = [d / (t - zq) for t, d in zip(ts, dw)]
-            for i, (row, scale) in enumerate(rows):
-                out[i, jz] = complex(mp.fdot(row, B) * scale)
+        scales = [mp.ldexp(rr ** n / m, -2 * P) for n in ns]
+        for jz, z in enumerate(zs):
+            (zr,), (zi,) = _fixed([mpc(z) - c], P - e)
+            u, v = [], []   # B_j = dw_j/(t_j - z) = u_j + i v_j at 2**P
+            for a, b, t_re, t_im in zip(dr, di, tr, ti):
+                er, ei = t_re - zr, t_im - zi
+                den = er * er + ei * ei
+                u.append(((a * er + b * ei) << P) // den)
+                v.append(((b * er - a * ei) << P) // den)
+            # sum of (x + iy)(u + iv) in three products: k1 = (x + y)u,
+            # re = k1 - y(u + v), im = k1 + x(v - u)
+            upv, vmu = list(map(add, u, v)), list(map(sub, v, u))
+            sums = {}
+            for k, (x, y, xpy) in rows.items():
+                k1 = sum(map(mul, xpy, u))
+                sums[k] = (k1 - sum(map(mul, y, upv)),
+                           k1 + sum(map(mul, x, vmu)))
+            for i, n in enumerate(ns):
+                out[i, jz] = complex(mpc(*sums[n % m]) * scales[i])
     return out
 
 

@@ -24,6 +24,7 @@ from faberbohr.series import (
     QC,
     _affine_compose_qc,
     laurent_pow,
+    qc_horner,
     split_parts_exact,
 )
 
@@ -149,6 +150,30 @@ class TestExactRoute:
         for n in range(N):
             assert fb.faber_poly(K, n) is polys[n]
 
+    @pytest.mark.parametrize("make, steps, built", [
+        (lambda: fb.segment(*FULL_MANTISSA), (24, 28, 34, 40), 41),
+        (lambda: fb.disc(0.3 + 0.1j, 0.7), (24, 28, 34, 40), 41),
+        (_three_term_map, (8, 10, 12), None),   # truncation depends on N
+    ], ids=["segment", "disc", "custom"])
+    def test_extension_builds_only_new_members(self, make, steps, built,
+                                               monkeypatch):
+        """Extending the family builds the new members only, and the
+        result equals a family built in one call."""
+        K = make()
+        counts = []
+        exact = type(K).faber_exact
+        monkeypatch.setattr(type(K), "faber_exact", lambda self, *args: (
+            counts.append(len(out := exact(self, *args))) or out))
+        fb.faber_polys(K, steps[0])
+        for n in steps[1:]:
+            fb.faber_poly(K, n)
+        monkeypatch.undo()
+        if built is not None:
+            assert sum(counts) == built
+        once = fb.faber_polys(make(), steps[-1])
+        assert ([p.exact for p in fb.faber_polys(K, steps[-1])]
+                == [p.exact for p in once])
+
 
 class TestDiscConstruction:
     def test_binomial_coefficients(self):
@@ -268,6 +293,40 @@ class TestContourMp:
         again = fb.contour_values(K, self.NS, zs, r, m=256, dps=30)
         assert np.array_equal(again, got)
         assert calls == []
+
+    # dyadic points x inside the r = 2 level of [-1, 1] and of the unit
+    # disc, so that centre + size * x is exact for the continua below
+    UNIT_POINTS = np.array([0.5, -0.25 + 0.375j, 0.75 - 0.25j, 0.125 + 0.5j])
+
+    @pytest.mark.parametrize("make, unit", [
+        (lambda: fb.segment(-2.0 ** -100, 2.0 ** -100), fb.segment),
+        (lambda: fb.segment(-2.0 ** -200, 2.0 ** -200), fb.segment),
+        (lambda: fb.segment(2.0 ** 40 - 1, 2.0 ** 40 + 1), fb.segment),
+        (lambda: fb.segment(-2.0 ** 300, 2.0 ** 300), fb.segment),
+        (lambda: fb.disc(complex(3, -1) * 2.0 ** -102, 2.0 ** -100), fb.disc),
+    ], ids=["segment-2^-100", "segment-2^-200", "segment-far", "segment-2^300",
+            "disc-2^-100"])
+    def test_invariant_under_affine_maps(self, make, unit):
+        """F_n does not change under affine maps of K, nor may its value."""
+        K, ref_K = make(), unit()
+        if K.kind == "segment":
+            centre, size = (K.a + K.b) / 2, (K.b - K.a) / 2
+        else:
+            centre, size = K.center, K.radius
+        got = fb.contour_values(K, self.NS, centre + size * self.UNIT_POINTS,
+                                2.0, m=256, dps=30)
+        ref = fb.contour_values(ref_K, self.NS, self.UNIT_POINTS, 2.0, m=256,
+                                dps=30)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+    def test_high_degree(self, seg):
+        """F_60 = 2 T_60 at r = 3, where r^60 ~ 4e28 needs the digits."""
+        xs = [0.3, -0.8125, 0.5 + 0.5j, -0.1 - 0.25j]
+        got = fb.contour_values(seg, [60], xs, 3.0, m=256, dps=50)[0]
+        cheb = [QC(2 * c) for c in _cheb_exact(60)]
+        for x, g in zip(xs, got):
+            want = qc_horner(cheb, QC.of(complex(x))).to_complex()
+            assert abs(g - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_negative_degree_matches_float_route(self, seg):
         zs = [0.3, 0.1 + 0.2j, fb.psi(seg, 1.3j)]
