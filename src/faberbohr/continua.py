@@ -42,6 +42,7 @@ from .series import (
     QC,
     GradedLaurent,
     LaurentTail,
+    _gauss_ints,
     _polys_from_graded,
 )
 
@@ -143,7 +144,9 @@ class ContinuumSpec:
                                         1.0)[0])
 
     def mp_nodes(self, ws):
-        """psi and psi' at the mpmath nodes ws, in the current precision."""
+        """(c, psi - c, psi') at the mpmath nodes ws, in the current
+        precision, with c the kind's centre; relative nodes keep their
+        digits however far K lies from 0."""
         raise FaberBohrError("high-precision contour is implemented for "
                              "segment and disc continua only")
 
@@ -188,15 +191,25 @@ class DiscSpec(ContinuumSpec):
 
     def faber_exact(self, N: int, have: tuple = ()) -> list:
         """Exact coefficients of phi^k, ..., phi^N by the binomial theorem,
-        k = len(have); the members in have are not rebuilt."""
-        alpha, beta = self._series(0).data   # phi = alpha z + beta
-        apow, bpow = [QC(1)], [QC(1)]
+        k = len(have); the members in have are not rebuilt.
+
+        With phi = (A z + B)/d over the shared denominator d (A real),
+        the z^j coefficient of phi^n is C(n, j) A^j B^(n-j)/d^n, computed
+        in Gaussian ints.
+        """
+        d, (a, br), (_, bi) = _gauss_ints(self._series(0).data)
+        apow, bpow = [1], [(1, 0)]
         for _ in range(N):
-            apow.append(apow[-1] * alpha)
-            bpow.append(bpow[-1] * beta)
-        return [tuple(QC(comb(n, k)) * apow[k] * bpow[n - k]
-                      for k in range(n + 1))
-                for n in range(len(have), N + 1)]
+            apow.append(apow[-1] * a)
+            x, y = bpow[-1]
+            bpow.append((x * br - y * bi, x * bi + y * br))
+        out = []
+        for n in range(len(have), N + 1):
+            dn = d ** n
+            terms = ((comb(n, j) * apow[j], bpow[n - j]) for j in range(n + 1))
+            out.append(tuple(QC(Fraction(c * x, dn), Fraction(c * y, dn))
+                             for c, (x, y) in terms))
+        return out
 
     def pullback(self, ns, w: np.ndarray) -> np.ndarray:
         return w[None, :] ** np.asarray(ns, dtype=float)[:, None]
@@ -216,7 +229,7 @@ class DiscSpec(ContinuumSpec):
 
         c = mpc(self.center.real, self.center.imag)
         r = mp.mpf(repr(self.radius))
-        return [c + r * w for w in ws], [r] * len(ws)
+        return c, [r * w for w in ws], [r] * len(ws)
 
 
 @dataclass(frozen=True)
@@ -318,7 +331,7 @@ class SegmentSpec(ContinuumSpec):
 
         mid = (mp.mpf(repr(self.a)) + mp.mpf(repr(self.b))) / 2
         quarter = (mp.mpf(repr(self.b)) - mp.mpf(repr(self.a))) / 4
-        return ([mid + quarter * (w + 1 / w) for w in ws],
+        return (mid, [quarter * (w + 1 / w) for w in ws],
                 [quarter * (1 - 1 / (w * w)) for w in ws])
 
 
@@ -367,17 +380,27 @@ class CustomSpec(ContinuumSpec):
         return lead + acc * u
 
     def _psi(self, w):
+        """Newton's method for phi(z) = w from z = (w - c0)/lead.
+
+        A point that meets the tolerance takes one more, polishing, step
+        and stops, so its result does not depend on the points it is
+        batched with.
+        """
         lead, c0, _ = self._complex
+        shape, w = w.shape, w.ravel()
         z = (w - c0) / lead
         tol = 1e-13 * np.maximum(1.0, np.abs(w))
-        for _ in range(60):
-            f = self._phi(z) - w
-            if np.all(np.abs(f) <= tol):
-                return z
-            z = z - f / self._phi_deriv(z)
-        f = self._phi(z) - w
-        if np.all(np.abs(f) <= tol):
-            return z
+        idx = np.arange(w.size)   # the points still moving
+        for step in range(61):
+            zi = z[idx]
+            f = self._phi(zi) - w[idx]
+            done = np.abs(f) <= tol[idx]
+            if step == 60 and not done.all():
+                break
+            z[idx] = zi - f / self._phi_deriv(zi)   # polishes the done ones
+            idx = idx[~done]
+            if idx.size == 0:
+                return z.reshape(shape)
         raise NonConvergent("Newton inversion of the custom exterior map stalled")
 
     def _psi_prime(self, w):

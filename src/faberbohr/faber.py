@@ -8,8 +8,10 @@ independent routes are implemented and kept separate on purpose:
 * the exact route, one construction per kind in Gaussian-rational
   arithmetic: the Chebyshev recurrence on segments (F_n = 2 T_n of the
   affine variable), the binomial form on discs and powers of the map
-  tail on custom continua; faber_polys memoises one family per
-  continuum and faber_poly reads F_n from it,
+  tail on custom continua, the last two in shared-denominator Gaussian
+  ints; faber_polys memoises one family per continuum, faber_poly reads
+  F_n from it, and exact evaluation is Horner's rule in Gaussian ints,
+  rounded once,
 * the contour route, a Cauchy-type integral over a level curve
   normalised by 1/(2 pi i), evaluated with the periodic trapezoid rule.
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul, sub
 
 import numpy as np
@@ -42,7 +45,7 @@ from .errors import (
     ReconstructionMismatch,
     WrongKind,
 )
-from .series import QC, _affine_compose_qc, qc_horner
+from .series import QC, _affine_compose_qc, _dyadic, _gauss_horner, _gauss_ints
 
 __all__ = [
     "FaberPoly",
@@ -77,12 +80,28 @@ class FaberPoly:
     exact: tuple = field(repr=False)
     _cheb: dict = field(default_factory=dict, repr=False, compare=False)
 
+    @cached_property
+    def _ints(self) -> tuple:
+        """exact as (D, re, im), integer numerators over their least common
+        denominator D; built on the first exact evaluation, so a family
+        that is only printed never pays for it."""
+        return _gauss_ints(self.exact)
+
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
                                                 self.coeffs)
 
     def eval_exact(self, z) -> complex:
-        return qc_horner(self.exact, QC.of(complex(z))).to_complex()
+        """F_n(z) computed exactly and rounded once to the nearest doubles.
+
+        z = (X + iY)/d exactly, d a power of two; Horner's rule runs on
+        the integer numerators, and the value (ar + i ai)/(D d^n) is
+        rounded by int/int true division, so it equals the correctly
+        rounded value of the exact Gaussian rational.  A non-finite z
+        raises DomainError and a value beyond double range OverflowError.
+        """
+        ar, ai, den = _gauss_horner(*self._ints, *_dyadic(complex(z)))
+        return complex(ar / den, ai / den)
 
     def cheb_floats(self, a: float, b: float) -> np.ndarray:
         """Chebyshev-basis coefficients of self on [a, b], computed exactly."""
@@ -141,7 +160,11 @@ def faber_polys(K: ContinuumSpec, N: int):
 
     The family comes from the exact construction of K's kind
     (faber_exact): the Chebyshev recurrence on segments, the binomial
-    form on discs and powers of the map tail on custom continua.  The
+    form on discs and powers of the map tail on custom continua, the
+    last two in Gaussian ints over a shared denominator.  Each member
+    keeps its coefficients as QC (exact) and, from its first exact
+    evaluation on, as integer numerators over one denominator, which
+    eval_exact runs on.  The
     longest family built so far is kept on K; a longer request builds
     only the new members on segments and discs, while custom maps
     rebuild the whole family, since their tail truncation depends on N.
@@ -192,11 +215,13 @@ def _fixed(values, shift: int):
 def _fixed_nodes(K: ContinuumSpec, r: float, m: int, dps: int):
     """Fixed-point data of the high-precision route, under mp.workdps(dps).
 
-    Returns P, the roots of unity omega^j at 2**P, the centre c and
-    exponent e of the node set, and, at 2**P in the coordinate
-    (t - c)/2^e, the nodes psi(w_j) and the weights psi'(w_j) w_j.  The
-    roots are kept on K under ("roots", m, dps), shared by the levels;
-    the rest under ("fixed nodes", r, m, dps).
+    Returns P, the roots of unity omega^j at 2**P, the centre c of K's
+    kind and the exponent e of the node set, and, at 2**P in the
+    coordinate (t - c)/2^e, the nodes psi(w_j) and the weights
+    psi'(w_j) w_j.  mp_nodes gives the nodes relative to c, so no digit
+    is lost to the distance of K from 0; a point z is moved by c once.
+    The roots are kept on K under ("roots", m, dps), shared by the
+    levels; the rest under ("fixed nodes", r, m, dps).
     """
     from mpmath import mp
 
@@ -206,11 +231,10 @@ def _fixed_nodes(K: ContinuumSpec, r: float, m: int, dps: int):
     if key not in memo:
         omega = mp.unitroots(m)
         ws = [mp.mpf(repr(float(r))) * o for o in omega]
-        ts, dpsi = K.mp_nodes(ws)   # custom maps raise before any store
-        c = mp.fsum(ts) / m
-        e = max(mp.mag(t - c) for t in ts)
+        c, ts, dpsi = K.mp_nodes(ws)   # custom maps raise before any store
+        e = max(mp.mag(t) for t in ts)
         memo.setdefault(roots, _fixed(omega, P))
-        memo[key] = (c, e, _fixed([t - c for t in ts], P - e),
+        memo[key] = (c, e, _fixed(ts, P - e),
                      _fixed([d * w for d, w in zip(dpsi, ws)], P - e))
     return (P, memo[roots]) + memo[key]
 
@@ -225,11 +249,12 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
     route, needed when r**n overwhelms double-precision summation.  It
     works in mpmath's precision for dps decimal digits, prec bits, and
     holds every quantity as an exact Python int in fixed point at 2**P,
-    P = prec + bits(m) + 8 guard bits.  The nodes are centred on their
-    mean c and scaled by 2^-e to size about 1; the Cauchy weight
-    dw/(t - z) does not change under this affine map, so the accuracy
-    does not depend on where K lies or how large it is.  Nodes and roots
-    of unity are converted once and memoised on K per (r, m, dps).  With
+    P = prec + bits(m) + 8 guard bits.  The nodes are taken relative to
+    the centre c of K's kind and scaled by 2^-e to size about 1; the
+    Cauchy weight dw/(t - z) does not change under this affine map, and
+    z - c is formed once in mpmath, so the accuracy does not depend on
+    where K lies or how large it is.  Nodes and roots of unity are
+    converted once and memoised on K per (r, m, dps).  With
     w_j^n = r^n omega^(jn mod m), each z costs m integer complex
     divisions and each n three integer dot products, rounded once to
     mpmath.  Custom maps have no high-precision route and raise
@@ -427,25 +452,30 @@ def target_identity_residual(K: ContinuumSpec, n: int, w) -> float:
 
     Both sides grow like |w|**n, far past the absolute resolution of
     doubles, so the residual is assembled exactly and only then rounded.
+    The point z = psi(w) = mid + quarter (w + 1/w) is the Gaussian
+    rational Z/dz and F_n(z) = A/(D dz^n) comes from the integer
+    kernel.  With w = (X + iY)/d and s = X^2 + Y^2, U = (X + iY)^n gives
+    w^n + w^-n = (U s^n + d^2n conj(U))/(d^n s^n).  The difference and
+    its squared modulus are integers over one denominator, rounded once.
     """
     if K.kind != "segment":
         raise WrongKind("the target-coordinate identity is a segment fact")
     if n < 1:
         raise DomainError("the identity is stated for n >= 1")
     wq = QC.of(complex(w))
-    winv = wq.inverse()
     mid = QC((Fraction(K.a) + Fraction(K.b)) / 2)
     quarter = QC((Fraction(K.b) - Fraction(K.a)) / 4)
-    zq = mid + quarter * (wq + winv)
-    p = faber_poly(K, n)
-    lhs = qc_horner(p.exact, zq)
-    wn = QC(1)
-    wninv = QC(1)
+    dz, (zr,), (zi,) = _gauss_ints([mid + quarter * (wq + wq.inverse())])
+    ar, ai, da = _gauss_horner(*faber_poly(K, n)._ints, zr, zi, dz)
+    d, (x,), (y,) = _gauss_ints([wq])
+    ur, ui = 1, 0
     for _ in range(n):
-        wn = wn * wq
-        wninv = wninv * winv
-    diff = lhs - (wn + wninv)
-    return float(diff.abs2()) ** 0.5
+        ur, ui = ur * x - ui * y, ur * y + ui * x
+    sn, d2n = (x * x + y * y) ** n, d ** (2 * n)
+    dv = d ** n * sn
+    nr = ar * dv - ur * (sn + d2n) * da
+    ni = ai * dv - ui * (sn - d2n) * da
+    return ((nr * nr + ni * ni) / (da * dv) ** 2) ** 0.5
 
 
 def target_identity_check(K: ContinuumSpec, n: int, w, tol: float = 1e-9) -> bool:

@@ -11,10 +11,19 @@ low-order information that the later evaluation steps need.  Every
 float is a dyadic rational, lifting inputs to Gaussian rationals is
 therefore lossless, and all series arithmetic here is exact.  Complex
 views are offered wherever a consumer only needs doubles.
+
+The hot exact paths run on a Gaussian-integer kernel instead of QC
+pairs of Fractions: a list of Gaussian rationals is held as one
+shared denominator D and two lists of integer numerators, a float
+point z as (X + iY)/2^e, and Horner's rule and the powers of a map
+tail run in Python ints with no gcd per step.  The single rounding at
+the end is an int/int true division, which Python rounds correctly, so
+the doubles are the ones float(Fraction) gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +41,10 @@ __all__ = [
 ]
 
 
+def _not_finite(x) -> DomainError:
+    return DomainError(f"cannot represent {x!r} exactly; values must be finite")
+
+
 def _fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -40,8 +53,7 @@ def _fraction(x) -> Fraction:
         try:
             return Fraction(x)
         except (OverflowError, ValueError):
-            raise DomainError(f"cannot represent {x!r} exactly; values must "
-                              "be finite") from None
+            raise _not_finite(x) from None
     raise TypeError(f"cannot represent {type(x).__name__} exactly")
 
 
@@ -133,6 +145,41 @@ def qc_horner(coeffs, z) -> QC:
     for c in reversed(coeffs):
         acc = acc * zq + c
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Gaussian-integer kernel
+
+def _gauss_ints(values) -> tuple:
+    """(D, re, im) with values[k] == (re[k] + i im[k]) / D, for QC values;
+    D is the least common denominator."""
+    D = math.lcm(*(q.denominator for v in values for q in (v.re, v.im)))
+    return (D, [v.re.numerator * (D // v.re.denominator) for v in values],
+            [v.im.numerator * (D // v.im.denominator) for v in values])
+
+
+def _dyadic(z: complex) -> tuple:
+    """(X, Y, d) with z == (X + iY)/d exactly and d a power of two."""
+    try:
+        p, q = z.real.as_integer_ratio()
+        r, s = z.imag.as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise _not_finite(z.imag if math.isfinite(z.real) else z.real) from None
+    d = max(q, s)
+    return p * (d // q), r * (d // s), d
+
+
+def _gauss_horner(D: int, re, im, X: int, Y: int, d: int) -> tuple:
+    """sum((re[k] + i im[k])/D * ((X + iY)/d)**k) as (ar, ai, den), the
+    value being (ar + i ai)/den with den = D d^n.
+
+    Horner's rule on the numerators: acc = acc (X + iY) + C_k d^(n-k).
+    """
+    ar, ai, dk = re[-1], im[-1], 1
+    for k in range(len(re) - 2, -1, -1):
+        dk *= d
+        ar, ai = ar * X - ai * Y + re[k] * dk, ar * Y + ai * X + im[k] * dk
+    return ar, ai, D * dk
 
 
 @dataclass(frozen=True)
@@ -321,12 +368,24 @@ def _polys_from_graded(g: GradedLaurent, N: int):
     g is an exact Laurent polynomial of top degree 1 (a map tail).
     g^n is kept to depth N - n only: a dropped term climbs one exponent
     per further product by g, N - n products follow, so truncation
-    errors never reach z^0.
+    errors never reach z^0.  With g = G/d over the shared denominator
+    d, the powers are G^n/d^n with G^n in Gaussian ints.  Entry i of
+    G^n is its coefficient of z^(n - i), so a product with entry j of G
+    lands in entry i + j, and depth N - n keeps the entries up to N.
     """
+    d, gre, gim = _gauss_ints(g.data)
+    terms = [(j, x, y) for j, (x, y) in enumerate(zip(gre, gim)) if x or y]
     out = [(_QC_ONE,)]
-    cur = g
+    cre, cim, dn = gre, gim, d
     for n in range(1, N + 1):
         if n > 1:
-            cur = laurent_mul(cur, g, N - n)
-        out.append(split_parts_exact(cur)[0])
+            nre, nim = [0] * (N + 1), [0] * (N + 1)
+            for j, x, y in terms:
+                for i in range(min(len(cre), N + 1 - j)):
+                    a, b = cre[i], cim[i]
+                    nre[i + j] += a * x - b * y
+                    nim[i + j] += a * y + b * x
+            cre, cim, dn = nre, nim, dn * d
+        out.append(tuple(QC(Fraction(cre[n - k], dn), Fraction(cim[n - k], dn))
+                         for k in range(n + 1)))
     return out

@@ -69,6 +69,18 @@ class TestFaberCommand:
         assert rc == 0
         assert out.encode() == (DATA / f"faber_{name}.{output}").read_bytes()
 
+    @pytest.mark.parametrize("name, continuum", [
+        ("segment_canonical", "segment:-1,1"),
+        ("custom_readme", f"custom:@{DATA / 'readme_map.json'}"),
+    ])
+    def test_golden_contour_check(self, capsys, name, continuum):
+        # max_mismatch compares the float contour route with eval_exact,
+        # so this pins both to the byte
+        rc, out, _ = run(capsys, "--continuum", continuum, "--output", "json",
+                         "faber", "--n-max", "16", "--check-contour")
+        assert rc == 0
+        assert out.encode() == (DATA / f"faber_contour_{name}.json").read_bytes()
+
 
 class TestLevelsetCommand:
     def test_csv_rows(self, capsys):

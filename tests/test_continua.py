@@ -53,6 +53,19 @@ class TestExteriorCoordinate:
         with pytest.raises(InsideUnitDisc):
             fb.psi(seg, 0.5)
 
+    def test_custom_psi_does_not_depend_on_the_batch(self):
+        """Each point stops at its own convergence, so psi of an array is
+        psi of each of its points."""
+        K = fb.custom(fb.LaurentTail.build(
+            1.0057, cmath.rect(0.1, 2.1),
+            (cmath.rect(0.12, 2.5), cmath.rect(0.05, 1.9),
+             cmath.rect(0.025, 1.3))))
+        rng = np.random.default_rng(3)
+        w = (1.01 + 3.0 * rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
+        together = fb.psi(K, w)
+        alone = [complex(fb.psi(K, w[i:i + 1])[0]) for i in range(len(w))]
+        assert together.tolist() == alone
+
     def test_green_is_log_modulus(self, seg, custom_spec):
         for K in (seg, custom_spec):
             z = fb.psi(K, 2.0 * np.exp(0.7j))

@@ -1,6 +1,7 @@
 """Faber polynomials: series route, contour route, coefficients, identities."""
 
 import cmath
+import functools
 import json
 import math
 from fractions import Fraction
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import faberbohr as fb
 from faberbohr.errors import (
@@ -140,8 +143,9 @@ class TestExactRoute:
         (lambda: fb.custom(fb.LaurentTail.build(2.0, 0.1, (0.5, 0.0, 0.125))),
          24),   # the custom_spec fixture
         (_three_term_map, 24),
+        (lambda: _fraction_map(), 24),   # non-dyadic exact tail
     ], ids=["segment", "segment-full-mantissa", "disc", "readme-map",
-            "custom-fixture", "three-term-map"])
+            "custom-fixture", "three-term-map", "fraction-map"])
     def test_equals_series_route(self, make, N):
         K = make()
         polys = fb.faber_polys(K, N)
@@ -194,6 +198,154 @@ class TestDiscConstruction:
             assert np.array_equal(polys[n].coeffs, want)
 
 
+def _fraction_map():
+    """A map with non-dyadic exact coefficients (thirds and sevenths)."""
+    return fb.custom(fb.LaurentTail.build(
+        Fraction(3, 2), QC(Fraction(1, 3), Fraction(-1, 7)),
+        (Fraction(1, 7), QC(0, Fraction(1, 3)), Fraction(-2, 21))))
+
+
+KERNEL_CONTINUA = {
+    "segment": lambda: fb.segment(-1.0, 1.0),
+    "segment-dyadic": lambda: fb.segment(-0.5, 2.0),
+    "segment-full-mantissa": lambda: fb.segment(*FULL_MANTISSA),
+    "disc-off-centre": lambda: fb.disc(0.3 + 0.1j, 0.7),
+    "readme-map": _readme_map,
+    "three-term-map": _three_term_map,
+    "fraction-map": _fraction_map,
+}
+
+
+@functools.cache
+def _kernel_continuum(name):
+    """One continuum per name, so the tests reuse its family."""
+    return KERNEL_CONTINUA[name]()
+
+
+KERNEL_N = 24
+KERNEL_NS = (0, 1, 2, 7, 13, KERNEL_N)
+# z = 0, large |z|, mixed exponents, a subnormal and an overflowing point
+KERNEL_POINTS = [0j, 1e10, -3.7e9 + 1.2e10j, 1e-300 + 1j, 5e-324j,
+                 0.1 + 0.7j, -2.5 - 1e-5j, 1e300]
+
+
+def _bits(v: complex) -> tuple:
+    """The two doubles of v, told apart down to the sign of zero."""
+    return (v.real.hex(), v.imag.hex())
+
+
+def _outcome(fn):
+    """fn() as a comparable value: its bits, or the type it raised."""
+    try:
+        return _bits(complex(fn()))
+    except Exception as exc:   # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+def _on_k(K):
+    if K.kind == "segment":
+        return [K.a, K.b, 0.3 * K.a + 0.7 * K.b]
+    if K.kind == "disc":
+        return [K.center + K.radius * cmath.exp(1j * t) for t in (0.0, 2.0)]
+    return list(fb.psi(K, (1.0 + 1e-9) * np.exp(1j * np.array([0.0, 2.0]))))
+
+
+def _residual_reference(K, p, n, w):
+    """|p(psi(w)) - (w^n + w^-n)| in QC arithmetic, rounded once."""
+    wq = QC.of(complex(w))
+    winv = wq.inverse()
+    mid = QC((Fraction(K.a) + Fraction(K.b)) / 2)
+    quarter = QC((Fraction(K.b) - Fraction(K.a)) / 4)
+    lhs = qc_horner(p.exact, mid + quarter * (wq + winv))
+    wn, wninv = QC(1), QC(1)
+    for _ in range(n):
+        wn, wninv = wn * wq, wninv * winv
+    return float((lhs - (wn + wninv)).abs2()) ** 0.5
+
+
+class TestIntegerKernel:
+    """eval_exact and target_identity_residual round the exact value once,
+    so they must agree bit for bit with the QC reference, and raise where
+    it raises."""
+
+    @pytest.mark.parametrize("name", list(KERNEL_CONTINUA))
+    def test_eval_exact_matches_reference(self, name):
+        K = _kernel_continuum(name)
+        polys = fb.faber_polys(K, KERNEL_N)
+        for z in KERNEL_POINTS + _on_k(K):
+            for p in (polys[n] for n in KERNEL_NS):
+                want = _outcome(lambda: qc_horner(p.exact,
+                                                  QC.of(complex(z))).to_complex())
+                assert _outcome(lambda: p.eval_exact(z)) == want, (p.n, z)
+
+    @given(st.sampled_from(list(KERNEL_CONTINUA)),
+           st.integers(0, KERNEL_N),
+           st.complex_numbers(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=100, deadline=None)
+    def test_eval_exact_property(self, name, n, z):
+        p = fb.faber_poly(_kernel_continuum(name), n)
+        want = _outcome(lambda: qc_horner(p.exact,
+                                          QC.of(complex(z))).to_complex())
+        assert _outcome(lambda: p.eval_exact(z)) == want
+
+    def test_overflow_raises(self):
+        p = fb.faber_poly(_readme_map(), 3)
+        with pytest.raises(OverflowError):
+            p.eval_exact(1e300)
+
+    @pytest.mark.parametrize("name", list(KERNEL_CONTINUA))
+    @pytest.mark.parametrize("z", [complex(math.inf, 0.0),
+                                   complex(0.5, math.nan),
+                                   complex(0.0, -math.inf)],
+                             ids=["inf", "nan", "-inf-imag"])
+    def test_non_finite_point_is_domain_error(self, name, z):
+        p = fb.faber_poly(_kernel_continuum(name), 3)
+        with pytest.raises(DomainError, match="finite"):
+            p.eval_exact(z)
+
+    RESIDUAL_POINTS = [2.0, 1.1 * cmath.exp(1j * math.pi / 7), -1.5, 1e10,
+                       1e-300 + 1j, 1.0 + 5e-324j, 3.0 - 4.0j, 1e150]
+
+    @pytest.mark.parametrize("name", ["segment", "segment-dyadic",
+                                      "segment-full-mantissa"])
+    def test_residual_matches_reference(self, name):
+        K = _kernel_continuum(name)
+        for n in (1, 5, 16):
+            p = fb.faber_poly(K, n)
+            for w in self.RESIDUAL_POINTS:
+                want = _outcome(lambda: _residual_reference(K, p, n, w))
+                got = _outcome(lambda: fb.target_identity_residual(K, n, w))
+                assert got == want, (n, w)
+
+    @pytest.mark.parametrize("other", ["segment-dyadic",
+                                       "segment-full-mantissa"])
+    def test_residual_of_a_foreign_polynomial(self, other, monkeypatch):
+        """With F_n of another segment in place of K's the residual is
+        not zero, and may overflow; it still matches the reference."""
+        import faberbohr.faber as faber_mod
+
+        K, L = fb.segment(-1.0, 1.0), _kernel_continuum(other)
+        monkeypatch.setattr(faber_mod, "faber_poly",
+                            lambda _K, n: fb.faber_polys(L, n)[n])
+        nonzero = 0
+        for n in (1, 3, 17):
+            p = fb.faber_poly(L, n)
+            for w in self.RESIDUAL_POINTS:
+                want = _outcome(lambda: _residual_reference(K, p, n, w))
+                got = _outcome(lambda: fb.target_identity_residual(K, n, w))
+                assert got == want, (n, w)
+                nonzero += want not in (_bits(0j), OverflowError)
+        assert nonzero > 0
+        with pytest.raises(OverflowError):
+            fb.target_identity_residual(K, 3, 1e150)
+
+    @pytest.mark.parametrize("w", [complex(math.inf, 0.0),
+                                   complex(2.0, math.nan)])
+    def test_residual_non_finite_is_domain_error(self, seg, w):
+        with pytest.raises(DomainError, match="finite"):
+            fb.target_identity_residual(seg, 3, w)
+
+
 class TestContourRoute:
     def test_point_oracle(self, seg):
         got = fb.faber_contour(seg, 3, 0.3, 2.0)
@@ -244,10 +396,10 @@ def _contour_mp_accumulated(K, ns, zs, r, m, dps):
         rr = mp.mpf(repr(float(r)))
         ws = [rr * mpc(mp.cos(2 * mp.pi * j / m), mp.sin(2 * mp.pi * j / m))
               for j in range(m)]
-        ts, dpsi = K.mp_nodes(ws)
+        c, ts, dpsi = K.mp_nodes(ws)
         dw = [d * w for d, w in zip(dpsi, ws)]
         for jz, z in enumerate(zs):
-            zq = mpc(z.real, z.imag)
+            zq = mpc(z.real, z.imag) - c
             B = [dw[j] / (ts[j] - zq) for j in range(m)]
             pw = [mpc(1, 0)] * m
             sums = {}
@@ -298,15 +450,19 @@ class TestContourMp:
     # disc, so that centre + size * x is exact for the continua below
     UNIT_POINTS = np.array([0.5, -0.25 + 0.375j, 0.75 - 0.25j, 0.125 + 0.5j])
 
-    @pytest.mark.parametrize("make, unit", [
-        (lambda: fb.segment(-2.0 ** -100, 2.0 ** -100), fb.segment),
-        (lambda: fb.segment(-2.0 ** -200, 2.0 ** -200), fb.segment),
-        (lambda: fb.segment(2.0 ** 40 - 1, 2.0 ** 40 + 1), fb.segment),
-        (lambda: fb.segment(-2.0 ** 300, 2.0 ** 300), fb.segment),
-        (lambda: fb.disc(complex(3, -1) * 2.0 ** -102, 2.0 ** -100), fb.disc),
+    @pytest.mark.parametrize("make, unit, dps", [
+        (lambda: fb.segment(-2.0 ** -100, 2.0 ** -100), fb.segment, 30),
+        (lambda: fb.segment(-2.0 ** -200, 2.0 ** -200), fb.segment, 30),
+        (lambda: fb.segment(2.0 ** 40 - 1, 2.0 ** 40 + 1), fb.segment, 30),
+        (lambda: fb.segment(-2.0 ** 300, 2.0 ** 300), fb.segment, 30),
+        (lambda: fb.disc(complex(3, -1) * 2.0 ** -102, 2.0 ** -100), fb.disc,
+         30),
+        # 2^48 sizes away from 0, with fewer digits than that to spare
+        (lambda: fb.segment(2.0 ** 50 - 4, 2.0 ** 50 + 4), fb.segment, 20),
+        (lambda: fb.disc(complex(2.0 ** 50, -2.0 ** 49), 4.0), fb.disc, 20),
     ], ids=["segment-2^-100", "segment-2^-200", "segment-far", "segment-2^300",
-            "disc-2^-100"])
-    def test_invariant_under_affine_maps(self, make, unit):
+            "disc-2^-100", "segment-2^48-sizes-off", "disc-2^48-sizes-off"])
+    def test_invariant_under_affine_maps(self, make, unit, dps):
         """F_n does not change under affine maps of K, nor may its value."""
         K, ref_K = make(), unit()
         if K.kind == "segment":
@@ -314,9 +470,9 @@ class TestContourMp:
         else:
             centre, size = K.center, K.radius
         got = fb.contour_values(K, self.NS, centre + size * self.UNIT_POINTS,
-                                2.0, m=256, dps=30)
+                                2.0, m=256, dps=dps)
         ref = fb.contour_values(ref_K, self.NS, self.UNIT_POINTS, 2.0, m=256,
-                                dps=30)
+                                dps=dps)
         assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
     def test_high_degree(self, seg):
