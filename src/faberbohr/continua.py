@@ -193,22 +193,27 @@ class DiscSpec(ContinuumSpec):
         """Exact coefficients of phi^k, ..., phi^N by the binomial theorem,
         k = len(have); the members in have are not rebuilt.
 
-        With phi = (A z + B)/d over the shared denominator d (A real),
-        the z^j coefficient of phi^n is C(n, j) A^j B^(n-j)/d^n, computed
-        in Gaussian ints.
+        With phi = alpha z + beta, alpha real, the z^j coefficient of
+        phi^n is C(n, j) alpha^j beta^(n-j).  The powers of beta are taken
+        in Gaussian ints over the shared denominator of its parts, and
+        each coefficient is two real Fraction products: they cancel in
+        pieces of the size of their factors, where one Fraction(num, d^n)
+        per coefficient would need a gcd as large as the coefficient.
         """
-        d, (a, br), (_, bi) = _gauss_ints(self._series(0).data)
-        apow, bpow = [1], [(1, 0)]
+        alpha, beta = self._series(0).data   # phi = alpha z + beta
+        db, (br,), (bi,) = _gauss_ints([beta])
+        apow, bre, bim = [Fraction(1)], [Fraction(1)], [Fraction(0)]
+        x, y, q = 1, 0, 1
         for _ in range(N):
-            apow.append(apow[-1] * a)
-            x, y = bpow[-1]
-            bpow.append((x * br - y * bi, x * bi + y * br))
+            apow.append(apow[-1] * alpha.re)
+            x, y, q = x * br - y * bi, x * bi + y * br, q * db
+            bre.append(Fraction(x, q))
+            bim.append(Fraction(y, q))
         out = []
         for n in range(len(have), N + 1):
-            dn = d ** n
-            terms = ((comb(n, j) * apow[j], bpow[n - j]) for j in range(n + 1))
-            out.append(tuple(QC(Fraction(c * x, dn), Fraction(c * y, dn))
-                             for c, (x, y) in terms))
+            cs = [apow[j] * comb(n, j) for j in range(n + 1)]
+            out.append(tuple(QC(c * bre[n - j], c * bim[n - j])
+                             for j, c in enumerate(cs)))
         return out
 
     def pullback(self, ns, w: np.ndarray) -> np.ndarray:

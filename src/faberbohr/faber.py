@@ -8,8 +8,8 @@ independent routes are implemented and kept separate on purpose:
 * the exact route, one construction per kind in Gaussian-rational
   arithmetic: the Chebyshev recurrence on segments (F_n = 2 T_n of the
   affine variable), the binomial form on discs and powers of the map
-  tail on custom continua, the last two in shared-denominator Gaussian
-  ints; faber_polys memoises one family per continuum, faber_poly reads
+  tail on custom continua, the last two with Gaussian-int powers;
+  faber_polys memoises one family per continuum, faber_poly reads
   F_n from it, and exact evaluation is Horner's rule in Gaussian ints,
   rounded once,
 * the contour route, a Cauchy-type integral over a level curve
@@ -161,7 +161,7 @@ def faber_polys(K: ContinuumSpec, N: int):
     The family comes from the exact construction of K's kind
     (faber_exact): the Chebyshev recurrence on segments, the binomial
     form on discs and powers of the map tail on custom continua, the
-    last two in Gaussian ints over a shared denominator.  Each member
+    last two with their powers in Gaussian ints.  Each member
     keeps its coefficients as QC (exact) and, from its first exact
     evaluation on, as integer numerators over one denominator, which
     eval_exact runs on.  The
