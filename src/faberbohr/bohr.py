@@ -23,6 +23,7 @@ import numpy as np
 from .continua import (
     DEFAULT_SAMPLES,
     ContinuumSpec,
+    _check_level,
     _row_sups,
     _sample_refine,
     eccentricity,
@@ -133,8 +134,7 @@ def phi_of_R(R: float) -> float:
     a term drops below 1e-15 of the partial sum.
     """
     R = float(R)
-    if not R > 1.0 + 1e-6:
-        raise DomainError("phi_of_R needs R > 1 + 1e-6")
+    _check_level(R, "phi_of_R needs R > 1 + 1e-6", 1.0 + 1e-6)
     total = 0.0
     n0 = 1
     with np.errstate(over="ignore"):
@@ -220,8 +220,7 @@ def coeff_bound_check(f: FaberSeries, R: float | None = None,
         raise DomainError(f"unknown mode {mode!r}")
     if R is None:
         R = f.R
-    if not R > 1.0:
-        raise DomainError("level parameter R must exceed 1")
+    _check_level(R, "level parameter R must exceed 1")
 
     if check_pre:
         _check_bound_pre(f, R, mode, samples)
@@ -426,8 +425,7 @@ def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
     (the inner polynomials of moebius, the polynomials and then the
     series of scaled_poly, the series of faber_series).
     """
-    if not R > 1.0:
-        raise DomainError("level parameter R must exceed 1")
+    _check_level(R, "level parameter R must exceed 1")
     if not 0.0 < family.margin < 1.0:
         raise DomainError("family margin must lie in (0, 1)")
     if family.count < 0:

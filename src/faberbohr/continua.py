@@ -38,13 +38,7 @@ from .errors import (
     PointInsideK,
     WrongKind,
 )
-from .series import (
-    QC,
-    GradedLaurent,
-    LaurentTail,
-    _gauss_ints,
-    _polys_from_graded,
-)
+from .series import QC, LaurentTail, _gauss_ints, _polys_from_tail
 
 __all__ = [
     "ContinuumSpec",
@@ -58,7 +52,6 @@ __all__ = [
     "psi",
     "psi_prime",
     "green",
-    "exterior_series",
     "level_boundary",
     "eccentricity",
     "arc_length",
@@ -77,7 +70,7 @@ class ContinuumSpec:
     """Immutable description of a continuum; build via disc/segment/custom.
 
     Each kind is one frozen subclass holding all of its math: gamma,
-    describe(), membership, phi, psi, psi', the exact series of phi,
+    describe(), membership, phi, psi, psi', the scaled closure,
     exact Faber coefficients, the pullback F_n(psi(w)), |F_n| on K,
     sup_K |F_n| in closed form (faber_sup, None where it is sampled),
     the boundary path of sup_norm, a disc holding each level curve and
@@ -99,11 +92,6 @@ class ContinuumSpec:
     def capacity(self) -> float:
         """Logarithmic capacity, the reciprocal of gamma."""
         return 1.0 / self.gamma
-
-    def _closure(self, R: float, depth: int) -> "ContinuumSpec":
-        g = exterior_series(self, depth).scaled(QC(1) / QC(Fraction(R)))
-        return custom(LaurentTail(g.exact_coeff(1), g.exact_coeff(0),
-                                  tuple(g.data[2:])))
 
     def pullback(self, ns, w: np.ndarray) -> np.ndarray:
         """Matrix of F_n(psi(w)), rows indexed by ns, columns by w."""
@@ -181,11 +169,6 @@ class DiscSpec(ContinuumSpec):
     def _psi_prime(self, w):
         return np.full_like(w, self.radius)
 
-    def _series(self, depth: int) -> GradedLaurent:
-        r = Fraction(self.radius)
-        c0 = QC.of(complex(self.center)) * QC(-1 / r)
-        return GradedLaurent(1, depth, (QC(1 / r), c0) + (QC(0),) * depth)
-
     def _closure(self, R: float, depth: int) -> ContinuumSpec:
         return disc(self.center, self.radius * R)
 
@@ -193,19 +176,20 @@ class DiscSpec(ContinuumSpec):
         """Exact coefficients of phi^k, ..., phi^N by the binomial theorem,
         k = len(have); the members in have are not rebuilt.
 
-        With phi = alpha z + beta, alpha real, the z^j coefficient of
-        phi^n is C(n, j) alpha^j beta^(n-j).  The powers of beta are taken
-        in Gaussian ints over the shared denominator of its parts, and
-        each coefficient is two real Fraction products: they cancel in
-        pieces of the size of their factors, where one Fraction(num, d^n)
-        per coefficient would need a gcd as large as the coefficient.
+        With phi = alpha z + beta, alpha = 1/r and beta = -c/r, the z^j
+        coefficient of phi^n is C(n, j) alpha^j beta^(n-j).  The powers of
+        beta are taken in Gaussian ints over the shared denominator of its
+        parts, and each coefficient is two real Fraction products: they
+        cancel in pieces of the size of their factors, where one
+        Fraction(num, d^n) per coefficient would need a gcd as large as
+        the coefficient.
         """
-        alpha, beta = self._series(0).data   # phi = alpha z + beta
-        db, (br,), (bi,) = _gauss_ints([beta])
+        alpha = 1 / Fraction(self.radius)
+        db, (br,), (bi,) = _gauss_ints([QC.of(self.center) * QC(-alpha)])
         apow, bre, bim = [Fraction(1)], [Fraction(1)], [Fraction(0)]
         x, y, q = 1, 0, 1
         for _ in range(N):
-            apow.append(apow[-1] * alpha.re)
+            apow.append(apow[-1] * alpha)
             x, y, q = x * br - y * bi, x * bi + y * br, q * db
             bre.append(Fraction(x, q))
             bim.append(Fraction(y, q))
@@ -280,10 +264,16 @@ class SegmentSpec(ContinuumSpec):
     def _psi_prime(self, w):
         return 0.25 * (self.b - self.a) * (1.0 - w ** -2)
 
-    def _series(self, depth: int) -> GradedLaurent:
+    def _closure(self, R: float, depth: int) -> ContinuumSpec:
+        """phi/R from the series 2z - (1/2)/z - (1/8)/z^3 - ... of
+        z + sqrt(z^2 - 1), cut after z^-depth."""
         if not self._canonical:
             raise DomainError("series form only available for the segment [-1, 1]")
-        return _canonical_segment_graded(depth)
+        if depth < 0:
+            raise DomainError("depth must be nonnegative")
+        b = _sqrt_binomials(depth // 2 + 1)
+        tail = [b[(k + 1) // 2] if k % 2 else 0 for k in range(1, depth + 1)]
+        return custom(LaurentTail.build(2, 0, tail).scaled(1 / Fraction(R)))
 
     def faber_exact(self, N: int, have: tuple = ()) -> list:
         """F_k, ..., F_N for k = len(have): F_0 = 1, F_n = 2 T_n(alpha z +
@@ -411,14 +401,14 @@ class CustomSpec(ContinuumSpec):
     def _psi_prime(self, w):
         return 1.0 / self._phi_deriv(self._psi(w))
 
-    def _series(self, depth: int) -> GradedLaurent:
-        return self.map_tail.to_graded().truncated(depth)
+    def _closure(self, R: float, depth: int) -> ContinuumSpec:
+        return custom(self.map_tail.scaled(1 / Fraction(R)))
 
     def faber_exact(self, N: int, have: tuple = ()) -> list:
         """Polynomial parts of the powers k = len(have), ..., N of the
         stored map tail.  The powers are truncated at depths that depend
         on N, so the whole family is rebuilt and the first k dropped."""
-        return _polys_from_graded(self.map_tail.to_graded(), N)[len(have):]
+        return _polys_from_tail(self.map_tail, N)[len(have):]
 
 
 def _check_finite(kind: str, **fields) -> None:
@@ -513,7 +503,19 @@ def green(K: ContinuumSpec, z):
 
 
 # ---------------------------------------------------------------------------
-# exact series of the exterior map
+# levels
+
+def _check_level(R, message: str, floor: float = 1.0) -> None:
+    """Raise DomainError(message) unless floor < R < inf.
+
+    A bare `not R > 1` passes an infinite R, which then turns into NaN
+    or an overflow further on; NaN fails the first test.
+    """
+    if not R > floor:
+        raise DomainError(message)
+    if not math.isfinite(R):
+        raise DomainError(f"{message}; a level must be finite, got {R!r}")
+
 
 def _sqrt_binomials(depth: int) -> tuple:
     """Coefficients of (1 - x)**(1/2): 1, -1/2, -1/8, -1/16, -5/128, ..."""
@@ -525,39 +527,16 @@ def _sqrt_binomials(depth: int) -> tuple:
     return tuple(out)
 
 
-def _canonical_segment_graded(depth: int) -> GradedLaurent:
-    """z + sqrt(z^2-1) = 2z - (1/2)/z - (1/8)/z^3 - ... to the given depth."""
-    b = _sqrt_binomials(depth // 2 + 1)
-    data = [QC(2), QC(0)]
-    for k in range(1, depth + 1):
-        if k % 2 == 1:
-            data.append(QC(b[(k + 1) // 2]))
-        else:
-            data.append(QC(0))
-    return GradedLaurent(1, depth, tuple(data))
-
-
-def exterior_series(K: ContinuumSpec, depth: int) -> GradedLaurent:
-    """Truncated Laurent series of phi at infinity, exact coefficients.
-
-    Segments are supported in canonical position [-1, 1] only; their
-    Faber polynomials come from the Chebyshev recurrence, not from this
-    series.
-    """
-    if depth < 0:
-        raise DomainError("depth must be nonnegative")
-    return K._series(depth)
-
-
 def scaled_closure(K: ContinuumSpec, R: float, depth: int = 96) -> ContinuumSpec:
     """The filled level set {green <= log R} as a continuum of its own.
 
-    Its exterior map is phi/R.  For a disc this is again a disc; for the
-    canonical segment and for custom continua the scaled map tail is
-    materialised as a custom spec.
+    Its exterior map is phi/R.  For a disc this is again a disc.  For a
+    custom continuum it is the custom continuum of the stored map tail
+    over R, exactly; depth does not apply.  For the canonical segment
+    [-1, 1] the infinite series of phi over R is cut after z^-depth and
+    materialised as a custom spec; other segments raise DomainError.
     """
-    if not R > 1.0:
-        raise DomainError("level parameter R must exceed 1")
+    _check_level(R, "level parameter R must exceed 1")
     return K._closure(R, depth)
 
 
@@ -586,8 +565,7 @@ class LevelSet:
 
 def level_boundary(K: ContinuumSpec, R: float, m: int = DEFAULT_SAMPLES) -> LevelSet:
     """Sample the level curve at m equispaced angles of the circle |w| = R."""
-    if not R > 1.0:
-        raise DomainError("level parameter R must exceed 1")
+    _check_level(R, "level parameter R must exceed 1")
     if m < 8:
         raise DomainError("need at least 8 boundary samples")
     w = R * np.exp(2j * np.pi * np.arange(m) / m)
@@ -605,8 +583,7 @@ def eccentricity(R: float) -> float:
     semi-axes (R + 1/R)/2 and (R - 1/R)/2, so the eccentricity is
     2R/(1 + R^2).  Strictly decreasing in R.
     """
-    if not R > 1.0:
-        raise DomainError("eccentricity defined for R > 1")
+    _check_level(R, "eccentricity defined for R > 1")
     return 2.0 * R / (1.0 + R * R)
 
 
@@ -618,8 +595,7 @@ def arc_length(K: ContinuumSpec, r: float, m: int = DEFAULT_SAMPLES,
     the node count is doubled until two successive values agree to
     relative rtol.
     """
-    if not r > 1.0:
-        raise DomainError("level parameter must exceed 1")
+    _check_level(r, "level parameter must exceed 1")
 
     def value(mm: int) -> float:
         th = 2.0 * np.pi * np.arange(mm) / mm

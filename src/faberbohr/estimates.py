@@ -31,6 +31,7 @@ from .bohr import basis_norm
 from .continua import (
     ContinuumSpec,
     _angles,
+    _check_level,
     arc_length,
     contains,
     dist_to_level,
@@ -103,8 +104,8 @@ def make_context(K: ContinuumSpec, r: float, R: float, a=None,
     R^n, must stay below 1e-9 or the context is refused.
     """
     r, R = float(r), float(R)
-    if not 1.0 < r < R:
-        raise DomainError("levels must satisfy 1 < r < R")
+    _check_level(r, "levels must satisfy 1 < r < R")
+    _check_level(R, "levels must satisfy 1 < r < R", r)
     if not 0.0 < C < 1.0:
         raise DomainError("contraction constant C must lie in (0, 1)")
     if a is None:
@@ -358,8 +359,7 @@ def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     r = 1.0 + eps0
-    if not R > r:
-        raise DomainError(f"level R={R} must exceed the collar level {r}")
+    _check_level(R, f"level R={R} must exceed the collar level {r}", r)
     ctx = make_context(K, r, R, a=a, C=C, n_max=n_max, m=m)
     norms = [basis_norm(K, n, up_to=n_max) for n in range(n_max + 1)]
     rows = _condition_rows(K, R, ctx.a, C, n_max, m, norms)

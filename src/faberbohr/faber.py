@@ -31,6 +31,7 @@ import numpy as np
 
 from .continua import (
     ContinuumSpec,
+    _check_level,
     contains,
     green,
     psi,
@@ -45,7 +46,7 @@ from .errors import (
     ReconstructionMismatch,
     WrongKind,
 )
-from .series import QC, _affine_compose_qc, _dyadic, _gauss_horner, _gauss_ints
+from .series import QC, _dyadic, _gauss_horner, _gauss_ints
 
 __all__ = [
     "FaberPoly",
@@ -104,14 +105,33 @@ class FaberPoly:
         return complex(ar / den, ai / den)
 
     def cheb_floats(self, a: float, b: float) -> np.ndarray:
-        """Chebyshev-basis coefficients of self on [a, b], computed exactly."""
+        """Chebyshev-basis coefficients of self on [a, b], computed exactly.
+
+        With z = mid + half x, Horner's rule runs in the Chebyshev basis
+        of x: out <- (mid + half x) out + c_k, where x T_0 = T_1 and
+        x T_i = (T_{i+1} + T_{i-1})/2.  mid and half are real, so the
+        real and imaginary parts go through it apart, in Fractions, and
+        each result is rounded once.
+        """
         key = (float(a), float(b))
         if key not in self._cheb:
-            half = Fraction(b) / 2 - Fraction(a) / 2
-            mid = Fraction(a) / 2 + Fraction(b) / 2
-            shifted = _affine_compose_qc(self.exact, QC(half), QC(mid))
-            cheb = _cheb_from_monomial_qc(shifted)
-            self._cheb[key] = np.array([c.to_complex() for c in cheb])
+            a, b = Fraction(a), Fraction(b)
+            mid, half = (a + b) / 2, (b - a) / 2
+            parts = []
+            for cs in ([c.re for c in self.exact], [c.im for c in self.exact]):
+                out = [cs[-1]]
+                for c in reversed(cs[:-1]):
+                    nxt = [mid * t for t in out] + [0]
+                    nxt[0] += c
+                    nxt[1] += half * out[0]
+                    for i in range(1, len(out)):
+                        h = half * out[i] / 2
+                        nxt[i - 1] += h
+                        nxt[i + 1] += h
+                    out = nxt
+                parts.append(out)
+            self._cheb[key] = np.array([complex(float(x), float(y))
+                                        for x, y in zip(*parts)])
         return self._cheb[key]
 
     def to_json_dict(self) -> dict:
@@ -120,24 +140,6 @@ class FaberPoly:
             "gamma": [self.gamma_n.real, self.gamma_n.imag],
             "coeffs": [[c.real, c.imag] for c in self.coeffs],
         }
-
-
-# ---------------------------------------------------------------------------
-# basis transforms
-
-def _cheb_from_monomial_qc(coeffs):
-    """Exact monomial-to-Chebyshev transform (Horner with x*T recurrences)."""
-    half = QC(Fraction(1, 2))
-    out = [coeffs[-1]]
-    for c in reversed(coeffs[:-1]):
-        nxt = [QC(0)] * (len(out) + 1)
-        nxt[1] = nxt[1] + out[0]
-        for i in range(1, len(out)):
-            nxt[i + 1] = nxt[i + 1] + out[i] * half
-            nxt[i - 1] = nxt[i - 1] + out[i] * half
-        nxt[0] = nxt[0] + c
-        out = nxt
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +413,7 @@ def faber_coeffs(samples, K: ContinuumSpec, r: float, N: int,
     """
     samples = np.asarray(samples, dtype=complex)
     m = len(samples)
-    if not r > 1.0:
-        raise DomainError("extraction radius must exceed 1")
+    _check_level(r, "extraction radius must exceed 1")
     if N < 0:
         raise DomainError("N must be nonnegative")
     if N > m // 4:

@@ -1,4 +1,4 @@
-"""Truncated Laurent series at infinity with exact rational coefficients.
+"""Exact Gaussian-rational numbers, exterior map data and the integer kernel.
 
 An exterior conformal map of a compact continuum looks like
 
@@ -6,11 +6,11 @@ An exterior conformal map of a compact continuum looks like
 
 near infinity, and Faber polynomials are the polynomial parts of its
 integer powers.  Those polynomial parts have integer-like coefficients
-of size comparable to 4**n, so double precision convolution loses the
-low-order information that the later evaluation steps need.  Every
-float is a dyadic rational, lifting inputs to Gaussian rationals is
-therefore lossless, and all series arithmetic here is exact.  Complex
-views are offered wherever a consumer only needs doubles.
+of size comparable to 4**n, so double precision loses the low-order
+information that the later evaluation steps need.  Every float is a
+dyadic rational, lifting inputs to Gaussian rationals is therefore
+lossless, and all arithmetic here is exact.  Complex views are offered
+wherever a consumer only needs doubles.
 
 The hot exact paths run on a Gaussian-integer kernel instead of QC
 pairs of Fractions: a list of Gaussian rationals is held as one
@@ -31,14 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "QC",
-    "LaurentTail",
-    "GradedLaurent",
-    "laurent_mul",
-    "laurent_pow",
-    "split_parts",
-]
+__all__ = ["QC", "LaurentTail"]
 
 
 def _not_finite(x) -> DomainError:
@@ -134,17 +127,7 @@ class QC:
         return f"QC({self.re!s}, {self.im!s})"
 
 
-_QC_ZERO = QC(0)
 _QC_ONE = QC(1)
-
-
-def qc_horner(coeffs, z) -> QC:
-    """Evaluate sum(coeffs[k] * z**k) exactly; coeffs ascending."""
-    zq = QC.of(z)
-    acc = _QC_ZERO
-    for c in reversed(coeffs):
-        acc = acc * zq + c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -214,158 +197,15 @@ class LaurentTail:
     def tail_complex(self) -> np.ndarray:
         return np.array([t.to_complex() for t in self.tail], dtype=complex)
 
-    def to_graded(self) -> "GradedLaurent":
-        return GradedLaurent(1, self.M, (self.lead, self.c0) + self.tail)
-
     def scaled(self, factor) -> "LaurentTail":
         f = QC.of(factor)
         return LaurentTail(self.lead * f, self.c0 * f,
                            tuple(t * f for t in self.tail))
 
 
-@dataclass(frozen=True)
-class GradedLaurent:
-    """Dense truncated Laurent series with exponents in [-M, top].
+def _polys_from_tail(t: LaurentTail, N: int):
+    """Exact polynomial parts of g^0, g^1, ..., g^N for the map g of t.
 
-    data[i] is the coefficient of z**(top - i); every exponent in the
-    window is present, so len(data) == top + M + 1.
-    """
-
-    top: int
-    M: int
-    data: tuple
-
-    def __post_init__(self):
-        if self.M < 0 or self.top < 0:
-            raise DomainError("GradedLaurent needs top >= 0 and M >= 0")
-        if len(self.data) != self.top + self.M + 1:
-            raise DomainError("GradedLaurent data length must be top + M + 1")
-
-    @classmethod
-    def constant(cls, value, M: int = 0) -> "GradedLaurent":
-        return cls(0, M, (QC.of(value),) + (_QC_ZERO,) * M)
-
-    def exact_coeff(self, k: int) -> QC:
-        if k > self.top or k < -self.M:
-            return _QC_ZERO
-        return self.data[self.top - k]
-
-    def coeff(self, k: int) -> complex:
-        return self.exact_coeff(k).to_complex()
-
-    def as_dict(self) -> dict:
-        return {self.top - i: c.to_complex() for i, c in enumerate(self.data)}
-
-    def truncated(self, M_new: int) -> "GradedLaurent":
-        if M_new >= self.M:
-            pad = (_QC_ZERO,) * (M_new - self.M)
-            return GradedLaurent(self.top, M_new, self.data + pad)
-        return GradedLaurent(self.top, M_new,
-                             self.data[: self.top + M_new + 1])
-
-    def scaled(self, factor) -> "GradedLaurent":
-        f = QC.of(factor)
-        return GradedLaurent(self.top, self.M, tuple(c * f for c in self.data))
-
-    def __repr__(self):
-        head = ", ".join(f"z^{self.top - i}:{c.to_complex():.3g}"
-                         for i, c in enumerate(self.data[:3]))
-        return f"GradedLaurent(top={self.top}, M={self.M}, [{head}, ...])"
-
-
-def laurent_mul(a: GradedLaurent, b: GradedLaurent, M: int) -> GradedLaurent:
-    """Cauchy product of two truncated series, dropping exponents below -M.
-
-    Exponents >= -M of the result are exact for the inputs as given;
-    whether they match the product of deeper untruncated series depends
-    on the inputs carrying depth at least M + top of the other factor.
-    """
-    if M < 0:
-        raise DomainError("truncation depth M must be nonnegative")
-    top = a.top + b.top
-    out = [_QC_ZERO] * (top + M + 1)
-    for i, ca in enumerate(a.data):
-        if ca.is_zero():
-            continue
-        ea = a.top - i
-        floor = -M - ea
-        for j, cb in enumerate(b.data):
-            eb = b.top - j
-            if eb < floor:
-                break  # b.data is ordered by descending exponent
-            if cb.is_zero():
-                continue
-            e = ea + eb
-            out[top - e] = out[top - e] + ca * cb
-    return GradedLaurent(top, M, tuple(out))
-
-
-def laurent_pow(s: GradedLaurent, n: int, M: int) -> GradedLaurent:
-    """n-th power by repeated squaring, truncating every intermediate.
-
-    Intermediates are kept to depth M + n*max(top, 1).  A term dropped
-    at that depth can re-enter the window [-M, ...] only by multiplying
-    against a factor of degree above the remaining chain degree, which
-    cannot happen, so the reported coefficients do not depend on the
-    chosen M (truncation stability) provided the input carries at least
-    that working depth.
-    """
-    if n < 0:
-        raise DomainError("only nonnegative powers are defined")
-    if M < 0:
-        raise DomainError("truncation depth M must be nonnegative")
-    if n == 0:
-        return GradedLaurent.constant(_QC_ONE, M)
-    work = M + n * max(s.top, 1)
-    result = None
-    base = s
-    k = n
-    while k:
-        if k & 1:
-            result = base if result is None else laurent_mul(result, base, work)
-        k >>= 1
-        if k:
-            base = laurent_mul(base, base, work)
-    return result.truncated(M)
-
-
-def split_parts(s: GradedLaurent):
-    """Split into (polynomial part, principal part) as complex arrays.
-
-    The polynomial part is ascending [z^0, ..., z^top]; the principal
-    part lists [z^-1, ..., z^-M].  Nothing is truncated by the split:
-    recombining the two arrays reproduces every stored coefficient.
-    """
-    poly = np.array([s.data[s.top - k].to_complex() for k in range(s.top + 1)],
-                    dtype=complex)
-    principal = np.array([s.data[s.top + k].to_complex()
-                          for k in range(1, s.M + 1)], dtype=complex)
-    return poly, principal
-
-
-def split_parts_exact(s: GradedLaurent):
-    """Exact variant of split_parts, returning tuples of QC."""
-    poly = tuple(s.data[s.top - k] for k in range(s.top + 1))
-    principal = tuple(s.data[s.top + k] for k in range(1, s.M + 1))
-    return poly, principal
-
-
-def _affine_compose_qc(coeffs, alpha: QC, beta: QC):
-    """Coefficients of p(alpha*x + beta) from ascending coeffs of p."""
-    out = [coeffs[-1]]
-    for c in reversed(coeffs[:-1]):
-        nxt = [out[0] * beta + c]
-        for i in range(1, len(out) + 1):
-            prev = out[i] * beta if i < len(out) else _QC_ZERO
-            nxt.append(out[i - 1] * alpha + prev)
-        out = nxt
-    return tuple(out)
-
-
-def _polys_from_graded(g: GradedLaurent, N: int):
-    """Exact polynomial parts of g^0, g^1, ..., g^N.
-
-    g is an exact Laurent polynomial of top degree 1 (a map tail).
     g^n is kept to depth N - n only: a dropped term climbs one exponent
     per further product by g, N - n products follow, so truncation
     errors never reach z^0.  With g = G/d over the shared denominator
@@ -373,7 +213,7 @@ def _polys_from_graded(g: GradedLaurent, N: int):
     G^n is its coefficient of z^(n - i), so a product with entry j of G
     lands in entry i + j, and depth N - n keeps the entries up to N.
     """
-    d, gre, gim = _gauss_ints(g.data)
+    d, gre, gim = _gauss_ints((t.lead, t.c0) + t.tail)
     terms = [(j, x, y) for j, (x, y) in enumerate(zip(gre, gim)) if x or y]
     out = [(_QC_ONE,)]
     cre, cim, dn = gre, gim, d

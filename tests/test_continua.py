@@ -4,6 +4,7 @@ import cmath
 import gc
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,13 +141,45 @@ class TestLevelGeometry:
             z = fb.psi(seg, (R + 2.0) * np.exp(0.4j))
             assert complex(fb.phi(Kt, z)) == pytest.approx(
                 complex(fb.phi(seg, z)) / R, rel=1e-9)
+        with pytest.raises(DomainError, match="depth"):
+            fb.scaled_closure(seg, 2.0, -1)
 
-    def test_disc_exterior_series_is_exact(self):
-        K = fb.disc(0.3 + 0.2j, 1.7)
-        g = fb.exterior_series(K, 5)
-        assert g.coeff(1) == pytest.approx(1.0 / 1.7, abs=1e-15)
-        assert g.coeff(0) == pytest.approx(-(0.3 + 0.2j) / 1.7, abs=1e-15)
-        assert all(g.coeff(-k) == 0 for k in range(1, 6))
+    @pytest.mark.parametrize("depth", [1, 3, 96])
+    def test_scaled_closure_keeps_custom_map(self, custom_spec, depth):
+        """A custom closure is the stored map over R at any depth: its
+        finite tail is neither cut nor padded with zeros."""
+        R = 2.5
+        Kt = fb.scaled_closure(custom_spec, R, depth)
+        assert Kt.map_tail == custom_spec.map_tail.scaled(1 / Fraction(R))
+        assert Kt.describe() == "custom(gamma=0.8, depth=3)"
+        z = fb.psi(custom_spec, 3.0 * np.exp(0.7j))
+        assert complex(fb.phi(Kt, z)) == pytest.approx(
+            complex(fb.phi(custom_spec, z)) / R, rel=1e-14)
+
+
+_LEVEL_GATES = {
+    "scaled_closure": lambda K: fb.scaled_closure(K, math.inf),
+    "level_boundary": lambda K: fb.level_boundary(K, math.inf),
+    "arc_length": lambda K: fb.arc_length(K, math.inf),
+    "eccentricity": lambda K: fb.eccentricity(math.inf),
+    "phi_of_R": lambda K: fb.phi_of_R(math.inf),
+    "make_context": lambda K: fb.make_context(K, 2.0, math.inf),
+    "thm31_conditions": lambda K: fb.thm31_conditions(K, math.inf),
+    "gen_bounded": lambda K: fb.gen_bounded(
+        K, math.inf, fb.BoundedFamily(count=2)),
+    "faber_coeffs": lambda K: fb.faber_coeffs(np.ones(64), K, math.inf, 4),
+    "coeff_bound_check": lambda K: fb.coeff_bound_check(
+        fb.FaberSeries(K, 2.0, np.array([0.5, 0.1j])), R=math.inf,
+        check_pre=False),
+}
+
+
+@pytest.mark.parametrize("gate", list(_LEVEL_GATES))
+def test_infinite_level_is_refused(seg, gate):
+    """An infinite level passes a bare `not R > 1` test; every level gate
+    must refuse it with DomainError before any arithmetic runs on it."""
+    with pytest.raises(DomainError, match="finite"):
+        _LEVEL_GATES[gate](seg)
 
 
 class TestSupNorm:

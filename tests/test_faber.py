@@ -23,9 +23,11 @@ from faberbohr.errors import (
     ReconstructionMismatch,
     WrongKind,
 )
-from faberbohr.series import (
-    QC,
-    _affine_compose_qc,
+from faberbohr.series import QC
+from series_reference import (
+    affine_compose,
+    cheb_view,
+    exterior_series,
     laurent_pow,
     qc_horner,
     split_parts_exact,
@@ -98,6 +100,27 @@ class TestSegmentConstruction:
         for n in range(1, 25):
             assert np.array_equal(polys[n].cheb_floats(a, b), [0] * n + [2])
 
+    @pytest.mark.parametrize("make, a, b", [
+        (lambda: fb.disc(0.3 + 0.1j, 0.7), -0.5, 2.0),
+        (lambda: fb.segment(-1.0, 1.0), *FULL_MANTISSA),
+    ], ids=["disc-on-shifted-segment", "canonical-on-full-mantissa"])
+    def test_foreign_chebyshev_view(self, make, a, b):
+        """On a segment other than its own, the Chebyshev view of F_n and
+        the sup norm built on it equal, bit for bit, those of the two-step
+        transform (affine change of variable, then monomial to Chebyshev)."""
+        class TwoStep:   # exposes the reference view to sup_norm
+            def __init__(self, p):
+                self.cheb_floats = lambda a, b: cheb_view(p.exact, a, b)
+
+        S = fb.segment(a, b)
+        polys = fb.faber_polys(make(), 24)
+        for p in polys:
+            got, want = p.cheb_floats(a, b), cheb_view(p.exact, a, b)
+            assert got.tobytes() == want.tobytes(), p.n
+        for n in (0, 1, 7, 24):
+            assert (float(fb.sup_norm(polys[n], S))
+                    == float(fb.sup_norm(TwoStep(polys[n]), S)))
+
 
 def _three_term_map():
     """1.0057 z + g0 + t1/z + t2/z^2 + t3/z^3 with full-mantissa coefficients.
@@ -125,13 +148,13 @@ def _series_route(K, N):
     """
     base = fb.segment() if K.kind == "segment" else K
     # depth N + 4 covers every map tail below; powering to n needs depth n
-    s = fb.exterior_series(base, N + 4)
+    s = exterior_series(base, N + 4)
     polys = [split_parts_exact(laurent_pow(s, n, 0))[0] for n in range(N + 1)]
     if K.kind != "segment":
         return polys
     a, b = Fraction(K.a), Fraction(K.b)
     alpha, beta = QC(2 / (b - a)), QC(-(a + b) / (b - a))
-    return [_affine_compose_qc(p, alpha, beta) for p in polys]
+    return [affine_compose(p, alpha, beta) for p in polys]
 
 
 class TestExactRoute:
