@@ -7,7 +7,8 @@ powering a truncated exterior series in QC arithmetic, so the tests can
 compare the two bit for bit.  It also keeps the two-step Chebyshev view
 (exact affine change of variable, then the monomial-to-Chebyshev
 transform) that the one-pass Chebyshev Horner loop of
-FaberPoly.cheb_floats replaced.
+FaberPoly.cheb_floats replaced, and the QC elimination that the
+Gaussian-int elimination of to_faber_basis replaced.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from faberbohr.errors import DomainError
+from faberbohr.faber import faber_polys
 from faberbohr.series import QC
 
 _QC_ZERO = QC(0)
@@ -193,3 +195,24 @@ def exterior_series(K, depth: int) -> GradedLaurent:
     for k in range(1, depth + 1):
         data.append(QC(b[(k + 1) // 2]) if k % 2 == 1 else QC(0))
     return GradedLaurent(1, depth, tuple(data))
+
+
+def to_faber_basis(K, coeffs) -> np.ndarray:
+    """Faber coefficients of a monomial polynomial by leading-coefficient
+    elimination in QC arithmetic, each rounded once."""
+    work = [QC.of(complex(c)) for c in np.atleast_1d(np.asarray(coeffs,
+                                                                dtype=complex))]
+    while len(work) > 1 and work[-1].is_zero():
+        work.pop()
+    d = len(work) - 1
+    polys = faber_polys(K, d)
+    out = [QC(0)] * (d + 1)
+    for n in range(d, 0, -1):
+        fe = polys[n].exact
+        a_n = work[n] / fe[-1]
+        out[n] = a_n
+        for k in range(n + 1):
+            work[k] = work[k] - a_n * fe[k]
+        work.pop()
+    out[0] = work[0]
+    return np.array([c.to_complex() for c in out])

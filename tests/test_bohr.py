@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import faberbohr as fb
 from faberbohr.errors import DomainError, PreconditionViolated, WrongKind
+from series_reference import to_faber_basis as reference_faber_basis
+from test_faber import KERNEL_CONTINUA, _bits, _kernel_continuum
 
 
 class TestPhiOfR:
@@ -121,6 +123,57 @@ class TestToFaberBasis:
         polys = fb.faber_polys(seg, len(a) - 1)
         got = sum(a[n] * polys[n](z) for n in range(len(a)))
         assert np.max(np.abs(got - want)) < 1e-10
+
+    @staticmethod
+    def _outcome(K, coeffs):
+        """to_faber_basis against the QC elimination: both as the bits of
+        every output coefficient, or the type each raised."""
+        def run(fn):
+            try:
+                return [_bits(complex(c)) for c in fn(K, coeffs)]
+            except Exception as exc:   # noqa: BLE001 - the type is the outcome
+                return type(exc)
+
+        return run(fb.to_faber_basis), run(reference_faber_basis)
+
+    # full-mantissa, subnormal-adjacent and wide-exponent entries, and
+    # trailing zeros that the elimination strips
+    SPECIAL = [[0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+               [0.1 + 0.7j, -2.5e-8, 3.3e12j, 0.0],
+               [1e-300, 1e300j, -1.2345678901234567 + 2.718281828459045j],
+               [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                1.0]]
+
+    @pytest.mark.parametrize("name", list(KERNEL_CONTINUA))
+    def test_matches_qc_elimination(self, name):
+        """Exact elimination rounded once: bit for bit the QC reference,
+        for degrees 0-12, with and without trailing zeros."""
+        K = _kernel_continuum(name)
+        rng = np.random.default_rng(7)
+        cases = list(self.SPECIAL)
+        for d in range(13):
+            c = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+            cases += [c, np.append(c, [0.0, 0.0]), c.real * 1e3]
+        for c in cases:
+            got, want = self._outcome(K, c)
+            assert got == want, (list(c), got, want)
+            assert isinstance(want, list)
+
+    @given(st.sampled_from(list(KERNEL_CONTINUA)),
+           st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                    max_size=13))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_qc_elimination_property(self, name, coeffs):
+        got, want = self._outcome(_kernel_continuum(name), coeffs)
+        assert got == want
+
+    def test_empty_input(self, seg):
+        with pytest.raises(DomainError, match="N must be nonnegative"):
+            fb.to_faber_basis(seg, [])
+
+    def test_nan_input(self, seg):
+        with pytest.raises(DomainError, match="finite"):
+            fb.to_faber_basis(seg, [1.0, complex(0.0, math.nan)])
 
 
 class TestCoeffBounds:
