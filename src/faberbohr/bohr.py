@@ -37,7 +37,7 @@ from .errors import (
     WrongKind,
 )
 from .faber import FaberSeries, faber_coeffs, faber_polys
-from .series import QC
+from .series import _dyadic
 
 __all__ = [
     "KAPTANOGLU_SADIK_RADIUS",
@@ -276,24 +276,32 @@ def to_faber_basis(K: ContinuumSpec, coeffs) -> np.ndarray:
     Leading-coefficient elimination against the exact Faber data; the
     conversion is exact (the input floats are taken at face value), so
     the returned series represents the same polynomial, not an
-    approximation of it.
+    approximation of it.  In Gaussian ints, work = (wr + i wi)/W and
+    F_n = f/D_n with real leading numerator L_n > 0: a_n = a D_n/(W L_n)
+    for a = work_n is rounded once, then W <- W L_n and work_k <-
+    work_k L_n - a f_k.
     """
-    work = [QC.of(complex(c)) for c in np.atleast_1d(np.asarray(coeffs,
-                                                                dtype=complex))]
-    while len(work) > 1 and work[-1].is_zero():
-        work.pop()
-    d = len(work) - 1
+    pts = [_dyadic(complex(c))
+           for c in np.atleast_1d(np.asarray(coeffs, dtype=complex))]
+    W = math.lcm(*(d for _, _, d in pts))
+    wr = [x * (W // d) for x, _, d in pts]
+    wi = [y * (W // d) for _, y, d in pts]
+    while len(wr) > 1 and not (wr[-1] or wi[-1]):
+        wr.pop()
+        wi.pop()
+    d = len(wr) - 1
     polys = faber_polys(K, d)
-    out = [QC(0)] * (d + 1)
+    out = [0j] * (d + 1)
     for n in range(d, 0, -1):
-        fe = polys[n].exact
-        a_n = work[n] / fe[-1]
-        out[n] = a_n
-        for k in range(n + 1):
-            work[k] = work[k] - a_n * fe[k]
-        work.pop()
-    out[0] = work[0]
-    return np.array([c.to_complex() for c in out])
+        D, fr, fi = polys[n].ints
+        L, ar, ai = fr[n], wr.pop(), wi.pop()
+        W *= L
+        out[n] = complex(ar * D / W, ai * D / W)
+        for k in range(n):
+            wr[k], wi[k] = (wr[k] * L - ar * fr[k] + ai * fi[k],
+                            wi[k] * L - ar * fi[k] - ai * fr[k])
+    out[0] = complex(wr[0] / W, wi[0] / W)
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import comb
 from typing import ClassVar
 
@@ -38,7 +39,7 @@ from .errors import (
     PointInsideK,
     WrongKind,
 )
-from .series import QC, LaurentTail, _gauss_ints, _polys_from_tail
+from .series import LaurentTail, _dyadic, _polys_from_tail
 
 __all__ = [
     "ContinuumSpec",
@@ -172,33 +173,32 @@ class DiscSpec(ContinuumSpec):
     def _closure(self, R: float, depth: int) -> ContinuumSpec:
         return disc(self.center, self.radius * R)
 
-    def faber_exact(self, N: int, have: tuple = ()) -> list:
-        """Exact coefficients of phi^k, ..., phi^N by the binomial theorem,
-        k = len(have); the members in have are not rebuilt.
+    def faber_exact(self, N: int, have: tuple = ()):
+        """(D, re, im) of phi^k, ..., phi^N, k = len(have), one at a time.
 
-        With phi = alpha z + beta, alpha = 1/r and beta = -c/r, the z^j
-        coefficient of phi^n is C(n, j) alpha^j beta^(n-j).  The powers of
-        beta are taken in Gaussian ints over the shared denominator of its
-        parts, and each coefficient is two real Fraction products: they
-        cancel in pieces of the size of their factors, where one
-        Fraction(num, d^n) per coefficient would need a gcd as large as
-        the coefficient.
+        With -c = (X + iY)/e and r = p/q, the z^j coefficient of phi^n
+        is C(n, j) (X + iY)^(n-j) e^j q^n over D = (p e)^n, less the
+        power of two D shares with every numerator (a shift, not a gcd).
         """
-        alpha = 1 / Fraction(self.radius)
-        db, (br,), (bi,) = _gauss_ints([QC.of(self.center) * QC(-alpha)])
-        apow, bre, bim = [Fraction(1)], [Fraction(1)], [Fraction(0)]
-        x, y, q = 1, 0, 1
+        X, Y, e = _dyadic(-self.center)
+        p, q = self.radius.as_integer_ratio()
+        xs, ys = [1], [0]   # (X + iY)^k
         for _ in range(N):
-            apow.append(apow[-1] * alpha)
-            x, y, q = x * br - y * bi, x * bi + y * br, q * db
-            bre.append(Fraction(x, q))
-            bim.append(Fraction(y, q))
-        out = []
+            x, y = xs[-1], ys[-1]
+            xs.append(x * X - y * Y)
+            ys.append(x * Y + y * X)
         for n in range(len(have), N + 1):
-            cs = [apow[j] * comb(n, j) for j in range(n + 1)]
-            out.append(tuple(QC(c * bre[n - j], c * bim[n - j])
-                             for j, c in enumerate(cs)))
-        return out
+            D, re, im, c = (p * e) ** n, [], [], q ** n
+            for j in range(n + 1):
+                t = comb(n, j) * c
+                re.append(t * xs[n - j])
+                im.append(t * ys[n - j])
+                c *= e
+            low = D
+            for x in re + im:
+                low |= x
+            s = (low & -low).bit_length() - 1
+            yield D >> s, [x >> s for x in re], [y >> s for y in im]
 
     def pullback(self, ns, w: np.ndarray) -> np.ndarray:
         return w[None, :] ** np.asarray(ns, dtype=float)[:, None]
@@ -275,29 +275,32 @@ class SegmentSpec(ContinuumSpec):
         tail = [b[(k + 1) // 2] if k % 2 else 0 for k in range(1, depth + 1)]
         return custom(LaurentTail.build(2, 0, tail).scaled(1 / Fraction(R)))
 
-    def faber_exact(self, N: int, have: tuple = ()) -> list:
-        """F_k, ..., F_N for k = len(have): F_0 = 1, F_n = 2 T_n(alpha z +
-        beta), by the Chebyshev recurrence continued from the last two
-        members in have."""
-        a, b = Fraction(self.a), Fraction(self.b)
-        alpha, beta = 2 / (b - a), -(a + b) / (b - a)
+    def faber_exact(self, N: int, have: tuple = ()):
+        """(D, re, im) of F_k, ..., F_N, k = len(have), one at a time.
+
+        With u = (p z + q)/d, F_0 = 1 and F_n = 2 T_n(u) = 2 P_n/d^n,
+        where P_{n+1} = 2 (p z + q) P_n - d^2 P_{n-1}; D stays d^n, so
+        the recurrence continues from the last two members in have.
+        """
+        A, B, S = _dyadic(complex(self.a, self.b))   # a = A/S, b = B/S
+        g = math.gcd(2 * S, A + B, B - A)
+        p, q, d = 2 * S // g, -(A + B) // g, (B - A) // g
         k = len(have)
         if k < 3:
-            start, prev, cur = 1, [Fraction(1)], [beta, alpha]   # T_0, T_1 = u
-            polys = [(QC(1),), tuple(QC(2 * c) for c in cur)][k:N + 1]
-        else:   # T_{k-2}, T_{k-1} = F_{k-2} / 2, F_{k-1} / 2
-            start, polys = k - 1, []
-            prev, cur = ([c.re / 2 for c in f] for f in have[-2:])
+            start, prev, cur = 1, [1], [q, p]   # P_0, P_1
+            yield from [(1, [1], [0]), (d, [2 * q, 2 * p], [0, 0])][k:N + 1]
+        else:   # P_{k-2}, P_{k-1} = numerators of F_{k-2}, F_{k-1} over 2
+            start = k - 1
+            prev, cur = ([c // 2 for c in f[1]] for f in have[-2:])
+        dn, d2 = d ** start, d * d
         for _ in range(start, N):
-            # T_{n+1} = 2 u T_n - T_{n-1}
-            nxt = [2 * beta * c for c in cur] + [Fraction(0)]
+            nxt = [2 * q * c for c in cur] + [0]
             for j, c in enumerate(cur):
-                nxt[j + 1] += 2 * alpha * c
+                nxt[j + 1] += 2 * p * c
             for j, c in enumerate(prev):
-                nxt[j] -= c
-            prev, cur = cur, nxt
-            polys.append(tuple(QC(2 * c) for c in cur))
-        return polys
+                nxt[j] -= d2 * c
+            prev, cur, dn = cur, nxt, dn * d
+            yield dn, [2 * c for c in cur], [0] * len(cur)
 
     def pullback(self, ns, w: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns)
@@ -404,11 +407,11 @@ class CustomSpec(ContinuumSpec):
     def _closure(self, R: float, depth: int) -> ContinuumSpec:
         return custom(self.map_tail.scaled(1 / Fraction(R)))
 
-    def faber_exact(self, N: int, have: tuple = ()) -> list:
-        """Polynomial parts of the powers k = len(have), ..., N of the
-        stored map tail.  The powers are truncated at depths that depend
-        on N, so the whole family is rebuilt and the first k dropped."""
-        return _polys_from_tail(self.map_tail, N)[len(have):]
+    def faber_exact(self, N: int, have: tuple = ()):
+        """(D, re, im) of the polynomial parts of the powers k = len(have),
+        ..., N of the map tail.  Their truncation depends on N, so the
+        whole family is rebuilt and the first k dropped."""
+        return islice(_polys_from_tail(self.map_tail, N), len(have), None)
 
 
 def _check_finite(kind: str, **fields) -> None:
@@ -515,6 +518,13 @@ def _check_level(R, message: str, floor: float = 1.0) -> None:
         raise DomainError(message)
     if not math.isfinite(R):
         raise DomainError(f"{message}; a level must be finite, got {R!r}")
+
+
+def _check_contour(r, m) -> None:
+    """Gate of the contour routes: a finite level r > 1 and m >= 1 nodes."""
+    _check_level(r, "contour level r must exceed 1")
+    if not m >= 1:
+        raise DomainError(f"node count m must be at least 1; got {m}")
 
 
 def _sqrt_binomials(depth: int) -> tuple:
@@ -677,6 +687,7 @@ def dist_to_level(K: ContinuumSpec, z, r: float, m: int = DEFAULT_SAMPLES) -> fl
     an overestimate here would wrongly tighten the bounds built on it,
     an underestimate only loosens them.
     """
+    _check_contour(r, m)
     z = complex(z)
 
     def f(t):

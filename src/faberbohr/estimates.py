@@ -94,6 +94,18 @@ class EstimateContext:
     theta_residual_max: float
 
 
+def _check_power(name: str, x: float, n_max: int) -> None:
+    """Refuse a level x with x^n_max beyond double range; the residuals
+    and the separation rows compute powers up to it."""
+    try:
+        if math.isfinite(float(x) ** int(n_max)):
+            return
+    except OverflowError:
+        pass
+    raise DomainError(f"{name} {x:g} to the power n_max={n_max} is beyond "
+                      "double range")
+
+
 def make_context(K: ContinuumSpec, r: float, R: float, a=None,
                  C: float = 1.0 / 6.0, n_max: int = 32,
                  m: int = 1024) -> EstimateContext:
@@ -108,6 +120,7 @@ def make_context(K: ContinuumSpec, r: float, R: float, a=None,
     _check_level(R, "levels must satisfy 1 < r < R", r)
     if not 0.0 < C < 1.0:
         raise DomainError("contraction constant C must lie in (0, 1)")
+    _check_power("level R", R, n_max)
     if a is None:
         a = complex(psi(K, complex(R)))
     else:
@@ -360,6 +373,7 @@ def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
         raise DomainError("n_max must be at least 1")
     r = 1.0 + eps0
     _check_level(R, f"level R={R} must exceed the collar level {r}", r)
+    _check_power("sweep top grid_hi", grid_hi, n_max)   # make_context checks R
     ctx = make_context(K, r, R, a=a, C=C, n_max=n_max, m=m)
     norms = [basis_norm(K, n, up_to=n_max) for n in range(n_max + 1)]
     rows = _condition_rows(K, R, ctx.a, C, n_max, m, norms)

@@ -5,13 +5,12 @@ n-th power of its exterior map; the remainder (the principal part) is
 what the polynomial misses, and it vanishes at infinity.  Two
 independent routes are implemented and kept separate on purpose:
 
-* the exact route, one construction per kind in Gaussian-rational
-  arithmetic: the Chebyshev recurrence on segments (F_n = 2 T_n of the
-  affine variable), the binomial form on discs and powers of the map
-  tail on custom continua, the last two with Gaussian-int powers;
-  faber_polys memoises one family per continuum, faber_poly reads
-  F_n from it, and exact evaluation is Horner's rule in Gaussian ints,
-  rounded once,
+* the exact route, one construction per kind, each yielding Gaussian-int
+  numerators over one denominator: the Chebyshev recurrence on segments
+  (F_n = 2 T_n of the affine variable), the binomial form on discs and
+  powers of the map tail on custom continua; faber_polys memoises one
+  family per continuum, faber_poly reads F_n from it, and exact
+  evaluation is Horner's rule in Gaussian ints, rounded once,
 * the contour route, a Cauchy-type integral over a level curve
   normalised by 1/(2 pi i), evaluated with the periodic trapezoid rule.
 
@@ -24,13 +23,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from operator import add, mul, sub
 
 import numpy as np
 
 from .continua import (
     ContinuumSpec,
+    _check_contour,
     _check_level,
     contains,
     green,
@@ -70,7 +69,8 @@ class FaberPoly:
     """Monomial coefficients of one Faber polynomial, plus exact views.
 
     coeffs is ascending [c_0, ..., c_n]; the leading coefficient equals
-    gamma**n.  exact holds the same coefficients as Gaussian rationals,
+    gamma**n.  ints holds the same coefficients exactly, as the triple
+    (D, re, im): c_k = (re[k] + i im[k])/D with Python-int numerators,
     which is what makes stable evaluation on segments possible at
     degrees where the monomial form is hopeless in doubles.
     """
@@ -78,15 +78,15 @@ class FaberPoly:
     n: int
     coeffs: np.ndarray
     gamma_n: complex
-    exact: tuple = field(repr=False)
+    ints: tuple = field(repr=False)
     _cheb: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @cached_property
-    def _ints(self) -> tuple:
-        """exact as (D, re, im), integer numerators over their least common
-        denominator D; built on the first exact evaluation, so a family
-        that is only printed never pays for it."""
-        return _gauss_ints(self.exact)
+    @property
+    def exact(self) -> tuple:
+        """The coefficients as QC Gaussian rationals, derived from ints on
+        each access; nothing is stored."""
+        D, re, im = self.ints
+        return tuple(QC(Fraction(x, D), Fraction(y, D)) for x, y in zip(re, im))
 
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
@@ -101,7 +101,7 @@ class FaberPoly:
         rounded value of the exact Gaussian rational.  A non-finite z
         raises DomainError and a value beyond double range OverflowError.
         """
-        ar, ai, den = _gauss_horner(*self._ints, *_dyadic(complex(z)))
+        ar, ai, den = _gauss_horner(*self.ints, *_dyadic(complex(z)))
         return complex(ar / den, ai / den)
 
     def cheb_floats(self, a: float, b: float) -> np.ndarray:
@@ -118,7 +118,7 @@ class FaberPoly:
             a, b = Fraction(a), Fraction(b)
             mid, half = (a + b) / 2, (b - a) / 2
             parts = []
-            for cs in ([c.re for c in self.exact], [c.im for c in self.exact]):
+            for cs in zip(*((c.re, c.im) for c in self.exact)):
                 out = [cs[-1]]
                 for c in reversed(cs[:-1]):
                     nxt = [mid * t for t in out] + [0]
@@ -145,16 +145,18 @@ class FaberPoly:
 # ---------------------------------------------------------------------------
 # construction
 
-def _make_poly(exact_coeffs) -> FaberPoly:
-    """FaberPoly from exact ascending coefficients; the leading one is gamma^n."""
-    n = len(exact_coeffs) - 1
+def _make_poly(ints) -> FaberPoly:
+    """FaberPoly from an exact (D, re, im) triple, ascending; the leading
+    coefficient is gamma^n.  Each double is one int/int true division."""
+    D, re, im = ints
     try:
-        arr = np.array([c.to_complex() for c in exact_coeffs], dtype=complex)
+        arr = np.array([complex(x / D, y / D) for x, y in zip(re, im)],
+                       dtype=complex)
     except OverflowError:
-        raise DomainError(f"coefficients of F_{n} overflow double "
+        raise DomainError(f"coefficients of F_{len(re) - 1} overflow double "
                           "precision") from None
-    return FaberPoly(n=n, coeffs=arr, gamma_n=complex(arr[-1]),
-                     exact=tuple(exact_coeffs))
+    return FaberPoly(n=len(re) - 1, coeffs=arr, gamma_n=complex(arr[-1]),
+                     ints=ints)
 
 
 def faber_polys(K: ContinuumSpec, N: int):
@@ -162,21 +164,21 @@ def faber_polys(K: ContinuumSpec, N: int):
 
     The family comes from the exact construction of K's kind
     (faber_exact): the Chebyshev recurrence on segments, the binomial
-    form on discs and powers of the map tail on custom continua, the
-    last two with their powers in Gaussian ints.  Each member
-    keeps its coefficients as QC (exact) and, from its first exact
-    evaluation on, as integer numerators over one denominator, which
-    eval_exact runs on.  The
-    longest family built so far is kept on K; a longer request builds
-    only the new members on segments and discs, while custom maps
-    rebuild the whole family, since their tail truncation depends on N.
+    form on discs and powers of the map tail on custom continua, all in
+    Gaussian ints.  Each member keeps its coefficients as integer
+    numerators over one denominator (ints), which eval_exact runs on.
+    Members are converted to doubles as they are built, so a family
+    whose F_n overflows fails at F_n.  The longest family built so far
+    is kept on K; a longer request builds only the new members on
+    segments and discs, while custom maps rebuild the whole family,
+    since their tail truncation depends on N.
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
     fam = K._memo.get("faber", ())
     if len(fam) <= N:
         fam += tuple(map(_make_poly,
-                         K.faber_exact(N, tuple(p.exact for p in fam))))
+                         K.faber_exact(N, tuple(p.ints for p in fam))))
         K._memo["faber"] = fam
     return fam[: N + 1]
 
@@ -262,6 +264,7 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
     mpmath.  Custom maps have no high-precision route and raise
     FaberBohrError.
     """
+    _check_contour(r, m)
     ns = list(ns)
     zs = np.asarray(zs, dtype=complex).ravel()
     if dps is not None:
@@ -314,6 +317,7 @@ def faber_contour(K: ContinuumSpec, n: int, z, r: float, m: int = 1024,
     included).  The result does not depend on the choice of r as long as
     z stays inside, which is one of the cross-checks the tests enforce.
     """
+    _check_contour(r, m)
     if n < 0:
         raise DomainError("n must be nonnegative")
     z = complex(z)
@@ -331,6 +335,7 @@ def faber_remainder(K: ContinuumSpec, n: int, z, r: float, m: int = 1024,
     Same integrand and normalisation as faber_contour; the orientation
     of the residue count flips the sign for exterior points.
     """
+    _check_contour(r, m)
     if n < 0:
         raise DomainError("n must be nonnegative")
     z = complex(z)
@@ -467,7 +472,7 @@ def target_identity_residual(K: ContinuumSpec, n: int, w) -> float:
     mid = QC((Fraction(K.a) + Fraction(K.b)) / 2)
     quarter = QC((Fraction(K.b) - Fraction(K.a)) / 4)
     dz, (zr,), (zi,) = _gauss_ints([mid + quarter * (wq + wq.inverse())])
-    ar, ai, da = _gauss_horner(*faber_poly(K, n)._ints, zr, zi, dz)
+    ar, ai, da = _gauss_horner(*faber_poly(K, n).ints, zr, zi, dz)
     d, (x,), (y,) = _gauss_ints([wq])
     ur, ui = 1, 0
     for _ in range(n):

@@ -12,13 +12,14 @@ dyadic rational, lifting inputs to Gaussian rationals is therefore
 lossless, and all arithmetic here is exact.  Complex views are offered
 wherever a consumer only needs doubles.
 
-The hot exact paths run on a Gaussian-integer kernel instead of QC
-pairs of Fractions: a list of Gaussian rationals is held as one
-shared denominator D and two lists of integer numerators, a float
-point z as (X + iY)/2^e, and Horner's rule and the powers of a map
-tail run in Python ints with no gcd per step.  The single rounding at
-the end is an int/int true division, which Python rounds correctly, so
-the doubles are the ones float(Fraction) gives.
+Exact polynomials are held in one format, a Gaussian-integer triple
+(D, re, im): one denominator D and two lists of Python-int numerators,
+coefficient k being (re[k] + i im[k])/D.  A float point z is
+(X + iY)/2^e.  The Faber constructions, Horner's rule, the powers of a
+map tail and the change to the Faber basis all run in Python ints with
+no gcd per step; QC pairs of Fractions remain for map data.  The single
+rounding at the end is an int/int true division, which Python rounds
+correctly, so the doubles are the ones float(Fraction) gives.
 """
 
 from __future__ import annotations
@@ -127,8 +128,6 @@ class QC:
         return f"QC({self.re!s}, {self.im!s})"
 
 
-_QC_ONE = QC(1)
-
 
 # ---------------------------------------------------------------------------
 # Gaussian-integer kernel
@@ -204,7 +203,8 @@ class LaurentTail:
 
 
 def _polys_from_tail(t: LaurentTail, N: int):
-    """Exact polynomial parts of g^0, g^1, ..., g^N for the map g of t.
+    """Exact polynomial parts of g^0, g^1, ..., g^N for the map g of t,
+    yielded one at a time as (d^n, re, im) triples, ascending.
 
     g^n is kept to depth N - n only: a dropped term climbs one exponent
     per further product by g, N - n products follow, so truncation
@@ -215,7 +215,7 @@ def _polys_from_tail(t: LaurentTail, N: int):
     """
     d, gre, gim = _gauss_ints((t.lead, t.c0) + t.tail)
     terms = [(j, x, y) for j, (x, y) in enumerate(zip(gre, gim)) if x or y]
-    out = [(_QC_ONE,)]
+    yield 1, [1], [0]
     cre, cim, dn = gre, gim, d
     for n in range(1, N + 1):
         if n > 1:
@@ -226,6 +226,4 @@ def _polys_from_tail(t: LaurentTail, N: int):
                     nre[i + j] += a * x - b * y
                     nim[i + j] += a * y + b * x
             cre, cim, dn = nre, nim, dn * d
-        out.append(tuple(QC(Fraction(cre[n - k], dn), Fraction(cim[n - k], dn))
-                         for k in range(n + 1)))
-    return out
+        yield dn, cre[n::-1], cim[n::-1]

@@ -254,6 +254,16 @@ class TestFailureModes:
         assert rc == 2
         assert needle in err
 
+    @pytest.mark.parametrize("argv", [("estimates", "--R", "1e20"),
+                                      ("estimates", "--n-max", "130")])
+    def test_estimates_overflow_is_refused(self, capsys, argv):
+        """R^n_max past the double range: one error line, no traceback."""
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "double range" in err
+
     def test_missing_custom_file(self, capsys):
         rc, _, err = run(capsys, "--continuum", "custom:@/nonexistent.json",
                          "faber")

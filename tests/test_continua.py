@@ -171,6 +171,14 @@ _LEVEL_GATES = {
     "coeff_bound_check": lambda K: fb.coeff_bound_check(
         fb.FaberSeries(K, 2.0, np.array([0.5, 0.1j])), R=math.inf,
         check_pre=False),
+    "contour_values": lambda K: fb.contour_values(K, [3], [0.2], math.inf),
+    "contour_values_mp": lambda K: fb.contour_values(K, [3], [0.2], math.inf,
+                                                     dps=20),
+    "faber_contour": lambda K: fb.faber_contour(K, 3, 0.2, math.inf),
+    "faber_contour_mp": lambda K: fb.faber_contour(K, 3, 0.2, math.inf,
+                                                   dps=20),
+    "faber_remainder": lambda K: fb.faber_remainder(K, 3, 3.0, math.inf),
+    "dist_to_level": lambda K: fb.dist_to_level(K, 3.0, math.inf),
 }
 
 
@@ -180,6 +188,24 @@ def test_infinite_level_is_refused(seg, gate):
     must refuse it with DomainError before any arithmetic runs on it."""
     with pytest.raises(DomainError, match="finite"):
         _LEVEL_GATES[gate](seg)
+
+
+_NODE_COUNT_GATES = {
+    "contour_values": lambda K, m: fb.contour_values(K, [3], [0.2], 2.0, m=m),
+    "contour_values_mp": lambda K, m: fb.contour_values(K, [3], [0.2], 2.0,
+                                                        m=m, dps=20),
+    "faber_contour": lambda K, m: fb.faber_contour(K, 3, 0.2, 2.0, m=m),
+    "faber_remainder": lambda K, m: fb.faber_remainder(K, 3, 3.0, 2.0, m=m),
+    "dist_to_level": lambda K, m: fb.dist_to_level(K, 3.0, 2.0, m=m),
+}
+
+
+@pytest.mark.parametrize("m", [0, -4])
+@pytest.mark.parametrize("gate", list(_NODE_COUNT_GATES))
+def test_empty_contour_is_refused(seg, gate, m):
+    """With no nodes the trapezoid sums are 0/0; refuse m < 1."""
+    with pytest.raises(DomainError, match="m must be at least 1"):
+        _NODE_COUNT_GATES[gate](seg, m)
 
 
 class TestSupNorm:

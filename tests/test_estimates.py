@@ -214,6 +214,18 @@ class TestConditionSweep:
         with pytest.raises(DomainError):
             fb.thm31_conditions(seg, 1.2, eps0=0.25)
 
+    @pytest.mark.parametrize("call", [
+        lambda K: fb.thm31_conditions(K, 1e20),
+        lambda K: fb.thm31_conditions(K, 8.0, n_max=130),
+        lambda K: fb.thm31_conditions(K, 8.0, n_max=8, grid_hi=1e50),
+        lambda K: fb.make_context(K, 2.0, 1e20),
+    ], ids=["R", "n_max", "grid_hi", "make_context"])
+    def test_power_beyond_double_range(self, seg, call):
+        """R^n or grid_hi^n past the largest double would overflow in
+        the residuals and the separation rows; refuse it up front."""
+        with pytest.raises(DomainError, match="double range"):
+            call(seg)
+
 
 class TestSchwarzBound:
     def test_endpoint_values(self):

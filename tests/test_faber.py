@@ -190,7 +190,7 @@ class TestExactRoute:
         counts = []
         exact = type(K).faber_exact
         monkeypatch.setattr(type(K), "faber_exact", lambda self, *args: (
-            counts.append(len(out := exact(self, *args))) or out))
+            counts.append(len(out := list(exact(self, *args)))) or out))
         fb.faber_polys(K, steps[0])
         for n in steps[1:]:
             fb.faber_poly(K, n)
@@ -200,6 +200,27 @@ class TestExactRoute:
         once = fb.faber_polys(make(), steps[-1])
         assert ([p.exact for p in fb.faber_polys(K, steps[-1])]
                 == [p.exact for p in once])
+
+
+@pytest.mark.parametrize("make", [lambda: fb.segment(-1e-300, 1e-300),
+                                  lambda: fb.disc(0j, 1e-300)],
+                         ids=["segment", "disc"])
+def test_overflowing_family_fails_at_first_bad_member(make, monkeypatch):
+    """F_2 overflows doubles, so the family fails there: faber_exact
+    yields members one at a time and F_3, ..., F_300 are never built."""
+    K = make()
+    pulled = []
+
+    def lazy(self, *args):
+        members = exact(self, *args)
+        assert iter(members) is members, "faber_exact built a whole family"
+        return (pulled.append(t) or t for t in members)
+
+    exact = type(K).faber_exact
+    monkeypatch.setattr(type(K), "faber_exact", lazy)
+    with pytest.raises(DomainError, match="coefficients of F_2 overflow"):
+        fb.faber_polys(K, 300)
+    assert len(pulled) == 3
 
 
 class TestDiscConstruction:
