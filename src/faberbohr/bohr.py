@@ -276,31 +276,29 @@ def to_faber_basis(K: ContinuumSpec, coeffs) -> np.ndarray:
     Leading-coefficient elimination against the exact Faber data; the
     conversion is exact (the input floats are taken at face value), so
     the returned series represents the same polynomial, not an
-    approximation of it.  In Gaussian ints, work = (wr + i wi)/W and
-    F_n = f/D_n with real leading numerator L_n > 0: a_n = a D_n/(W L_n)
-    for a = work_n is rounded once, then W <- W L_n and work_k <-
-    work_k L_n - a f_k.
+    approximation of it.  In Gaussian ints, work_k = (x_k + i y_k)/W and
+    F_n = f/D_n with real leading numerator L_n > 0: with a = x_n + i y_n,
+    a_n = a D_n/(W L_n) is rounded once, then W <- W L_n and the
+    numerators become work_k L_n - a f_k.
     """
-    pts = [_dyadic(complex(c))
-           for c in np.atleast_1d(np.asarray(coeffs, dtype=complex))]
-    W = math.lcm(*(d for _, _, d in pts))
-    wr = [x * (W // d) for x, _, d in pts]
-    wi = [y * (W // d) for _, y, d in pts]
-    while len(wr) > 1 and not (wr[-1] or wi[-1]):
-        wr.pop()
-        wi.pop()
-    d = len(wr) - 1
+    work = [_dyadic(complex(c))
+            for c in np.atleast_1d(np.asarray(coeffs, dtype=complex))]
+    W = math.lcm(*(d for _, _, d in work))
+    work = [(x * (W // d), y * (W // d)) for x, y, d in work]
+    while len(work) > 1 and work[-1] == (0, 0):
+        work.pop()
+    d = len(work) - 1
     polys = faber_polys(K, d)
     out = [0j] * (d + 1)
     for n in range(d, 0, -1):
         D, fr, fi = polys[n].ints
-        L, ar, ai = fr[n], wr.pop(), wi.pop()
+        L, (ar, ai) = fr[n], work.pop()
         W *= L
         out[n] = complex(ar * D / W, ai * D / W)
-        for k in range(n):
-            wr[k], wi[k] = (wr[k] * L - ar * fr[k] + ai * fi[k],
-                            wi[k] * L - ar * fi[k] - ai * fr[k])
-    out[0] = complex(wr[0] / W, wi[0] / W)
+        work = [(x * L - ar * u + ai * v, y * L - ar * v - ai * u)
+                for (x, y), u, v in zip(work, fr, fi)]
+    [(x, y)] = work
+    out[0] = complex(x / W, y / W)
     return np.array(out)
 
 
