@@ -520,11 +520,23 @@ def _check_level(R, message: str, floor: float = 1.0) -> None:
         raise DomainError(f"{message}; a level must be finite, got {R!r}")
 
 
-def _check_contour(r, m) -> None:
-    """Gate of the contour routes: a finite level r > 1 and m >= 1 nodes."""
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_contour(r, m, dps=None, ns=()) -> None:
+    """Gate of the contour routes: a finite level r > 1, an integer count
+    m >= 1 of nodes, an integer dps >= 1 when given, integer degrees."""
     _check_level(r, "contour level r must exceed 1")
-    if not m >= 1:
+    if not _is_int(m):
+        raise DomainError(f"node count m must be an integer; got {m!r}")
+    if m < 1:
         raise DomainError(f"node count m must be at least 1; got {m}")
+    if dps is not None and not (_is_int(dps) and dps >= 1):
+        raise DomainError(f"dps must be an integer of at least 1; got {dps!r}")
+    for n in ns:
+        if not _is_int(n):
+            raise DomainError(f"degree n must be an integer; got {n!r}")
 
 
 def _sqrt_binomials(depth: int) -> tuple:

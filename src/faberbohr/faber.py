@@ -12,7 +12,11 @@ independent routes are implemented and kept separate on purpose:
   family per continuum, faber_poly reads F_n from it, and exact
   evaluation is Horner's rule in Gaussian ints, rounded once,
 * the contour route, a Cauchy-type integral over a level curve
-  normalised by 1/(2 pi i), evaluated with the periodic trapezoid rule.
+  normalised by 1/(2 pi i), evaluated with the periodic trapezoid rule:
+  in float64, or with dps digits in Python-int fixed point, where the
+  sums over the nodes for every degree and point come from one float64
+  GEMM that is exact because the ints are cut into limbs short enough
+  that every partial sum stays an integer below 2^53 (_limb_product).
 
 Coefficient extraction with respect to the Faber basis is a discrete
 Fourier transform on a circle |w| = r of the target coordinate.
@@ -23,7 +27,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul, sub
 
 import numpy as np
 
@@ -109,28 +112,32 @@ class FaberPoly:
 
         With z = mid + half x, Horner's rule runs in the Chebyshev basis
         of x: out <- (mid + half x) out + c_k, where x T_0 = T_1 and
-        x T_i = (T_{i+1} + T_{i-1})/2.  mid and half are real, so the
-        real and imaginary parts go through it apart, in Fractions, and
-        each result is rounded once.
+        x T_i = (T_{i+1} + T_{i-1})/2.  mid and half are dyadic, M/s and
+        H/s with s a power of two, so each step multiplies the common
+        denominator by 2s: the real and imaginary numerators of ints go
+        through it apart as Python ints over D (2s)^n, with no gcd, and
+        each result is rounded once by int/int true division.
         """
         key = (float(a), float(b))
         if key not in self._cheb:
-            a, b = Fraction(a), Fraction(b)
+            D, re, im = self.ints
+            a, b = map(Fraction, key)
             mid, half = (a + b) / 2, (b - a) / 2
+            s = max(mid.denominator, half.denominator)
+            M2 = 2 * mid.numerator * (s // mid.denominator)
+            H = half.numerator * (s // half.denominator)
+            step = s.bit_length()   # 2s = 2**step
             parts = []
-            for cs in zip(*((c.re, c.im) for c in self.exact)):
+            for cs in (re, im):
                 out = [cs[-1]]
-                for c in reversed(cs[:-1]):
-                    nxt = [mid * t for t in out] + [0]
-                    nxt[0] += c
-                    nxt[1] += half * out[0]
-                    for i in range(1, len(out)):
-                        h = half * out[i] / 2
-                        nxt[i - 1] += h
-                        nxt[i + 1] += h
-                    out = nxt
+                for e, c in enumerate(reversed(cs[:-1]), 1):
+                    low = [2 * out[0]] + out[1:]
+                    out = [M2 * x + H * (y + t) for x, y, t in
+                           zip(out + [0], out[1:] + [0, 0], [0] + low)]
+                    out[0] += c << e * step
                 parts.append(out)
-            self._cheb[key] = np.array([complex(float(x), float(y))
+            den = D << self.n * step
+            self._cheb[key] = np.array([complex(x / den, y / den)
                                         for x, y in zip(*parts)])
         return self._cheb[key]
 
@@ -194,6 +201,7 @@ def faber_poly(K: ContinuumSpec, n: int) -> FaberPoly:
 # contour route
 
 _GUARD_BITS = 8
+_BLOCK = 1 << 20   # float64 entries per operand of one _root_sums GEMM
 
 
 def _nodes(K: ContinuumSpec, r: float, m: int):
@@ -212,20 +220,87 @@ def _fixed(values, shift: int):
     from mpmath.libmp import to_fixed
 
     parts = [mpc(v)._mpc_ for v in values]
-    return ([to_fixed(re, shift) for re, _ in parts],
-            [to_fixed(im, shift) for _, im in parts])
+    return ([int(to_fixed(re, shift)) for re, _ in parts],
+            [int(to_fixed(im, shift)) for _, im in parts])
+
+
+def _limb_width(n: int) -> int:
+    """Bits w per limb that make an n-term product of limbs exact.
+
+    A product of two signed w-bit limbs is below (2^w - 1)^2 in
+    magnitude, so every partial sum of n of them is an integer below
+    n (2^w - 1)^2; while that is below 2^53, float64 holds each partial
+    sum exactly, in whatever order a GEMM adds them.  16 bits serve
+    n <= 2^21 and 8 bits n < 2^37.
+    """
+    return 16 if n <= 1 << 21 else 8
+
+
+def _limbs(vals, w: int) -> np.ndarray:
+    """w-bit limbs of Python ints, least significant first.
+
+    Row i is the two's complement of vals[i] in L limbs, L enough for
+    the widest value and its sign, as float64 of shape (len(vals), L):
+    every limb in [0, 2^w) but the last, which is signed.  So each limb
+    is below 2^w in magnitude and vals[i] = sum_a row[a] 2^(w a).
+    """
+    nb = w // 8
+    L = max(map(int.bit_length, vals), default=0) // w + 1
+    raw = b"".join([v.to_bytes(L * nb, "little", signed=True) for v in vals])
+    out = np.frombuffer(raw, dtype=f"<u{nb}").reshape(-1, L).astype(float)
+    out[:, -1] = np.frombuffer(raw, dtype=f"<i{nb}").reshape(-1, L)[:, -1]
+    return out
+
+
+def _limb_product(A: np.ndarray, B: np.ndarray, w: int) -> list:
+    """Exact integer matrix product of two matrices held in w-bit limbs.
+
+    A[a, i, j] is limb a of entry (i, j) of the left matrix and
+    B[j, b, k] limb b of entry (j, k) of the right one, with w at most
+    _limb_width of the inner size, so one float64 GEMM forms every sum
+    G[a, b, i, k] over j exactly.  Entry (i, k) is the sum of
+    G 2^(w (a + b)).  Each G is split as lo + hi 2^w, lo in [0, 2^w),
+    before the int64 sums along the diagonals a + b: they stay below
+    2^(54 - w) times the limb count, so they cannot overflow at any
+    precision that fits in memory.  A carry pass then leaves every
+    diagonal but the last in [0, 2^w), the little-endian digits of the
+    low part, and the last, signed, is the high part.  Returns the
+    entries in row-major order, as Python ints.
+    """
+    la, R, n = A.shape
+    lb, C = B.shape[1:]
+    G = (A.reshape(la * R, n) @ B.reshape(n, lb * C)).astype(np.int64)
+    G = G.reshape(la, R, lb, C).transpose(0, 2, 1, 3)
+    mask, S = (1 << w) - 1, la + lb
+    lo, hi = G & mask, G >> w
+    D = np.zeros((S, R * C), dtype=np.int64)
+    Dv = D.reshape(S, R, C)
+    for a in range(la):
+        Dv[a:a + lb] += lo[a]
+        Dv[a + 1:a + lb + 1] += hi[a]
+    for s in range(S - 1):
+        carry = D[s] >> w
+        D[s] &= mask
+        D[s + 1] += carry
+    nb, top = w // 8, w * (S - 1)
+    step = nb * (S - 1)
+    low = np.ascontiguousarray(D[:-1].T).astype(f"<u{nb}").tobytes()
+    return [int.from_bytes(low[i * step:(i + 1) * step], "little") + (t << top)
+            for i, t in enumerate(D[-1].tolist())]
 
 
 def _fixed_nodes(K: ContinuumSpec, r: float, m: int, dps: int):
     """Fixed-point data of the high-precision route, under mp.workdps(dps).
 
-    Returns P, the roots of unity omega^j at 2**P, the centre c of K's
-    kind and the exponent e of the node set, and, at 2**P in the
+    Returns P, the roots of unity omega^j at 2**P in limbs, the centre c
+    of K's kind and the exponent e of the node set, and, at 2**P in the
     coordinate (t - c)/2^e, the nodes psi(w_j) and the weights
     psi'(w_j) w_j.  mp_nodes gives the nodes relative to c, so no digit
     is lost to the distance of K from 0; a point z is moved by c once.
     The roots are kept on K under ("roots", m, dps), shared by the
-    levels; the rest under ("fixed nodes", r, m, dps).
+    levels, as an array of shape (L, m, 2): limb a of the real and
+    imaginary parts of omega^j, _limb_width(2 m) bits each.  The rest is
+    kept under ("fixed nodes", r, m, dps).
     """
     from mpmath import mp
 
@@ -237,10 +312,26 @@ def _fixed_nodes(K: ContinuumSpec, r: float, m: int, dps: int):
         ws = [mp.mpf(repr(float(r))) * o for o in omega]
         c, ts, dpsi = K.mp_nodes(ws)   # custom maps raise before any store
         e = max(mp.mag(t) for t in ts)
-        memo.setdefault(roots, _fixed(omega, P))
+        if roots not in memo:
+            wr, wi = _fixed(omega, P)
+            memo[roots] = np.ascontiguousarray(
+                _limbs(wr + wi, _limb_width(2 * m)).reshape(2, m, -1).T)
         memo[key] = (c, e, _fixed(ts, P - e),
                      _fixed([d * w for d, w in zip(dpsi, ws)], P - e))
     return (P, memo[roots]) + memo[key]
+
+
+def _check_points(zs) -> np.ndarray:
+    """zs as a flat complex array; a non-finite point raises DomainError."""
+    zs = np.asarray(zs, dtype=complex).ravel()
+    bad = zs[~np.isfinite(zs)]
+    if len(bad):
+        raise DomainError(f"contour points must be finite; got {bad[0]}")
+    return zs
+
+
+def _on_node(z, r, m) -> DomainError:
+    return DomainError(f"z={z} lies on a node of the contour at r={r}, m={m}")
 
 
 def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
@@ -249,30 +340,72 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
 
     Returns the matrix V[i, j] for n = ns[i], z = zs[j], normalised by
     1/(2 pi i).  For points inside the level curve this is the Faber
-    polynomial value.  The optional dps switches to a high-precision
-    route, needed when r**n overwhelms double-precision summation.  It
-    works in mpmath's precision for dps decimal digits, prec bits, and
-    holds every quantity as an exact Python int in fixed point at 2**P,
+    polynomial value.  The degrees and m must be integers, the points
+    finite and off the nodes, or DomainError is raised.
+
+    The optional dps switches to a high-precision route, needed when
+    r**n overwhelms double-precision summation.  It works in mpmath's
+    precision for dps decimal digits, prec bits, and holds every
+    quantity as an exact Python int in fixed point at 2**P,
     P = prec + bits(m) + 8 guard bits.  The nodes are taken relative to
     the centre c of K's kind and scaled by 2^-e to size about 1; the
     Cauchy weight dw/(t - z) does not change under this affine map, and
     z - c is formed once in mpmath, so the accuracy does not depend on
     where K lies or how large it is.  Nodes and roots of unity are
-    converted once and memoised on K per (r, m, dps).  With
-    w_j^n = r^n omega^(jn mod m), each z costs m integer complex
-    divisions and each n three integer dot products, rounded once to
-    mpmath.  Custom maps have no high-precision route and raise
-    FaberBohrError.
+    converted once and memoised on K per (r, m, dps).  Each z costs m
+    integer complex divisions for B_j(z) = dw_j/(t_j - z).  With
+    w_j^n = r^n omega^(jn mod m), every degree needs the Gaussian-int
+    sums S_k(z) = sum_j omega^(jk) B_j(z), k = n mod m, and all of them
+    come from one exact float64 GEMM: the ints are split into signed
+    16-bit limbs, so every partial sum of the 2m-term limb products is
+    an integer below 2m 2^32 <= 2^53 (8-bit limbs above m = 2^20), and
+    the limb products are recombined into Python ints (_limb_product).
+    Each S_k(z) r^n/m is then rounded once to mpmath.  Custom maps have
+    no high-precision route and raise FaberBohrError.
     """
-    _check_contour(r, m)
     ns = list(ns)
-    zs = np.asarray(zs, dtype=complex).ravel()
+    _check_contour(r, m, dps, ns)
+    zs = _check_points(zs)
     if dps is not None:
         return _contour_mp(K, ns, zs, r, m, dps)
     w, t, dw = _nodes(K, r, m)
-    B = dw[:, None] / (t[:, None] - zs[None, :])
+    diff = t[:, None] - zs[None, :]
+    hit = np.flatnonzero(~diff.all(axis=0))
+    if len(hit):
+        raise _on_node(zs[hit[0]], r, m)
+    B = dw[:, None] / diff
     P = w[None, :] ** np.asarray(ns, dtype=float)[:, None]
     return (P @ B) / m
+
+
+def _root_sums(roots: np.ndarray, ks, U: list, V: list, w: int) -> dict:
+    """{k: [(re, im) per z]}, the Gaussian ints sum_j omega^(jk) B_j(z).
+
+    roots is the (L, m, 2) limb array of _fixed_nodes, and U, V hold the
+    real and imaginary parts of B_j(z), z-major.  The left matrix has a
+    row per k, omega^(jk mod m) gathered by one index array, with the
+    real part x_j and imaginary part y_j side by side along j; the right
+    matrix has the columns (u_j, -v_j) and (v_j, u_j) per z.  One exact
+    product then gives re = xu - yv and im = xv + yu for every k and z.
+    The ks go in blocks that keep each operand near _BLOCK entries.
+    """
+    la, m = roots.shape[:2]
+    Z = len(U) // m
+    u, v = _limbs(U + V, w).reshape(2, Z, m, -1).transpose(0, 2, 3, 1)
+    lb = u.shape[1]
+    B = np.stack([np.stack([u, v], -1), np.stack([-v, u], -1)], 1)
+    B = B.reshape(2 * m, lb, 2 * Z)
+    ks = np.asarray(ks, dtype=np.int64)
+    step = max(1, _BLOCK // (la * max(2 * m, 2 * lb * Z)))
+    sums = {}
+    for i in range(0, len(ks), step):
+        kb = ks[i:i + step]
+        A = np.take(roots, kb[:, None] * np.arange(m) % m, axis=1)
+        flat = _limb_product(A.reshape(la, len(kb), 2 * m), B, w)
+        for j, k in enumerate(kb.tolist()):
+            row = flat[2 * Z * j:2 * Z * (j + 1)]
+            sums[k] = list(zip(row[::2], row[1::2]))
+    return sums
 
 
 def _contour_mp(K: ContinuumSpec, ns, zs, r, m, dps) -> np.ndarray:
@@ -280,32 +413,25 @@ def _contour_mp(K: ContinuumSpec, ns, zs, r, m, dps) -> np.ndarray:
 
     out = np.zeros((len(ns), len(zs)), dtype=complex)
     with mp.workdps(dps):
-        P, (wr, wi), c, e, (tr, ti), (dr, di) = _fixed_nodes(K, r, m, dps)
-        rows = {}
-        for k in {n % m for n in ns}:
-            x = [wr[j * k % m] for j in range(m)]
-            y = [wi[j * k % m] for j in range(m)]
-            rows[k] = (x, y, list(map(add, x, y)))
-        rr = mp.mpf(repr(float(r)))
-        scales = [mp.ldexp(rr ** n / m, -2 * P) for n in ns]
-        for jz, z in enumerate(zs):
+        P, roots, c, e, (tr, ti), (dr, di) = _fixed_nodes(K, r, m, dps)
+        U, V = [], []   # B_j(z) = dw_j/(t_j - z) = u_j + i v_j at 2**P
+        for z in zs:
             (zr,), (zi,) = _fixed([mpc(z) - c], P - e)
-            u, v = [], []   # B_j = dw_j/(t_j - z) = u_j + i v_j at 2**P
             for a, b, t_re, t_im in zip(dr, di, tr, ti):
                 er, ei = t_re - zr, t_im - zi
                 den = er * er + ei * ei
-                u.append(((a * er + b * ei) << P) // den)
-                v.append(((b * er - a * ei) << P) // den)
-            # sum of (x + iy)(u + iv) in three products: k1 = (x + y)u,
-            # re = k1 - y(u + v), im = k1 + x(v - u)
-            upv, vmu = list(map(add, u, v)), list(map(sub, v, u))
-            sums = {}
-            for k, (x, y, xpy) in rows.items():
-                k1 = sum(map(mul, xpy, u))
-                sums[k] = (k1 - sum(map(mul, y, upv)),
-                           k1 + sum(map(mul, x, vmu)))
-            for i, n in enumerate(ns):
-                out[i, jz] = complex(mpc(*sums[n % m]) * scales[i])
+                if not den:
+                    raise _on_node(z, r, m)
+                U.append(((a * er + b * ei) << P) // den)
+                V.append(((b * er - a * ei) << P) // den)
+        if not (ns and U):
+            return out
+        sums = _root_sums(roots, sorted({n % m for n in ns}), U, V,
+                          _limb_width(2 * m))
+        rr = mp.mpf(repr(float(r)))
+        for i, n in enumerate(ns):
+            scale = mp.ldexp(rr ** n / m, -2 * P)
+            out[i] = [complex(mpc(x, y) * scale) for x, y in sums[n % m]]
     return out
 
 
@@ -317,10 +443,11 @@ def faber_contour(K: ContinuumSpec, n: int, z, r: float, m: int = 1024,
     included).  The result does not depend on the choice of r as long as
     z stays inside, which is one of the cross-checks the tests enforce.
     """
-    _check_contour(r, m)
+    _check_contour(r, m, dps, [n])
     if n < 0:
         raise DomainError("n must be nonnegative")
     z = complex(z)
+    _check_points(z)
     if not contains(K, z):
         if green(K, z) >= np.log(r) - _LEVEL_SLACK:
             raise PointOutsideLevel(
@@ -335,10 +462,11 @@ def faber_remainder(K: ContinuumSpec, n: int, z, r: float, m: int = 1024,
     Same integrand and normalisation as faber_contour; the orientation
     of the residue count flips the sign for exterior points.
     """
-    _check_contour(r, m)
+    _check_contour(r, m, dps, [n])
     if n < 0:
         raise DomainError("n must be nonnegative")
     z = complex(z)
+    _check_points(z)
     if contains(K, z) or green(K, z) <= np.log(r) + _LEVEL_SLACK:
         raise PointInsideLevel(
             f"z={z} is not outside the level curve at r={r}")

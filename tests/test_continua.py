@@ -208,6 +208,54 @@ def test_empty_contour_is_refused(seg, gate, m):
         _NODE_COUNT_GATES[gate](seg, m)
 
 
+@pytest.mark.parametrize("m", [2.5, 4.0, "4"])
+@pytest.mark.parametrize("gate", list(_NODE_COUNT_GATES))
+def test_fractional_node_count_is_refused(seg, gate, m):
+    """m = 2.5 nodes is a quadrature that does not close (float route) or
+    a TypeError (mp route); a node count must be an integer."""
+    with pytest.raises(DomainError, match="m must be an integer"):
+        _NODE_COUNT_GATES[gate](seg, m)
+
+
+_PRECISION_GATES = {
+    "contour_values": lambda K, dps: fb.contour_values(K, [1], [0.3], 2.0,
+                                                       m=64, dps=dps),
+    "faber_contour": lambda K, dps: fb.faber_contour(K, 1, 0.3, 2.0, m=64,
+                                                     dps=dps),
+    "faber_remainder": lambda K, dps: fb.faber_remainder(K, 1, 3.0, 2.0,
+                                                         m=64, dps=dps),
+}
+
+
+@pytest.mark.parametrize("dps", [0, -5, 20.5, 20.0, "20"])
+@pytest.mark.parametrize("gate", list(_PRECISION_GATES))
+def test_bad_precision_is_refused(seg, gate, dps):
+    """dps = 0 gave F_1(0.3) = 0.625 and dps = -5 gave 0.25 on [-1, 1]
+    (the true value is 0.6); dps must be an integer of at least 1."""
+    with pytest.raises(DomainError, match="dps must be an integer"):
+        _PRECISION_GATES[gate](seg, dps)
+
+
+_DEGREE_GATES = {
+    "contour_values": lambda K, n, dps: fb.contour_values(K, [2, n], [0.3],
+                                                          2.0, m=64, dps=dps),
+    "faber_contour": lambda K, n, dps: fb.faber_contour(K, n, 0.3, 2.0, m=64,
+                                                        dps=dps),
+    "faber_remainder": lambda K, n, dps: fb.faber_remainder(K, n, 3.0, 2.0,
+                                                            m=64, dps=dps),
+}
+
+
+@pytest.mark.parametrize("dps", [None, 20])
+@pytest.mark.parametrize("n", [1.5, 2.0, "2"])
+@pytest.mark.parametrize("gate", list(_DEGREE_GATES))
+def test_fractional_degree_is_refused(seg, gate, n, dps):
+    """n = 1.5 gave a branch-cut value of w**1.5 on the float route and a
+    TypeError on the mp route; a degree must be an integer."""
+    with pytest.raises(DomainError, match="degree .* must be an integer"):
+        _DEGREE_GATES[gate](seg, n, dps)
+
+
 class TestSupNorm:
     def test_chebyshev_cap(self, seg):
         p = fb.faber_poly(seg, 3)

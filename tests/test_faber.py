@@ -4,7 +4,9 @@ import cmath
 import functools
 import json
 import math
+import random
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import faberbohr as fb
+import faberbohr.faber as fbf
+from contour_reference import contour_mp
 from faberbohr.errors import (
     AliasingRisk,
     DomainError,
@@ -416,6 +420,32 @@ class TestContourRoute:
         with pytest.raises(PointInsideLevel):
             fb.faber_remainder(seg, 3, 0.3, 2.0)
 
+    @pytest.mark.parametrize("dps", [None, 20])
+    @pytest.mark.parametrize("z", [complex("nan"), complex("inf"),
+                                   complex(0.3, -math.inf),
+                                   complex(0.3, math.nan)],
+                             ids=["nan", "inf", "imag-inf", "imag-nan"])
+    def test_non_finite_point_is_refused(self, seg, z, dps):
+        """A NaN point gave 0j on the mp route (and an infinite one 0) and
+        NaN or a warning on the float route."""
+        with pytest.raises(DomainError, match="finite"):
+            fb.contour_values(seg, [1, 2], [0.3, z], 2.0, m=64, dps=dps)
+        with pytest.raises(DomainError, match="finite"):
+            fb.faber_contour(seg, 1, z, 2.0, m=64, dps=dps)
+        with pytest.raises(DomainError, match="finite"):
+            fb.faber_remainder(seg, 1, z, 2.0, m=64, dps=dps)
+
+    @pytest.mark.parametrize("dps", [None, 20])
+    @pytest.mark.parametrize("K", ["seg", "udisc"])
+    def test_point_on_a_node_is_refused(self, K, dps, request):
+        """psi(K, 2) is the node w_0 = 2 of the r = 2 contour, where the
+        Cauchy weight divides by zero (a raw ZeroDivisionError on the mp
+        route, a division warning and inf on the float route)."""
+        K = request.getfixturevalue(K)
+        z = complex(fb.psi(K, 2.0))
+        with pytest.raises(DomainError, match="node"):
+            fb.contour_values(K, [1], [0.3, z], 2.0, m=4, dps=dps)
+
     def test_splitting_identity(self, seg):
         """phi^n recombines from the polynomial and the remainder."""
         z = 3.0
@@ -540,11 +570,120 @@ class TestContourMp:
                                 dps=dps)
         assert got.shape == (0, 3)
 
+    @staticmethod
+    @st.composite
+    def _cases(draw):
+        """A segment or disc, m, dps, r, degrees and points on K or inside
+        the level r."""
+        if draw(st.booleans()):
+            a = draw(st.floats(-10, 10))
+            K = fb.segment(a, a + draw(st.floats(1e-3, 10)))
+        else:
+            K = fb.disc(complex(draw(st.floats(-5, 5)), draw(st.floats(-5, 5))),
+                        draw(st.floats(1e-3, 5)))
+        m = draw(st.one_of(st.sampled_from([1, 2, 16, 64, 256, 1024]),
+                           st.integers(1, 1024)))
+        dps, r = draw(st.integers(15, 80)), draw(st.floats(1.2, 4.0))
+        ns = draw(st.lists(st.integers(-8, 3 * m), min_size=1, max_size=8))
+        ns += draw(st.lists(st.sampled_from(ns), max_size=3))
+        unit = st.floats(0, 1)
+        zs = []
+        for _ in range(draw(st.integers(1, 4))):
+            t, th = draw(unit), 2 * math.pi * draw(unit)
+            if draw(st.booleans()):   # on K
+                zs.append(K.a + t * (K.b - K.a) if K.kind == "segment"
+                          else K.center + t * K.radius * cmath.exp(1j * th))
+            else:                     # strictly inside the level r
+                rho = 1 + (r - 1) * (0.05 + 0.9 * t)
+                zs.append(complex(fb.psi(K, rho * cmath.exp(1j * th))))
+        return K, ns, zs, r, m, dps
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=_cases())
+    def test_gemm_equals_dot_products(self, case):
+        """The limb GEMM rounds the same integers as the Python-int dot
+        products it replaced, so every double is the same."""
+        K, ns, zs, r, m, dps = case
+        got = fb.contour_values(K, ns, zs, r, m=m, dps=dps)
+        assert np.array_equal(got, contour_mp(K, ns, zs, r, m, dps))
+
+    def test_blocked_over_degrees(self, seg, monkeypatch):
+        """With one k per GEMM block the sums are the same."""
+        ns, zs = list(range(-3, 70)), [0.3, 0.1 + 0.2j, -0.9]
+        want = contour_mp(seg, ns, zs, 2.0, 64, 40)
+        monkeypatch.setattr(fbf, "_BLOCK", 1)
+        assert np.array_equal(fb.contour_values(seg, ns, zs, 2.0, m=64, dps=40),
+                              want)
+
     def test_custom_map_has_no_mp_route(self, custom_spec):
         with pytest.raises(FaberBohrError,
                            match="implemented for segment and disc continua only"):
             fb.contour_values(custom_spec, [1], [0.1 + 0.1j], 2.0, m=64, dps=20)
         assert custom_spec._memo == {}
+
+
+class TestLimbProduct:
+    """faber._limb_product against Python-int dot products."""
+
+    @staticmethod
+    def _product(X, Y):
+        """X @ Y for lists of Python-int rows, by limbs."""
+        n, C = len(Y), len(Y[0])
+        w = fbf._limb_width(n)
+        A = fbf._limbs([x for row in X for x in row], w)
+        B = fbf._limbs([y for row in Y for y in row], w)
+        flat = fbf._limb_product(
+            np.ascontiguousarray(A.reshape(len(X), n, -1).transpose(2, 0, 1)),
+            np.ascontiguousarray(B.reshape(n, C, -1).transpose(0, 2, 1)), w)
+        return [flat[i * C:(i + 1) * C] for i in range(len(X))]
+
+    @pytest.mark.parametrize("bits", [1, 15, 16, 17, 53, 64, 200])
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_random_full_width(self, bits, n):
+        rnd = random.Random(bits * 1000 + n)
+
+        def draw():
+            return rnd.choice((-1, 1)) * rnd.getrandbits(bits)
+
+        X = [[draw() for _ in range(n)] for _ in range(3)]
+        Y = [[draw() for _ in range(4)] for _ in range(n)]
+        X[0] = [(1 << bits) - 1] * n   # all limbs full, one sign
+        want = [[sum(map(mul, row, col)) for col in zip(*Y)] for row in X]
+        assert self._product(X, Y) == want
+
+    def test_dps_300_without_int64_overflow(self):
+        """Ints as wide as the fixed-point values of the dps = 300 route at
+        m = 1024, about 1,020 bits or 64 limbs, some with every limb full."""
+        from mpmath import mp
+
+        with mp.workdps(300):
+            bits = mp.prec + (2048).bit_length() + fbf._GUARD_BITS + 2
+        rnd = random.Random(300)
+        X = [[rnd.choice((-1, 1)) * rnd.getrandbits(bits) for _ in range(2048)]
+             for _ in range(2)] + [[(1 << bits) - 1] * 2048]
+        Y = [[rnd.choice((-1, 1)) * rnd.getrandbits(bits), (1 << bits) - 1]
+             for _ in range(2048)]
+        want = [[sum(map(mul, row, col)) for col in zip(*Y)] for row in X]
+        assert self._product(X, Y) == want
+
+    def test_width_threshold(self):
+        """At n = 2^21 terms 16-bit limbs are still exact: 2^21 products
+        of full limbs of one sign sum to 2^53 - 2^38 + 2^21.  One more
+        term switches to 8-bit limbs."""
+        n = 1 << 21
+        assert (fbf._limb_width(n), fbf._limb_width(n + 1)) == (16, 8)
+        assert n * ((1 << 16) - 1) ** 2 < 1 << 53 <= (n + 1) * (1 << 16) ** 2
+        v = (1 << 32) - 1   # two full 16-bit limbs
+        noise = np.random.default_rng(21).integers(-v, v, n, endpoint=True)
+        # the limbs are cut by numpy here, apart from _limbs
+        mag = np.abs(noise)
+        A = np.empty((2, 2, n))
+        A[:, 0], A[0, 1] = 0xFFFF, (mag & 0xFFFF) * np.sign(noise)
+        A[1, 1] = (mag >> 16) * np.sign(noise)
+        B = np.full((n, 2, 1), float(0xFFFF))
+        # against the column of n entries v: dot products n v^2, v sum(noise)
+        assert fbf._limb_product(A, B, 16) == [n * v * v,
+                                               v * sum(noise.tolist())]
 
 
 class TestCoefficients:
