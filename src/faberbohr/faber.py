@@ -12,11 +12,9 @@ independent routes are implemented and kept separate on purpose:
   family per continuum, faber_poly reads F_n from it, and exact
   evaluation is Horner's rule in Gaussian ints, rounded once,
 * the contour route, a Cauchy-type integral over a level curve
-  normalised by 1/(2 pi i), evaluated with the periodic trapezoid rule:
-  in float64, or with dps digits in Python-int fixed point, where the
-  sums over the nodes for every degree and point come from one float64
-  GEMM that is exact because the ints are cut into limbs short enough
-  that every partial sum stays an integer below 2^53 (_limb_product).
+  normalised by 1/(2 pi i), evaluated with the periodic trapezoid rule
+  in float64 or, given dps, in Python-int fixed point, its sums formed
+  by one float64 GEMM on limbs that is exact (_limb_product).
 
 Coefficient extraction with respect to the Faber basis is a discrete
 Fourier transform on a circle |w| = r of the target coordinate.
@@ -225,14 +223,9 @@ def _fixed(values, shift: int):
 
 
 def _limb_width(n: int) -> int:
-    """Bits w per limb that make an n-term product of limbs exact.
-
-    A product of two signed w-bit limbs is below (2^w - 1)^2 in
-    magnitude, so every partial sum of n of them is an integer below
-    n (2^w - 1)^2; while that is below 2^53, float64 holds each partial
-    sum exactly, in whatever order a GEMM adds them.  16 bits serve
-    n <= 2^21 and 8 bits n < 2^37.
-    """
+    """Bits w per limb for an exact n-term product of limbs: every
+    partial sum is an integer below n (2^w - 1)^2 < 2^53 in magnitude,
+    which float64 holds exactly in whatever order a GEMM adds."""
     return 16 if n <= 1 << 21 else 8
 
 
