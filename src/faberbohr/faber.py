@@ -199,7 +199,9 @@ def faber_poly(K: ContinuumSpec, n: int) -> FaberPoly:
 # contour route
 
 _GUARD_BITS = 8
-_BLOCK = 1 << 20   # float64 entries per operand of one _root_sums GEMM
+# float64 entries (128 KiB) per gathered block of _root_sums rows; one
+# block for all degrees ran no faster and raised peak memory by ~0.8 MB
+_BLOCK = 1 << 14
 
 
 def _nodes(K: ContinuumSpec, r: float, m: int):
@@ -245,25 +247,28 @@ def _limbs(vals, w: int) -> np.ndarray:
     return out
 
 
-def _limb_product(A: np.ndarray, B: np.ndarray, w: int) -> list:
+def _limb_product(blocks, B: np.ndarray, w: int) -> list:
     """Exact integer matrix product of two matrices held in w-bit limbs.
 
-    A[a, i, j] is limb a of entry (i, j) of the left matrix and
-    B[j, b, k] limb b of entry (j, k) of the right one, with w at most
-    _limb_width of the inner size, so one float64 GEMM forms every sum
-    G[a, b, i, k] over j exactly.  Entry (i, k) is the sum of
-    G 2^(w (a + b)).  Each G is split as lo + hi 2^w, lo in [0, 2^w),
-    before the int64 sums along the diagonals a + b: they stay below
-    2^(54 - w) times the limb count, so they cannot overflow at any
-    precision that fits in memory.  A carry pass then leaves every
-    diagonal but the last in [0, 2^w), the little-endian digits of the
-    low part, and the last, signed, is the high part.  Returns the
-    entries in row-major order, as Python ints.
+    The left matrix comes as an iterable of row blocks, each with
+    A[a, i, j] limb a of entry (i, j), so that only one block need
+    exist at a time; B[j, b, k] is limb b of entry (j, k) of the right
+    one.  With w at most _limb_width of the inner size, one float64
+    GEMM per block forms every sum G[a, b, i, k] over j exactly.  Entry
+    (i, k) is the sum of G 2^(w (a + b)).  Each G is split as
+    lo + hi 2^w, lo in [0, 2^w), before the int64 sums along the
+    diagonals a + b: they stay below 2^(54 - w) times the limb count,
+    so they cannot overflow at any precision that fits in memory.  A
+    carry pass then leaves every diagonal but the last in [0, 2^w), the
+    little-endian digits of the low part, and the last, signed, is the
+    high part.  Returns the entries in row-major order, as Python ints.
     """
-    la, R, n = A.shape
-    lb, C = B.shape[1:]
-    G = (A.reshape(la * R, n) @ B.reshape(n, lb * C)).astype(np.int64)
-    G = G.reshape(la, R, lb, C).transpose(0, 2, 1, 3)
+    n, lb, C = B.shape
+    B2 = B.reshape(n, lb * C)
+    G = np.concatenate([(A.reshape(-1, n) @ B2).reshape(len(A), -1, lb, C)
+                        for A in blocks], axis=1)
+    la, R = G.shape[:2]
+    G = G.astype(np.int64).transpose(0, 2, 1, 3)
     mask, S = (1 << w) - 1, la + lb
     lo, hi = G & mask, G >> w
     D = np.zeros((S, R * C), dtype=np.int64)
@@ -380,7 +385,7 @@ def _root_sums(roots: np.ndarray, ks, U: list, V: list, w: int) -> dict:
     real part x_j and imaginary part y_j side by side along j; the right
     matrix has the columns (u_j, -v_j) and (v_j, u_j) per z.  One exact
     product then gives re = xu - yv and im = xv + yu for every k and z.
-    The ks go in blocks that keep each operand near _BLOCK entries.
+    The rows are gathered in blocks of about _BLOCK entries.
     """
     la, m = roots.shape[:2]
     Z = len(U) // m
@@ -389,15 +394,14 @@ def _root_sums(roots: np.ndarray, ks, U: list, V: list, w: int) -> dict:
     B = np.stack([np.stack([u, v], -1), np.stack([-v, u], -1)], 1)
     B = B.reshape(2 * m, lb, 2 * Z)
     ks = np.asarray(ks, dtype=np.int64)
-    step = max(1, _BLOCK // (la * max(2 * m, 2 * lb * Z)))
+    step = max(1, _BLOCK // (la * 2 * m))
+    flat = _limb_product(
+        (np.take(roots, ks[i:i + step, None] * np.arange(m) % m, axis=1)
+         .reshape(la, -1, 2 * m) for i in range(0, len(ks), step)), B, w)
     sums = {}
-    for i in range(0, len(ks), step):
-        kb = ks[i:i + step]
-        A = np.take(roots, kb[:, None] * np.arange(m) % m, axis=1)
-        flat = _limb_product(A.reshape(la, len(kb), 2 * m), B, w)
-        for j, k in enumerate(kb.tolist()):
-            row = flat[2 * Z * j:2 * Z * (j + 1)]
-            sums[k] = list(zip(row[::2], row[1::2]))
+    for j, k in enumerate(ks.tolist()):
+        row = flat[2 * Z * j:2 * Z * (j + 1)]
+        sums[k] = list(zip(row[::2], row[1::2]))
     return sums
 
 

@@ -633,7 +633,7 @@ class TestLimbProduct:
         A = fbf._limbs([x for row in X for x in row], w)
         B = fbf._limbs([y for row in Y for y in row], w)
         flat = fbf._limb_product(
-            np.ascontiguousarray(A.reshape(len(X), n, -1).transpose(2, 0, 1)),
+            [np.ascontiguousarray(A.reshape(len(X), n, -1).transpose(2, 0, 1))],
             np.ascontiguousarray(B.reshape(n, C, -1).transpose(0, 2, 1)), w)
         return [flat[i * C:(i + 1) * C] for i in range(len(X))]
 
@@ -682,7 +682,7 @@ class TestLimbProduct:
         A[1, 1] = (mag >> 16) * np.sign(noise)
         B = np.full((n, 2, 1), float(0xFFFF))
         # against the column of n entries v: dot products n v^2, v sum(noise)
-        assert fbf._limb_product(A, B, 16) == [n * v * v,
+        assert fbf._limb_product([A], B, 16) == [n * v * v,
                                                v * sum(noise.tolist())]
 
 
