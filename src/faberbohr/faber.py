@@ -200,7 +200,7 @@ def faber_poly(K: ContinuumSpec, n: int) -> FaberPoly:
 
 _GUARD_BITS = 8
 # float64 entries (128 KiB) per gathered block of _root_sums rows; one
-# block for all degrees ran no faster and raised peak memory by ~0.8 MB
+# block for all degrees raised the peak memory of a session by ~0.8 MB
 _BLOCK = 1 << 14
 
 
