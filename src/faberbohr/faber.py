@@ -354,10 +354,11 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
     integer complex divisions for B_j(z) = dw_j/(t_j - z).  With
     w_j^n = r^n omega^(jn mod m), every degree needs the Gaussian-int
     sums S_k(z) = sum_j omega^(jk) B_j(z), k = n mod m, and all of them
-    come from one exact float64 GEMM: the ints are split into signed
-    16-bit limbs, so every partial sum of the 2m-term limb products is
-    an integer below 2m 2^32 <= 2^53 (8-bit limbs above m = 2^20), and
-    the limb products are recombined into Python ints (_limb_product).
+    come from an exact float64 matrix product, one GEMM per block of
+    degrees: the ints are split into signed 16-bit limbs, so every
+    partial sum of the 2m-term limb products is an integer below
+    2m 2^32 <= 2^53 (8-bit limbs above m = 2^20), and the limb
+    products are recombined into Python ints (_limb_product).
     Each S_k(z) r^n/m is then rounded once to mpmath.  Custom maps have
     no high-precision route and raise FaberBohrError.
     """
@@ -381,7 +382,7 @@ def _root_sums(roots: np.ndarray, ks, U: list, V: list, w: int) -> dict:
 
     roots is the (L, m, 2) limb array of _fixed_nodes, and U, V hold the
     real and imaginary parts of B_j(z), z-major.  The left matrix has a
-    row per k, omega^(jk mod m) gathered by one index array, with the
+    row per k, omega^(jk mod m) gathered by an index array, with the
     real part x_j and imaginary part y_j side by side along j; the right
     matrix has the columns (u_j, -v_j) and (v_j, u_j) per z.  One exact
     product then gives re = xu - yv and im = xv + yu for every k and z.
