@@ -74,6 +74,8 @@ class ContinuumSpec:
     describe(), membership, phi, psi, psi', the scaled closure,
     exact Faber coefficients, the pullback F_n(psi(w)), |F_n| on K,
     sup_K |F_n| in closed form (faber_sup, None where it is sampled),
+    the coefficients of psi where it is a finite Laurent polynomial
+    (psi_coeffs, which gives distances to level curves in closed form),
     the boundary path of sup_norm, a disc holding each level curve and
     the high-precision contour nodes.  The module functions validate
     input and delegate.  The members defined here work for any exterior
@@ -82,6 +84,9 @@ class ContinuumSpec:
 
     kind: ClassVar[str]
     faber_sup: ClassVar[float | None] = None
+    # {k: c_k} with psi(w) = sum c_k w^k where psi is a finite Laurent
+    # polynomial, else None (psi is found by Newton's method)
+    psi_coeffs: ClassVar[dict | None] = None
 
     @cached_property
     def _memo(self) -> dict:
@@ -163,6 +168,10 @@ class DiscSpec(ContinuumSpec):
 
     def _phi(self, z):
         return (z - self.center) / self.radius
+
+    @property
+    def psi_coeffs(self) -> dict:
+        return {0: self.center, 1: self.radius}
 
     def _psi(self, w):
         return self.center + self.radius * w
@@ -255,6 +264,11 @@ class SegmentSpec(ContinuumSpec):
         w1 = u + s
         w2 = u - s
         return np.where(np.abs(w1) >= np.abs(w2), w1, w2)
+
+    @property
+    def psi_coeffs(self) -> dict:
+        q = 0.25 * (self.b - self.a)
+        return {-1: q, 0: 0.5 * (self.a + self.b), 1: q}
 
     def _psi(self, w):
         mid = 0.5 * (self.a + self.b)
@@ -693,15 +707,61 @@ def _sample_refine(rows, f, m: int, sign: float,
 def dist_to_level(K: ContinuumSpec, z, r: float, m: int = DEFAULT_SAMPLES) -> float:
     """Distance from z to the level curve {|phi| = r}.
 
+    Where psi is a finite Laurent polynomial (segments and discs, see
+    ContinuumSpec.psi_coeffs) the nearest point is found in closed form
+    (_laurent_distance) and m is only checked.  For custom maps, m is
+    the number of boundary samples of _sampled_distance.  z must be
+    finite, or DomainError is raised.
+    """
+    _check_contour(r, m)
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"distance needs a finite point; got {z!r}")
+    if K.psi_coeffs is None:
+        return _sampled_distance(K, z, r, m)
+    return _laurent_distance(K, z, r)
+
+
+def _laurent_distance(K: ContinuumSpec, z: complex, r: float) -> float:
+    """Distance from z to {|phi| = r} for psi(w) = sum c_k w^k, k = lo..hi.
+
+    On |w| = r, w = r zeta, psi(w) - z is g(zeta) = sum a_k zeta^k with
+    a_k = c_k r^k less z at k = 0, and |g|^2 is the trigonometric
+    polynomial P = sum p_j zeta^j, |j| <= L = hi - lo, with p_j = sum over
+    j = k - l of a_k conj(a_l).  Its critical angles are the unit roots
+    of sum j p_j zeta^(j + L), of degree 2L (for a segment the classical
+    point-to-ellipse quartic).  The distance is the least |psi - z| at
+    the angles of all its roots and at the angle 0, which stands in
+    when P is constant (the centre of a disc) and np.roots finds none.
+    The a_k are scaled by a power of two first, so |g|^2 neither
+    underflows nor overflows whatever the size of K.
+    """
+    c = K.psi_coeffs
+    lo, hi = min(c), max(c)
+    a = [c.get(k, 0.0) * r ** k for k in range(lo, hi + 1)]
+    a[-lo] -= z
+    if not all(map(cmath.isfinite, a)):
+        raise DomainError(f"the level curve at r={r} of {K.describe()} "
+                          "leaves double range")
+    e = math.frexp(max(max(abs(x.real), abs(x.imag)) for x in a))[1]
+    a = np.array([complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e))
+                  for x in a])
+    p = np.convolve(a, a[::-1].conj())   # p[j + L] = p_j
+    L = hi - lo
+    roots = np.roots((np.arange(-L, L + 1) * p)[::-1])
+    t = np.append(np.angle(roots), 0.0)
+    return float(np.min(np.abs(psi(K, r * np.exp(1j * t)) - z)))
+
+
+def _sampled_distance(K: ContinuumSpec, z, r: float, m: int) -> float:
+    """Distance from z to {|phi| = r} for any exterior map.
+
     Sampled minimum over m boundary points followed by one golden
     section refinement stage in the boundary angle.  If refinement
     cannot improve the sampled value, the sampled value is returned;
     an overestimate here would wrongly tighten the bounds built on it,
     an underestimate only loosens them.
     """
-    _check_contour(r, m)
-    z = complex(z)
-
     def f(t):
         return np.abs(psi(K, r * np.exp(1j * t)) - z)
 

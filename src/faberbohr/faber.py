@@ -341,8 +341,10 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
     polynomial value.  The degrees and m must be integers, the points
     finite and off the nodes, or DomainError is raised.
 
-    The optional dps switches to a high-precision route, needed when
-    r**n overwhelms double-precision summation.  It works in mpmath's
+    On the float route a sum that leaves double range (r**n does from
+    n = 1024 at r = 2) raises DomainError.  The optional dps switches to
+    a high-precision route, needed when r**n overwhelms double-precision
+    summation.  It works in mpmath's
     precision for dps decimal digits, prec bits, and holds every
     quantity as an exact Python int in fixed point at 2**P,
     P = prec + bits(m) + 8 guard bits.  The nodes are taken relative to
@@ -373,8 +375,14 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
     if len(hit):
         raise _on_node(zs[hit[0]], r, m)
     B = dw[:, None] / diff
-    P = w[None, :] ** np.asarray(ns, dtype=float)[:, None]
-    return (P @ B) / m
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = w[None, :] ** np.asarray(ns, dtype=float)[:, None]
+        V = (P @ B) / m
+    if not np.isfinite(V).all():
+        raise DomainError(f"the float contour route overflows double at "
+                          f"r={r}, n={max(ns)}; use the high-precision "
+                          f"route (dps=...)")
+    return V
 
 
 def _root_sums(roots: np.ndarray, ks, U: list, V: list, w: int) -> dict:

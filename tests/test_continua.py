@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import faberbohr as fb
-from faberbohr.continua import _sample_refine
+from faberbohr.continua import _sample_refine, _sampled_distance
 from faberbohr.errors import (
     DomainError,
     InsideUnitDisc,
@@ -107,9 +109,40 @@ class TestLevelGeometry:
 
     def test_dist_segment_vertex(self, seg):
         # psi(3) = 5/3 lies on the major axis; nearest ellipse point of
-        # the level-2 curve is the vertex at 5/4
+        # the level-2 curve is the vertex at 5/4.  The double nearest
+        # 5/3 lies 5/12 + 7e-17 from it, a difference formed exactly.
         got = fb.dist_to_level(seg, 5.0 / 3.0, 2.0)
-        assert got == pytest.approx(5.0 / 12.0, abs=1e-6)
+        assert got == 5.0 / 3.0 - 1.25
+        assert got == pytest.approx(5.0 / 12.0, rel=1e-15)
+
+    def test_dist_disc_centre(self, udisc):
+        """|g|^2 is constant at the centre, so the critical-angle
+        polynomial vanishes and the fixed angle gives the answer (the
+        sampled route gave 1.9999999999999996)."""
+        assert fb.dist_to_level(udisc, 0.0, 2.0) == 2.0
+        assert fb.dist_to_level(fb.disc(0.3 - 2j, 0.7), 0.3 - 2j,
+                                3.0) == pytest.approx(2.1, rel=1e-15)
+
+    @pytest.mark.parametrize("h", [2.0 ** -600, 2.0 ** 300])
+    def test_dist_affine_invariance(self, seg, h):
+        """On [-h, h] every quantity is the [-1, 1] one times a power of
+        two, so the distances are too, exactly; unscaled, |g|^2 at
+        h = 2^-600 underflowed to the zero polynomial."""
+        K = fb.segment(-h, h)
+        zs = [0.0, 0.3, -1.0, 0.3 + 0.2j, 5.0 / 3.0, -2.0 + 0.5j, 3.0j,
+              complex(fb.psi(seg, 2.0 * np.exp(0.6j))), 1e5 - 3e4j]
+        for z in zs:
+            assert fb.dist_to_level(K, h * z, 2.0) == h * fb.dist_to_level(
+                seg, z, 2.0)
+
+    def test_dist_custom_map_is_sampled(self):
+        """A custom map has no psi coefficients; m is its sample count."""
+        K = fb.custom(fb.LaurentTail.build(2.0, 0.05, (0.04, 0.01)))
+        zs = fb.psi(K, np.array([1.3, 2.5j, -4.0 + 1.0j]))
+        for z in list(zs) + [0.05, 0.3 - 0.2j]:
+            for m in (64, 1024):
+                assert fb.dist_to_level(K, z, 2.0, m) == (
+                    _sampled_distance(K, z, 2.0, m))
 
     def test_dist_concentric_circles(self, udisc):
         for theta in (0.0, 1.1, 3.9):
@@ -120,6 +153,23 @@ class TestLevelGeometry:
     def test_dist_vanishes_on_curve(self, seg):
         z = fb.psi(seg, 2.0 * np.exp(0.6j))
         assert abs(fb.dist_to_level(seg, z, 2.0)) < 1e-6
+
+    @pytest.mark.parametrize("K", ["seg", "udisc", "custom_spec"])
+    @pytest.mark.parametrize("z", [complex("nan"), complex("inf"),
+                                   complex(0.3, -math.inf),
+                                   complex(0.3, math.nan)],
+                             ids=["nan", "inf", "imag-inf", "imag-nan"])
+    def test_dist_refuses_non_finite_point(self, K, z, request):
+        """A NaN point gave a NaN distance and an infinite one inf, with
+        no error; a distance must be a number the bounds can divide by."""
+        with pytest.raises(DomainError, match="finite"):
+            fb.dist_to_level(request.getfixturevalue(K), z, 2.0)
+
+    def test_dist_refuses_a_level_beyond_double_range(self):
+        """r = 1e308 is finite, but the level circle of radius 1e309 is
+        not a double; np.roots would raise LinAlgError on it."""
+        with pytest.raises(DomainError, match="double range"):
+            fb.dist_to_level(fb.disc(0.0, 10.0), 0.0, 1e308)
 
     def test_level_boundary_roundtrip_and_csv(self, seg):
         ls = fb.level_boundary(seg, 2.0, 8)
@@ -280,6 +330,49 @@ class TestSupNorm:
         assert float(fb.sup_norm(p, ls)) == pytest.approx(2.5, abs=1e-6)
 
 
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _distance_cases(draw):
+    """(K, z, r): a random segment or disc, a level r and a point on K,
+    in the band 1.2 <= |phi| <= 4, on the level curve or far away."""
+    if draw(st.booleans()):
+        a = draw(st.floats(-10.0, 10.0))
+        K = fb.segment(a, a + draw(st.floats(0.1, 20.0)))
+        on_k = K.a + draw(_unit) * (K.b - K.a)
+    else:
+        K = fb.disc(complex(draw(st.floats(-10.0, 10.0)),
+                            draw(st.floats(-10.0, 10.0))),
+                    draw(st.floats(0.1, 10.0)))
+        on_k = K.center + draw(_unit) * K.radius * cmath.exp(
+            2j * math.pi * draw(_unit))
+    r = draw(st.floats(1.05, 5.0))
+    where = draw(st.sampled_from(["K", "band", "curve", "far"]))
+    rho = {"band": draw(st.floats(1.2, 4.0)), "curve": r,
+           "far": draw(st.floats(1e2, 1e6))}.get(where)
+    t = 2.0 * math.pi * draw(_unit)
+    z = on_k if rho is None else complex(fb.psi(K, rho * cmath.exp(1j * t)))
+    return K, z, r
+
+
+class TestClosedFormDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(_distance_cases())
+    def test_global_minimum_and_sampled_route(self, case):
+        """Below the minimum over 4,096 curve points, up to rounding in
+        forming psi(w) - z, and within 1e-12 max(1, d) of the sampled
+        route, which samples 1,024 points and refines."""
+        K, z, r = case
+        d = fb.dist_to_level(K, z, r)
+        pts = np.asarray(fb.psi(K, r * np.exp(2j * np.pi * np.arange(4096)
+                                              / 4096)))
+        grid = np.abs(pts - z)
+        scale = max(grid.min(), abs(z), np.abs(pts).max())
+        assert d <= grid.min() + 1e-14 * scale
+        assert abs(d - _sampled_distance(K, z, r, 1024)) <= 1e-12 * max(1.0, d)
+
+
 def _refine_distances(K, zs, sign, fallback=False, m=64):
     """Extremal distance from each zs[i] to the level curve at 2, one row each."""
     def level(t):
@@ -304,8 +397,8 @@ class TestLockstepRefine:
                  for i in range(len(zs))]
         assert together.tolist() == alone
         if sign < 0 and fallback:
-            # the single-row form is dist_to_level itself
-            assert alone == [fb.dist_to_level(K, z, 2.0, 64) for z in zs]
+            # the single-row form is the sampled distance itself
+            assert alone == [_sampled_distance(K, z, 2.0, 64) for z in zs]
 
     def test_refinement_beats_the_samples(self, seg):
         zs = np.array([0.3 + 0.2j, -2.0 + 0.5j, 3.0j])

@@ -435,6 +435,19 @@ class TestContourRoute:
         with pytest.raises(DomainError, match="finite"):
             fb.faber_remainder(seg, 1, z, 2.0, m=64, dps=dps)
 
+    @pytest.mark.parametrize("call", [
+        lambda K: fb.contour_values(K, [3, 1100], [0.3], 2.0, m=64),
+        lambda K: fb.faber_contour(K, 1100, 0.3, 2.0, m=64),
+        lambda K: fb.faber_remainder(K, 1100, 3.0, 2.0, m=64),
+        lambda K: fb.contour_values(K, [1023], [0.3], 2.0, m=64),
+    ], ids=["values", "contour", "remainder", "sum-overflows"])
+    def test_float_overflow_names_the_mp_route(self, seg, call):
+        """2^1100 leaves double range: the float route returned nan+nanj
+        after two RuntimeWarnings.  At n = 1023 r^n still fits, but the
+        node sum does not."""
+        with pytest.raises(DomainError, match="dps="):
+            call(seg)
+
     @pytest.mark.parametrize("dps", [None, 20])
     @pytest.mark.parametrize("K", ["seg", "udisc"])
     def test_point_on_a_node_is_refused(self, K, dps, request):
