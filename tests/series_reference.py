@@ -7,8 +7,10 @@ powering a truncated exterior series in QC arithmetic, so the tests can
 compare the two bit for bit.  It also keeps the two-step Chebyshev view
 (exact affine change of variable, then the monomial-to-Chebyshev
 transform) that the one-pass Chebyshev Horner loop of
-FaberPoly.cheb_floats replaced, and the QC elimination that the
-Gaussian-int elimination of to_faber_basis replaced.
+FaberPoly.cheb_floats replaced, the QC elimination that the
+Gaussian-int elimination of to_faber_basis replaced, and the Horner
+loop that multiplied each coefficient by d^(n-k), which the shift-based
+series._gauss_horner replaced.
 """
 
 from __future__ import annotations
@@ -216,3 +218,15 @@ def to_faber_basis(K, coeffs) -> np.ndarray:
         work.pop()
     out[0] = work[0]
     return np.array([c.to_complex() for c in out])
+
+
+def gauss_horner(D: int, re, im, X: int, Y: int, d: int) -> tuple:
+    """sum((re[k] + i im[k])/D * ((X + iY)/d)**k) as (ar, ai, D d^n).
+
+    Horner's rule on the numerators: acc = acc (X + iY) + C_k d^(n-k).
+    """
+    ar, ai, dk = re[-1], im[-1], 1
+    for k in range(len(re) - 2, -1, -1):
+        dk *= d
+        ar, ai = ar * X - ai * Y + re[k] * dk, ar * Y + ai * X + im[k] * dk
+    return ar, ai, D * dk

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import faberbohr as fb
 from faberbohr.errors import DomainError
-from faberbohr.series import QC
+from faberbohr.series import QC, _gauss_horner
 from series_reference import (
     GradedLaurent,
     exterior_series,
+    gauss_horner,
     laurent_mul,
     laurent_pow,
     qc_horner,
@@ -142,6 +143,28 @@ class TestAlgebra:
             laurent_pow(s, -1, 4)
         with pytest.raises(DomainError):
             laurent_mul(s, s, -2)
+
+
+class TestGaussHorner:
+    @staticmethod
+    @st.composite
+    def _cases(draw):
+        """A Gaussian-int polynomial and a point (X + iY)/d, d > 0: a power
+        of two (every dyadic point) or with an odd part above 1."""
+        big = st.integers(-(1 << 200), 1 << 200)
+        n = draw(st.integers(0, 30))
+        re = draw(st.lists(big, min_size=n + 1, max_size=n + 1))
+        im = draw(st.lists(big, min_size=n + 1, max_size=n + 1))
+        odd = draw(st.one_of(st.just(1), st.integers(1, 1 << 70).map(
+            lambda k: 2 * k + 1)))
+        d = odd << draw(st.integers(0, 80))
+        return (draw(st.integers(1, 1 << 90)), re, im, draw(big), draw(big), d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_cases())
+    def test_equals_multiply_form(self, case):
+        """The same (ar, ai, den) as Horner with C_k d^(n-k) multiplied in."""
+        assert _gauss_horner(*case) == gauss_horner(*case)
 
 
 def test_graded_shape_validation():
