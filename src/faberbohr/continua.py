@@ -248,6 +248,13 @@ class SegmentSpec(ContinuumSpec):
     def _canonical(self) -> bool:
         return self.a == -1.0 and self.b == 1.0
 
+    @cached_property
+    def _mid(self) -> float:
+        """(a + b)/2, correctly rounded: 0.5 (a + b) where a + b is a
+        double, else 0.5 a + 0.5 b, which is then exact term by term."""
+        s = self.a + self.b
+        return 0.5 * s if math.isfinite(s) else 0.5 * self.a + 0.5 * self.b
+
     def describe(self) -> str:
         return f"segment([{self.a}, {self.b}])"
 
@@ -259,7 +266,10 @@ class SegmentSpec(ContinuumSpec):
         return d <= MEMBERSHIP_TOL
 
     def _phi(self, z):
-        u = (2.0 * z - (self.a + self.b)) / (self.b - self.a)
+        if abs(self.a) + abs(self.b) < 1.0:   # halving these ends may round
+            u = (2.0 * z - (self.a + self.b)) / (self.b - self.a)
+        else:   # the same u, but neither 2z nor a + b can overflow
+            u = (z - self._mid) / (0.5 * (self.b - self.a))
         s = np.sqrt(u * u - 1.0)
         w1 = u + s
         w2 = u - s
@@ -268,12 +278,10 @@ class SegmentSpec(ContinuumSpec):
     @property
     def psi_coeffs(self) -> dict:
         q = 0.25 * (self.b - self.a)
-        return {-1: q, 0: 0.5 * (self.a + self.b), 1: q}
+        return {-1: q, 0: self._mid, 1: q}
 
     def _psi(self, w):
-        mid = 0.5 * (self.a + self.b)
-        quarter = 0.25 * (self.b - self.a)
-        return mid + quarter * (w + 1.0 / w)
+        return self._mid + 0.25 * (self.b - self.a) * (w + 1.0 / w)
 
     def _psi_prime(self, w):
         return 0.25 * (self.b - self.a) * (1.0 - w ** -2)
@@ -332,11 +340,11 @@ class SegmentSpec(ContinuumSpec):
         if hasattr(p, "cheb_floats"):
             cheb = p.cheb_floats(self.a, self.b)
             return lambda t: np.polynomial.chebyshev.chebval(np.cos(t), cheb)
-        mid, half = 0.5 * (self.a + self.b), 0.5 * (self.b - self.a)
+        mid, half = self._mid, 0.5 * (self.b - self.a)
         return lambda t: _eval_on_values(p, mid + half * np.cos(t))
 
     def level_disc(self, R: float, m: int) -> tuple:
-        return 0.5 * (self.a + self.b), 0.25 * (self.b - self.a) * (R + 1.0 / R)
+        return self._mid, 0.25 * (self.b - self.a) * (R + 1.0 / R)
 
     def mp_nodes(self, ws):
         from mpmath import mp

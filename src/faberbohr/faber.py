@@ -22,6 +22,7 @@ Fourier transform on a circle |w| = r of the target coordinate.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -287,36 +288,48 @@ def _limb_product(blocks, B: np.ndarray, w: int) -> list:
             for i, t in enumerate(D[-1].tolist())]
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_roots(m: int, prec: int) -> tuple:
+    """The roots of unity omega^j, j < m, at prec bits: as mpc, and at
+    2**P, P = prec + bits(m) + 8 guard bits, as an array of shape
+    (L, m, 2) holding limb a of the real and imaginary parts of omega^j,
+    _limb_width(2 m) bits each.  Computed once per (m, prec) and shared
+    by every continuum and level; at most 8 pairs are kept."""
+    from mpmath import mp
+
+    with mp.workprec(prec):
+        omega = mp.unitroots(m)
+    wr, wi = _fixed(omega, prec + m.bit_length() + _GUARD_BITS)
+    return omega, np.ascontiguousarray(
+        _limbs(wr + wi, _limb_width(2 * m)).reshape(2, m, -1).T)
+
+
 def _fixed_nodes(K: ContinuumSpec, r: float, m: int, dps: int):
     """Fixed-point data of the high-precision route, under mp.workdps(dps).
 
-    Returns P, the roots of unity omega^j at 2**P in limbs, the centre c
-    of K's kind and the exponent e of the node set, and, at 2**P in the
+    Returns P, the limb array of the roots of unity at 2**P (from
+    _unit_roots, which holds them apart from K), the centre c of K's
+    kind and the exponent e of the node set, and, at 2**P in the
     coordinate (t - c)/2^e, the nodes psi(w_j) and the weights
-    psi'(w_j) w_j.  mp_nodes gives the nodes relative to c, so no digit
-    is lost to the distance of K from 0; a point z is moved by c once.
-    The roots are kept on K under ("roots", m, dps), shared by the
-    levels, as an array of shape (L, m, 2): limb a of the real and
-    imaginary parts of omega^j, _limb_width(2 m) bits each.  The rest is
-    kept under ("fixed nodes", r, m, dps).
+    psi'(w_j) w_j as pairs of object arrays of Python ints.  mp_nodes
+    gives the nodes relative to c, so no digit is lost to the distance
+    of K from 0; a point z is moved by c once.  All but P and the roots
+    are kept on K under ("fixed nodes", r, m, dps).
     """
     from mpmath import mp
 
-    P = mp.prec + int(m).bit_length() + _GUARD_BITS
-    memo = K._memo
-    roots, key = ("roots", int(m), dps), ("fixed nodes", float(r), int(m), dps)
-    if key not in memo:
-        omega = mp.unitroots(m)
+    m = int(m)
+    P = mp.prec + m.bit_length() + _GUARD_BITS
+    omega, roots = _unit_roots(m, mp.prec)
+    key = ("fixed nodes", float(r), m, dps)
+    if key not in K._memo:
         ws = [mp.mpf(repr(float(r))) * o for o in omega]
         c, ts, dpsi = K.mp_nodes(ws)   # custom maps raise before any store
         e = max(mp.mag(t) for t in ts)
-        if roots not in memo:
-            wr, wi = _fixed(omega, P)
-            memo[roots] = np.ascontiguousarray(
-                _limbs(wr + wi, _limb_width(2 * m)).reshape(2, m, -1).T)
-        memo[key] = (c, e, _fixed(ts, P - e),
-                     _fixed([d * w for d, w in zip(dpsi, ws)], P - e))
-    return (P, memo[roots]) + memo[key]
+        K._memo[key] = (c, e) + tuple(
+            tuple(np.array(x, dtype=object) for x in _fixed(v, P - e))
+            for v in (ts, [d * w for d, w in zip(dpsi, ws)]))
+    return (P, roots) + K._memo[key]
 
 
 def _check_points(zs) -> np.ndarray:
@@ -339,30 +352,35 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
     Returns the matrix V[i, j] for n = ns[i], z = zs[j], normalised by
     1/(2 pi i).  For points inside the level curve this is the Faber
     polynomial value.  The degrees and m must be integers, the points
-    finite and off the nodes, or DomainError is raised.
+    finite and off the nodes, or DomainError is raised.  This is the
+    plain trapezoid sum: from n = m on it adds r^m F_(n-m) to F_n, and
+    only faber_contour and faber_remainder refuse such degrees.
 
     On the float route a sum that leaves double range (r**n does from
     n = 1024 at r = 2) raises DomainError.  The optional dps switches to
     a high-precision route, needed when r**n overwhelms double-precision
-    summation.  It works in mpmath's
-    precision for dps decimal digits, prec bits, and holds every
-    quantity as an exact Python int in fixed point at 2**P,
-    P = prec + bits(m) + 8 guard bits.  The nodes are taken relative to
-    the centre c of K's kind and scaled by 2^-e to size about 1; the
-    Cauchy weight dw/(t - z) does not change under this affine map, and
-    z - c is formed once in mpmath, so the accuracy does not depend on
-    where K lies or how large it is.  Nodes and roots of unity are
-    converted once and memoised on K per (r, m, dps).  Each z costs m
-    integer complex divisions for B_j(z) = dw_j/(t_j - z).  With
-    w_j^n = r^n omega^(jn mod m), every degree needs the Gaussian-int
-    sums S_k(z) = sum_j omega^(jk) B_j(z), k = n mod m, and all of them
-    come from an exact float64 matrix product, one GEMM per block of
-    degrees: the ints are split into signed 16-bit limbs, so every
-    partial sum of the 2m-term limb products is an integer below
-    2m 2^32 <= 2^53 (8-bit limbs above m = 2^20), and the limb
-    products are recombined into Python ints (_limb_product).
-    Each S_k(z) r^n/m is then rounded once to mpmath.  Custom maps have
-    no high-precision route and raise FaberBohrError.
+    summation.  It works in mpmath's precision for dps decimal digits,
+    prec bits, and holds every quantity as an exact Python int in fixed
+    point at 2**P, P = prec + bits(m) + 8 guard bits.  The nodes are
+    taken relative to the centre c of K's kind and scaled by 2^-e to
+    size about 1; the Cauchy weight dw/(t - z) does not change under
+    this affine map, and z - c is formed once in mpmath, so the accuracy
+    does not depend on where K lies or how large it is.  The nodes are
+    converted once and memoised on K per (r, m, dps); the roots of unity
+    once per (m, prec) for all continua (_unit_roots).  B_j(z) =
+    dw_j/(t_j - z) is formed for every point and node at once, as
+    Python-int floor divisions on numpy object arrays of shape (Z, m).
+    With w_j^n = r^n omega^(jn mod m), every degree needs the
+    Gaussian-int sums S_k(z) = sum_j omega^(jk) B_j(z), k = n mod m,
+    and all of them come from an exact float64 matrix product, one GEMM
+    per block of degrees: the ints are split into signed 16-bit limbs,
+    so every partial sum of the 2m-term limb products is an integer
+    below 2m 2^32 <= 2^53 (8-bit limbs above m = 2^20), and the limb
+    products are recombined into Python ints (_limb_product).  Each
+    S_k(z) r^n/m is then rounded to prec bits and to doubles by the
+    libmp calls that complex(mpc(x, y) * scale) makes, on tuples, with
+    no mpc object per value.  Custom maps have no high-precision route
+    and raise FaberBohrError.
     """
     ns = list(ns)
     _check_contour(r, m, dps, ns)
@@ -416,29 +434,52 @@ def _root_sums(roots: np.ndarray, ks, U: list, V: list, w: int) -> dict:
 
 def _contour_mp(K: ContinuumSpec, ns, zs, r, m, dps) -> np.ndarray:
     from mpmath import mp, mpc
+    from mpmath.libmp import from_int, mpf_mul, to_float
 
     out = np.zeros((len(ns), len(zs)), dtype=complex)
     with mp.workdps(dps):
         P, roots, c, e, (tr, ti), (dr, di) = _fixed_nodes(K, r, m, dps)
-        U, V = [], []   # B_j(z) = dw_j/(t_j - z) = u_j + i v_j at 2**P
-        for z in zs:
-            (zr,), (zi,) = _fixed([mpc(z) - c], P - e)
-            for a, b, t_re, t_im in zip(dr, di, tr, ti):
-                er, ei = t_re - zr, t_im - zi
-                den = er * er + ei * ei
-                if not den:
-                    raise _on_node(z, r, m)
-                U.append(((a * er + b * ei) << P) // den)
-                V.append(((b * er - a * ei) << P) // den)
-        if not (ns and U):
+        # B_j(z) = dw_j/(t_j - z) = u_j + i v_j at 2**P, a row per z
+        zr, zi = (np.array(x, dtype=object)[:, None]
+                  for x in _fixed([mpc(z) - c for z in zs], P - e))
+        er, ei = tr - zr, ti - zi
+        den = er * er + ei * ei
+        hit = np.flatnonzero((den == 0).any(axis=1))
+        if len(hit):
+            raise _on_node(zs[hit[0]], r, m)
+        if not (ns and len(zs)):
             return out
-        sums = _root_sums(roots, sorted({n % m for n in ns}), U, V,
+        U = ((dr * er + di * ei) << P) // den
+        V = ((di * er - dr * ei) << P) // den
+        sums = _root_sums(roots, sorted({n % m for n in ns}),
+                          U.ravel().tolist(), V.ravel().tolist(),
                           _limb_width(2 * m))
+        # S_k(z) r^n/m, rounded as complex(mpc(x, y) * scale) rounds it
+        prec, rnd = mp._prec_rounding
         rr = mp.mpf(repr(float(r)))
         for i, n in enumerate(ns):
-            scale = mp.ldexp(rr ** n / m, -2 * P)
-            out[i] = [complex(mpc(x, y) * scale) for x, y in sums[n % m]]
+            sc = mp.ldexp(rr ** n / m, -2 * P)._mpf_
+            out[i] = [complex(
+                to_float(mpf_mul(from_int(x, prec, rnd), sc, prec, rnd),
+                         False, rnd),
+                to_float(mpf_mul(from_int(y, prec, rnd), sc, prec, rnd),
+                         False, rnd)) for x, y in sums[n % m]]
     return out
+
+
+def _check_faber_call(n, z, r, m, dps) -> complex:
+    """The checks shared by faber_contour and faber_remainder; returns z
+    as a complex.  From n = m on, the trapezoid sum over m nodes adds
+    r^m F_(n-m) to the value, so such a degree raises DomainError."""
+    _check_contour(r, m, dps, [n])
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    if n >= m:
+        raise DomainError(f"degree n={n} aliases on m={m} contour nodes "
+                          "(the sum adds r^m F_(n-m)); use m > n")
+    z = complex(z)
+    _check_points(z)
+    return z
 
 
 def faber_contour(K: ContinuumSpec, n: int, z, r: float, m: int = 1024,
@@ -448,12 +489,9 @@ def faber_contour(K: ContinuumSpec, n: int, z, r: float, m: int = 1024,
     Valid for z strictly inside the level curve {|phi| = r} (points of K
     included).  The result does not depend on the choice of r as long as
     z stays inside, which is one of the cross-checks the tests enforce.
+    n must be below m, or the sum aliases (DomainError).
     """
-    _check_contour(r, m, dps, [n])
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    z = complex(z)
-    _check_points(z)
+    z = _check_faber_call(n, z, r, m, dps)
     if not contains(K, z):
         if green(K, z) >= np.log(r) - _LEVEL_SLACK:
             raise PointOutsideLevel(
@@ -465,14 +503,10 @@ def faber_remainder(K: ContinuumSpec, n: int, z, r: float, m: int = 1024,
                     dps: int | None = None) -> complex:
     """Remainder phi^n - F_n at a point outside the level curve.
 
-    Same integrand and normalisation as faber_contour; the orientation
-    of the residue count flips the sign for exterior points.
+    Same integrand, normalisation and gates as faber_contour; the
+    orientation of the residue count flips the sign for exterior points.
     """
-    _check_contour(r, m, dps, [n])
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    z = complex(z)
-    _check_points(z)
+    z = _check_faber_call(n, z, r, m, dps)
     if contains(K, z) or green(K, z) <= np.log(r) + _LEVEL_SLACK:
         raise PointInsideLevel(
             f"z={z} is not outside the level curve at r={r}")

@@ -15,9 +15,9 @@ wherever a consumer only needs doubles.
 Exact polynomials are held in one format, a Gaussian-integer triple
 (D, re, im): one denominator D and two lists of Python-int numerators,
 coefficient k being (re[k] + i im[k])/D.  A float point z is
-(X + iY)/2^e.  The Faber constructions, Horner's rule, the powers of a
-map tail and the change to the Faber basis all run in Python ints with
-no gcd per step; QC pairs of Fractions remain for map data and the
+(X + iY)/2^e.  The Faber constructions, Horner's rule (by shifts),
+the powers of a map tail and the change to the Faber basis all run in
+Python ints with no gcd per step; QC pairs of Fractions remain for map data and the
 segment target identity.  The single rounding at the end is an int/int
 true division, which Python rounds correctly, so the doubles are the
 ones float(Fraction) gives.
@@ -156,13 +156,20 @@ def _gauss_horner(D: int, re, im, X: int, Y: int, d: int) -> tuple:
     """sum((re[k] + i im[k])/D * ((X + iY)/d)**k) as (ar, ai, den), the
     value being (ar + i ai)/den with den = D d^n.
 
-    Horner's rule on the numerators: acc = acc (X + iY) + C_k d^(n-k).
+    Horner's rule on the numerators, acc = acc (X + iY) + C_k d^(n-k),
+    with d split once as o 2^s, o odd: C_k d^(n-k) is C_k o^(n-k)
+    shifted by s (n-k), so a dyadic point (o = 1, every float point)
+    costs no multiplication by a power of d.
     """
-    ar, ai, dk = re[-1], im[-1], 1
+    s = (d & -d).bit_length() - 1
+    o, ok, sk = d >> s, 1, 0
+    ar, ai = re[-1], im[-1]
     for k in range(len(re) - 2, -1, -1):
-        dk *= d
-        ar, ai = ar * X - ai * Y + re[k] * dk, ar * Y + ai * X + im[k] * dk
-    return ar, ai, D * dk
+        ok *= o
+        sk += s
+        ar, ai = (ar * X - ai * Y + (re[k] * ok << sk),
+                  ar * Y + ai * X + (im[k] * ok << sk))
+    return ar, ai, D * ok << sk
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,22 @@ class TestExteriorCoordinate:
         alone = [complex(fb.psi(K, w[i:i + 1])[0]) for i in range(len(w))]
         assert together.tolist() == alone
 
+    @pytest.mark.filterwarnings("error")
+    def test_segment_ends_near_double_max(self):
+        """a + b of segment(1e308, 1.7e308) overflows, and so does 2z in
+        phi: psi(K, 2) was inf+0j and phi(K, 1.79e308) warned.  Every sum
+        of the segment 2^10 times smaller is in range, and each value is
+        that segment's, scaled by 2^10 exactly."""
+        K = fb.segment(1e308, 1.7e308)
+        small = fb.segment(1e308 / 1024, 1.7e308 / 1024)
+        w = np.array([2.0, 1.5j, -1.2 + 0.3j])
+        assert np.array_equal(fb.psi(K, w), 1024 * fb.psi(small, w))
+        assert np.isfinite(fb.psi(K, 2.0))
+        z = np.array([1.79e308, 1.2e308 + 1e307j, 0.9e308 - 1e300j])
+        assert np.array_equal(fb.phi(K, z), fb.phi(small, z / 1024))
+        assert K.psi_coeffs == {k: 1024 * c
+                                for k, c in small.psi_coeffs.items()}
+
     def test_green_is_log_modulus(self, seg, custom_spec):
         for K in (seg, custom_spec):
             z = fb.psi(K, 2.0 * np.exp(0.7j))

@@ -437,8 +437,8 @@ class TestContourRoute:
 
     @pytest.mark.parametrize("call", [
         lambda K: fb.contour_values(K, [3, 1100], [0.3], 2.0, m=64),
-        lambda K: fb.faber_contour(K, 1100, 0.3, 2.0, m=64),
-        lambda K: fb.faber_remainder(K, 1100, 3.0, 2.0, m=64),
+        lambda K: fb.faber_contour(K, 1100, 0.3, 2.0, m=2048),
+        lambda K: fb.faber_remainder(K, 1100, 3.0, 2.0, m=2048),
         lambda K: fb.contour_values(K, [1023], [0.3], 2.0, m=64),
     ], ids=["values", "contour", "remainder", "sum-overflows"])
     def test_float_overflow_names_the_mp_route(self, seg, call):
@@ -447,6 +447,18 @@ class TestContourRoute:
         node sum does not."""
         with pytest.raises(DomainError, match="dps="):
             call(seg)
+
+    @pytest.mark.parametrize("dps", [None, 40])
+    @pytest.mark.parametrize("call, z", [(fb.faber_contour, 0.3),
+                                         (fb.faber_remainder, 3.0)],
+                             ids=["contour", "remainder"])
+    def test_degree_from_m_on_is_refused(self, seg, call, z, dps):
+        """F_100(0.3) on [-1, 1] is 1.1688, but 64 nodes gave -9.83e17:
+        from n = m on, the trapezoid sum adds r^m F_(n-m)."""
+        for n in (100, 64):
+            with pytest.raises(DomainError, match=f"n={n}.*m=64"):
+                call(seg, n, z, 2.0, m=64, dps=dps)
+        call(seg, 63, z, 2.0, m=64, dps=dps)   # n = m - 1 is accepted
 
     @pytest.mark.parametrize("dps", [None, 20])
     @pytest.mark.parametrize("K", ["seg", "udisc"])
@@ -627,6 +639,35 @@ class TestContourMp:
         monkeypatch.setattr(fbf, "_BLOCK", 1)
         assert np.array_equal(fb.contour_values(seg, ns, zs, 2.0, m=64, dps=40),
                               want)
+
+    def test_unit_roots_once_per_m_and_precision(self, monkeypatch):
+        """Three levels on two continua at one (m, dps) compute the roots
+        of unity once, and a second dps once more; each continuum keeps
+        only its fixed-point nodes."""
+        from mpmath import mp
+
+        calls, unitroots = [], mp.unitroots
+        monkeypatch.setattr(mp, "unitroots",
+                            lambda m: calls.append(m) or unitroots(m))
+        fbf._unit_roots.cache_clear()
+        Ks = (fb.segment(-1.0, 1.0), fb.disc(0.2j, 0.5))
+        for dps in (30, 30, 40):
+            for K in Ks:
+                for r in (1.5, 2.0, 3.0):
+                    fb.contour_values(K, [0, 5], [0.1j], r, m=32, dps=dps)
+        assert calls == [32, 32]
+        for K in Ks:
+            assert sorted(K._memo) == sorted(
+                ("fixed nodes", r, 32, dps)
+                for r in (1.5, 2.0, 3.0) for dps in (30, 40))
+
+    def test_unit_roots_memo_is_bounded(self, seg):
+        fbf._unit_roots.cache_clear()
+        bound = fbf._unit_roots.cache_info().maxsize
+        for m in range(1, bound + 4):
+            fb.contour_values(seg, [0], [0.1j], 2.0, m=m, dps=15)
+            assert fbf._unit_roots.cache_info().currsize <= bound
+        assert fbf._unit_roots.cache_info().currsize == bound
 
     def test_custom_map_has_no_mp_route(self, custom_spec):
         with pytest.raises(FaberBohrError,
