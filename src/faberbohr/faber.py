@@ -300,8 +300,10 @@ def _unit_roots(m: int, prec: int) -> tuple:
     with mp.workprec(prec):
         omega = mp.unitroots(m)
     wr, wi = _fixed(omega, prec + m.bit_length() + _GUARD_BITS)
-    return omega, np.ascontiguousarray(
+    roots = np.ascontiguousarray(
         _limbs(wr + wi, _limb_width(2 * m)).reshape(2, m, -1).T)
+    roots.flags.writeable = False   # one array for every caller
+    return tuple(omega), roots
 
 
 def _fixed_nodes(K: ContinuumSpec, r: float, m: int, dps: int):
