@@ -160,7 +160,7 @@ class TestGaussHorner:
         d = odd << draw(st.integers(0, 80))
         return (draw(st.integers(1, 1 << 90)), re, im, draw(big), draw(big), d)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(case=_cases())
     def test_equals_multiply_form(self, case):
         """The same (ar, ai, den) as Horner with C_k d^(n-k) multiplied in."""
