@@ -420,13 +420,16 @@ def _root_sums(roots: np.ndarray, ks, U: list, V: list, w: int) -> dict:
     Z = len(U) // m
     u, v = _limbs(U + V, w).reshape(2, Z, m, -1).transpose(0, 2, 3, 1)
     lb = u.shape[1]
-    B = np.stack([np.stack([u, v], -1), np.stack([-v, u], -1)], 1)
+    B = np.empty((m, 2, lb, Z, 2))
+    B[:, 0, ..., 0], B[:, 0, ..., 1] = u, v
+    B[:, 1, ..., 0], B[:, 1, ..., 1] = -v, u
     B = B.reshape(2 * m, lb, 2 * Z)
     ks = np.asarray(ks, dtype=np.int64)
+    jk = ks[:, None] * np.arange(m)   # taken mod m by mode="wrap"
     step = max(1, _BLOCK // (la * 2 * m))
     flat = _limb_product(
-        (np.take(roots, ks[i:i + step, None] * np.arange(m) % m, axis=1)
-         .reshape(la, -1, 2 * m) for i in range(0, len(ks), step)), B, w)
+        (roots.take(jk[i:i + step], axis=1, mode="wrap").reshape(la, -1, 2 * m)
+         for i in range(0, len(ks), step)), B, w)
     sums = {}
     for j, k in enumerate(ks.tolist()):
         row = flat[2 * Z * j:2 * Z * (j + 1)]

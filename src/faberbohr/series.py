@@ -17,10 +17,10 @@ Exact polynomials are held in one format, a Gaussian-integer triple
 coefficient k being (re[k] + i im[k])/D.  A float point z is
 (X + iY)/2^e.  The Faber constructions, Horner's rule (by shifts),
 the powers of a map tail and the change to the Faber basis all run in
-Python ints with no gcd per step; QC pairs of Fractions remain for map data and the
-segment target identity.  The single rounding at the end is an int/int
-true division, which Python rounds correctly, so the doubles are the
-ones float(Fraction) gives.
+Python ints with no gcd per step; QC pairs of Fractions remain for map
+data and the segment target identity.  The single rounding at the end
+is an int/int true division, which Python rounds correctly, so the
+doubles are the ones float(Fraction) gives.
 """
 
 from __future__ import annotations
