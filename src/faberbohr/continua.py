@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import comb
@@ -39,7 +38,7 @@ from .errors import (
     PointInsideK,
     WrongKind,
 )
-from .series import LaurentTail, _dyadic, _polys_from_tail
+from .series import LaurentTail, _dyadic, _fraction, _polys_from_tail
 
 __all__ = [
     "ContinuumSpec",
@@ -265,11 +264,15 @@ class SegmentSpec(ContinuumSpec):
             d = min(abs(z - self.a), abs(z - self.b))
         return d <= MEMBERSHIP_TOL
 
-    def _phi(self, z):
+    def _u(self, z):
+        """The affine variable (2z - a - b)/(b - a) of [-1, 1]."""
         if abs(self.a) + abs(self.b) < 1.0:   # halving these ends may round
-            u = (2.0 * z - (self.a + self.b)) / (self.b - self.a)
-        else:   # the same u, but neither 2z nor a + b can overflow
-            u = (z - self._mid) / (0.5 * (self.b - self.a))
+            return (2.0 * z - (self.a + self.b)) / (self.b - self.a)
+        # the same u, but neither 2z nor a + b can overflow
+        return (z - self._mid) / (0.5 * (self.b - self.a))
+
+    def _phi(self, z):
+        u = self._u(z)
         s = np.sqrt(u * u - 1.0)
         w1 = u + s
         w2 = u - s
@@ -288,14 +291,19 @@ class SegmentSpec(ContinuumSpec):
 
     def _closure(self, R: float, depth: int) -> ContinuumSpec:
         """phi/R from the series 2z - (1/2)/z - (1/8)/z^3 - ... of
-        z + sqrt(z^2 - 1), cut after z^-depth."""
+        z + sqrt(z^2 - 1), cut after z^-depth: its z^-(2j-1) term is
+        -C_(j-1)/2^(2j-1), C the Catalan numbers, put over 4^J."""
         if not self._canonical:
             raise DomainError("series form only available for the segment [-1, 1]")
         if depth < 0:
             raise DomainError("depth must be nonnegative")
-        b = _sqrt_binomials(depth // 2 + 1)
-        tail = [b[(k + 1) // 2] if k % 2 else 0 for k in range(1, depth + 1)]
-        return custom(LaurentTail.build(2, 0, tail).scaled(1 / Fraction(R)))
+        J, c = (depth + 1) // 2, 1
+        re = [2 << 2 * J] + [0] * (depth + 1)   # lead, c0, z^-1, ..., z^-depth
+        for j in range(1, J + 1):
+            re[2 * j] = -c << 2 * (J - j) + 1
+            c = c * 2 * (2 * j - 1) // (j + 1)   # C_j from C_(j-1)
+        tail = LaurentTail((4 ** J, re, [0] * len(re)))
+        return custom(tail.scaled(1 / _fraction(R)))
 
     def faber_exact(self, N: int, have: tuple = ()):
         """(D, re, im) of F_k, ..., F_N, k = len(have), one at a time.
@@ -332,9 +340,9 @@ class SegmentSpec(ContinuumSpec):
         return V
 
     def abs_faber_on_k(self, n: int, z: complex) -> float:
-        t = (2.0 * z.real - self.a - self.b) / (self.b - self.a)
         cheb = [0.0] * n + [2.0] if n else [1.0]
-        return float(abs(np.polynomial.chebyshev.chebval(t, cheb)))
+        return float(abs(np.polynomial.chebyshev.chebval(self._u(z.real),
+                                                         cheb)))
 
     def _boundary_path(self, p):
         if hasattr(p, "cheb_floats"):
@@ -365,7 +373,7 @@ class CustomSpec(ContinuumSpec):
     @property
     def gamma(self) -> float:
         """Derivative of the exterior map at infinity (real positive)."""
-        return float(self.map_tail.lead.re)
+        return self._complex[0].real
 
     def describe(self) -> str:
         return f"custom(gamma={self.gamma}, depth={self.map_tail.M})"
@@ -373,8 +381,9 @@ class CustomSpec(ContinuumSpec):
     @cached_property
     def _complex(self) -> tuple:
         """The map's lead, c0 and tail as complex floats, built once."""
-        t = self.map_tail
-        return t.lead_complex, t.c0_complex, t.tail_complex()
+        D, re, im = self.map_tail.ints
+        c = [complex(x / D, y / D) for x, y in zip(re, im)]
+        return c[0], c[1], np.array(c[2:], dtype=complex)
 
     def _contains(self, z: complex) -> bool:
         w = self._phi(np.array([z], dtype=complex))[0]
@@ -427,7 +436,7 @@ class CustomSpec(ContinuumSpec):
         return 1.0 / self._phi_deriv(self._psi(w))
 
     def _closure(self, R: float, depth: int) -> ContinuumSpec:
-        return custom(self.map_tail.scaled(1 / Fraction(R)))
+        return custom(self.map_tail.scaled(1 / _fraction(R)))
 
     def faber_exact(self, N: int, have: tuple = ()):
         """(D, re, im) of the polynomial parts of the powers k = len(have),
@@ -456,13 +465,16 @@ def segment(a=-1.0, b=1.0) -> ContinuumSpec:
     _check_finite("segment", a=a, b=b)
     if not a < b:
         raise DomainError("segment needs a < b")
+    if not math.isfinite(b - a):
+        raise DomainError(f"segment [{a!r}, {b!r}]: b - a overflows double")
     return SegmentSpec(a=a, b=b)
 
 
 def custom(tail: LaurentTail) -> ContinuumSpec:
     if not isinstance(tail, LaurentTail):
         raise DomainError("custom continuum needs a LaurentTail map")
-    if tail.lead.im != 0 or tail.lead.re <= 0:
+    _, re, im = tail.ints
+    if im[0] or re[0] <= 0:
         raise DomainError("exterior map must have real positive leading coefficient")
     return CustomSpec(map_tail=tail)
 
@@ -479,21 +491,27 @@ def contains(K: ContinuumSpec, z) -> bool:
     return K._contains(complex(z))
 
 
-def _check_outside(K: ContinuumSpec, z: np.ndarray):
-    for zz in z.ravel():
-        if contains(K, zz):
-            raise PointInsideK(f"point {zz} lies on {K.describe()}")
+def _check_points(zs) -> np.ndarray:
+    """zs as a flat complex array; a non-finite point raises DomainError."""
+    zs = np.asarray(zs, dtype=complex).ravel()
+    bad = zs[~np.isfinite(zs)]
+    if len(bad):
+        raise DomainError(f"points must be finite; got {bad[0]}")
+    return zs
 
 
 # ---------------------------------------------------------------------------
 # exterior map and inverse
 
 def phi(K: ContinuumSpec, z):
-    """Exterior map value(s); raises PointInsideK on points of K."""
+    """Exterior map value(s); raises DomainError on a non-finite point
+    and PointInsideK on points of K."""
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    _check_outside(K, arr)
+    for zz in _check_points(arr):
+        if contains(K, zz):
+            raise PointInsideK(f"point {zz} lies on {K.describe()}")
     w = K._phi(arr)
     return complex(w[0]) if scalar else w
 
@@ -559,16 +577,6 @@ def _check_contour(r, m, dps=None, ns=()) -> None:
     for n in ns:
         if not _is_int(n):
             raise DomainError(f"degree n must be an integer; got {n!r}")
-
-
-def _sqrt_binomials(depth: int) -> tuple:
-    """Coefficients of (1 - x)**(1/2): 1, -1/2, -1/8, -1/16, -5/128, ..."""
-    out = [Fraction(1)]
-    c = Fraction(1)
-    for j in range(1, depth + 1):
-        c = c * Fraction(3 - 2 * j, 2 * j)   # C(1/2, j) recurrence
-        out.append(c * (-1) ** j)
-    return tuple(out)
 
 
 def scaled_closure(K: ContinuumSpec, R: float, depth: int = 96) -> ContinuumSpec:

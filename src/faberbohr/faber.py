@@ -23,9 +23,9 @@ Fourier transform on a circle |w| = r of the target coordinate.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .continua import (
     ContinuumSpec,
     _check_contour,
     _check_level,
+    _check_points,
     contains,
     green,
     psi,
@@ -47,7 +48,7 @@ from .errors import (
     ReconstructionMismatch,
     WrongKind,
 )
-from .series import QC, _dyadic, _gauss_horner, _gauss_ints
+from .series import _dyadic, _gauss_horner
 
 __all__ = [
     "FaberPoly",
@@ -83,13 +84,6 @@ class FaberPoly:
     ints: tuple = field(repr=False)
     _cheb: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def exact(self) -> tuple:
-        """The coefficients as QC Gaussian rationals, derived from ints on
-        each access; nothing is stored."""
-        D, re, im = self.ints
-        return tuple(QC(Fraction(x, D), Fraction(y, D)) for x, y in zip(re, im))
-
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
                                                 self.coeffs)
@@ -111,8 +105,9 @@ class FaberPoly:
 
         With z = mid + half x, Horner's rule runs in the Chebyshev basis
         of x: out <- (mid + half x) out + c_k, where x T_0 = T_1 and
-        x T_i = (T_{i+1} + T_{i-1})/2.  mid and half are dyadic, M/s and
-        H/s with s a power of two, so each step multiplies the common
+        x T_i = (T_{i+1} + T_{i-1})/2.  With a = A/S and b = B/S, mid and
+        half are M/s and H/s, s = 2S/g the power of two with
+        g = gcd(A + B, B - A, 2S), so each step multiplies the common
         denominator by 2s: the real and imaginary numerators of ints go
         through it apart as Python ints over D (2s)^n, with no gcd, and
         each result is rounded once by int/int true division.
@@ -120,11 +115,9 @@ class FaberPoly:
         key = (float(a), float(b))
         if key not in self._cheb:
             D, re, im = self.ints
-            a, b = map(Fraction, key)
-            mid, half = (a + b) / 2, (b - a) / 2
-            s = max(mid.denominator, half.denominator)
-            M2 = 2 * mid.numerator * (s // mid.denominator)
-            H = half.numerator * (s // half.denominator)
+            A, B, S = _dyadic(complex(*key))
+            g = math.gcd(A + B, B - A, 2 * S)
+            M2, H, s = 2 * (A + B) // g, (B - A) // g, 2 * S // g
             step = s.bit_length()   # 2s = 2**step
             parts = []
             for cs in (re, im):
@@ -332,15 +325,6 @@ def _fixed_nodes(K: ContinuumSpec, r: float, m: int, dps: int):
             tuple(np.array(x, dtype=object) for x in _fixed(v, P - e))
             for v in (ts, [d * w for d, w in zip(dpsi, ws)]))
     return (P, roots) + K._memo[key]
-
-
-def _check_points(zs) -> np.ndarray:
-    """zs as a flat complex array; a non-finite point raises DomainError."""
-    zs = np.asarray(zs, dtype=complex).ravel()
-    bad = zs[~np.isfinite(zs)]
-    if len(bad):
-        raise DomainError(f"contour points must be finite; got {bad[0]}")
-    return zs
 
 
 def _on_node(z, r, m) -> DomainError:
@@ -631,26 +615,32 @@ def target_identity_residual(K: ContinuumSpec, n: int, w) -> float:
 
     Both sides grow like |w|**n, far past the absolute resolution of
     doubles, so the residual is assembled exactly and only then rounded.
-    The point z = psi(w) = mid + quarter (w + 1/w) is the Gaussian
-    rational Z/dz and F_n(z) = A/(D dz^n) comes from the integer
-    kernel.  With w = (X + iY)/d and s = X^2 + Y^2, U = (X + iY)^n gives
-    w^n + w^-n = (U s^n + d^2n conj(U))/(d^n s^n).  The difference and
-    its squared modulus are integers over one denominator, rounded once.
+    With w = (X + iY)/d, s = X^2 + Y^2, 1/w = d (X - iY)/s and the
+    ends a = A/S, b = B/S, the point z = psi(w) = mid + quarter
+    (w + 1/w) is a Gaussian int over dz = 4 S d s, reduced by one gcd,
+    and F_n(z) comes from the integer kernel over D dz^n.  With
+    U = (X + iY)^n, w^n + w^-n = (U s^n + d^2n conj(U))/(d^n s^n).  The
+    difference and its squared modulus are integers over one
+    denominator, rounded once.
     """
     if K.kind != "segment":
         raise WrongKind("the target-coordinate identity is a segment fact")
     if n < 1:
         raise DomainError("the identity is stated for n >= 1")
-    wq = QC.of(complex(w))
-    mid = QC((Fraction(K.a) + Fraction(K.b)) / 2)
-    quarter = QC((Fraction(K.b) - Fraction(K.a)) / 4)
-    dz, (zr,), (zi,) = _gauss_ints([mid + quarter * (wq + wq.inverse())])
-    ar, ai, da = _gauss_horner(*faber_poly(K, n).ints, zr, zi, dz)
-    d, (x,), (y,) = _gauss_ints([wq])
+    x, y, d = _dyadic(complex(w))
+    if not (x or y):
+        raise DomainError("the identity is stated for w != 0")
+    A, B, S = _dyadic(complex(K.a, K.b))
+    s, d2 = x * x + y * y, d * d
+    zr = 2 * (A + B) * d * s + (B - A) * x * (s + d2)
+    zi, dz = (B - A) * y * (s - d2), 4 * S * d * s
+    g = math.gcd(zr, zi, dz)
+    ar, ai, da = _gauss_horner(*faber_poly(K, n).ints, zr // g, zi // g,
+                               dz // g)
     ur, ui = 1, 0
     for _ in range(n):
         ur, ui = ur * x - ui * y, ur * y + ui * x
-    sn, d2n = (x * x + y * y) ** n, d ** (2 * n)
+    sn, d2n = s ** n, d2 ** n
     dv = d ** n * sn
     nr = ar * dv - ur * (sn + d2n) * da
     ni = ai * dv - ui * (sn - d2n) * da

@@ -9,18 +9,18 @@ integer powers.  Those polynomial parts have integer-like coefficients
 of size comparable to 4**n, so double precision loses the low-order
 information that the later evaluation steps need.  Every float is a
 dyadic rational, lifting inputs to Gaussian rationals is therefore
-lossless, and all arithmetic here is exact.  Complex views are offered
-wherever a consumer only needs doubles.
+lossless, and all arithmetic here is exact.
 
-Exact polynomials are held in one format, a Gaussian-integer triple
-(D, re, im): one denominator D and two lists of Python-int numerators,
-coefficient k being (re[k] + i im[k])/D.  A float point z is
-(X + iY)/2^e.  The Faber constructions, Horner's rule (by shifts),
+Every exact quantity is held in one format, a Gaussian-integer triple
+(D, re, im): one denominator D and two sequences of Python-int
+numerators, entry k being (re[k] + i im[k])/D.  Faber polynomials are
+such triples, and so is the map data of a LaurentTail; a float point z
+is (X + iY)/2^e.  The Faber constructions, Horner's rule (by shifts),
 the powers of a map tail and the change to the Faber basis all run in
-Python ints with no gcd per step; QC pairs of Fractions remain for map
-data and the segment target identity.  The single rounding at the end
-is an int/int true division, which Python rounds correctly, so the
-doubles are the ones float(Fraction) gives.
+Python ints with no gcd per step; rationals of another kind appear only
+where LaurentTail.build takes its input.  The single rounding at the
+end is an int/int true division, which Python rounds correctly, so
+each double is the exact value correctly rounded.
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError
 
-__all__ = ["QC", "LaurentTail"]
+__all__ = ["LaurentTail"]
 
 
 def _not_finite(x) -> DomainError:
@@ -41,105 +39,26 @@ def _not_finite(x) -> DomainError:
 
 
 def _fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, float)):
-        # Fraction(float) is exact, not a decimal approximation.
-        try:
-            return Fraction(x)
-        except (OverflowError, ValueError):
-            raise _not_finite(x) from None
-    raise TypeError(f"cannot represent {type(x).__name__} exactly")
+    if not isinstance(x, (int, float, Fraction)):
+        raise TypeError(f"cannot represent {type(x).__name__} exactly")
+    try:   # Fraction(float) is exact, not a decimal approximation
+        return Fraction(x)
+    except (OverflowError, ValueError):
+        raise _not_finite(x) from None
 
 
-class QC:
-    """A complex number whose real and imaginary parts are Fractions."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = _fraction(re)
-        self.im = _fraction(im)
-
-    @classmethod
-    def of(cls, value) -> "QC":
-        if isinstance(value, QC):
-            return value
-        if isinstance(value, complex):
-            return cls(_fraction(value.real), _fraction(value.imag))
-        return cls(_fraction(value))
-
-    def __add__(self, other):
-        o = QC.of(other)
-        return QC(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = QC.of(other)
-        return QC(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return QC.of(other).__sub__(self)
-
-    def __mul__(self, other):
-        o = QC.of(other)
-        return QC(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return QC(-self.re, -self.im)
-
-    def inverse(self) -> "QC":
-        d = self.re * self.re + self.im * self.im
-        if d == 0:
-            raise ZeroDivisionError("inverse of exact zero")
-        return QC(self.re / d, -self.im / d)
-
-    def __truediv__(self, other):
-        return self * QC.of(other).inverse()
-
-    def __rtruediv__(self, other):
-        return QC.of(other) * self.inverse()
-
-    def conjugate(self) -> "QC":
-        return QC(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __eq__(self, other):
-        if not isinstance(other, (QC, complex, int, float, Fraction)):
-            return NotImplemented
-        o = QC.of(other)
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"QC({self.re!s}, {self.im!s})"
-
+def _triple(values) -> tuple:
+    """(D, re, im) with values[k] == (re[k] + i im[k])/D for int, float,
+    Fraction or complex values; D is the least common denominator."""
+    parts = [_fraction(x) for v in values
+             for x in ((v.real, v.imag) if isinstance(v, complex) else (v, 0))]
+    D = math.lcm(*(q.denominator for q in parts))
+    ints = [q.numerator * (D // q.denominator) for q in parts]
+    return D, ints[::2], ints[1::2]
 
 
 # ---------------------------------------------------------------------------
 # Gaussian-integer kernel
-
-def _gauss_ints(values) -> tuple:
-    """(D, re, im) with values[k] == (re[k] + i im[k]) / D, for QC values;
-    D is the least common denominator."""
-    D = math.lcm(*(q.denominator for v in values for q in (v.re, v.im)))
-    return (D, [v.re.numerator * (D // v.re.denominator) for v in values],
-            [v.im.numerator * (D // v.im.denominator) for v in values])
-
 
 def _dyadic(z: complex) -> tuple:
     """(X, Y, d) with z == (X + iY)/d exactly and d a power of two."""
@@ -174,40 +93,43 @@ def _gauss_horner(D: int, re, im, X: int, Y: int, d: int) -> tuple:
 
 @dataclass(frozen=True)
 class LaurentTail:
-    """Exterior map data: lead*z + c0 + tail[0]/z + tail[1]/z**2 + ...
+    """Exterior map data g = lead*z + c0 + t_1/z + ... + t_M/z**M, exact.
 
-    The tail tuple is the full stored depth; its length is the M of the
-    representation.  A continuum given by such a tail is, by definition,
-    the one whose exterior map is this finite Laurent polynomial.
+    ints is the Gaussian-int triple (D, re, im) of lead, c0, t_1, ...,
+    t_M in that order: entry i, the coefficient of z^(1 - i), is
+    (re[i] + i im[i])/D.  It is kept reduced, D > 0 sharing no factor
+    with all the numerators, so equal maps have equal triples.  M, the
+    stored depth, is the number of tail terms.  A continuum given by
+    such a map is, by definition, the one whose exterior map is this
+    finite Laurent polynomial.
     """
 
-    lead: QC
-    c0: QC
-    tail: tuple
+    ints: tuple
+
+    def __post_init__(self):
+        D, re, im = self.ints
+        if not (D > 0 and len(re) == len(im) >= 2):
+            raise DomainError("map data needs D > 0 and lead and c0 at least")
+        g = math.gcd(D, *re, *im)
+        object.__setattr__(self, "ints", (D // g, tuple(x // g for x in re),
+                                          tuple(y // g for y in im)))
 
     @classmethod
     def build(cls, lead, c0=0, tail=()) -> "LaurentTail":
-        return cls(QC.of(lead), QC.of(c0), tuple(QC.of(t) for t in tail))
+        """The map from its coefficients, ints, floats, Fractions or
+        complex values, each taken exactly."""
+        return cls(_triple((lead, c0, *tail)))
 
     @property
     def M(self) -> int:
-        return len(self.tail)
-
-    @property
-    def lead_complex(self) -> complex:
-        return self.lead.to_complex()
-
-    @property
-    def c0_complex(self) -> complex:
-        return self.c0.to_complex()
-
-    def tail_complex(self) -> np.ndarray:
-        return np.array([t.to_complex() for t in self.tail], dtype=complex)
+        return len(self.ints[1]) - 2
 
     def scaled(self, factor) -> "LaurentTail":
-        f = QC.of(factor)
-        return LaurentTail(self.lead * f, self.c0 * f,
-                           tuple(t * f for t in self.tail))
+        """The map times factor, any value build takes, exactly."""
+        q, (x,), (y,) = _triple([factor])
+        D, re, im = self.ints
+        return LaurentTail((D * q, [a * x - b * y for a, b in zip(re, im)],
+                            [a * y + b * x for a, b in zip(re, im)]))
 
 
 def _polys_from_tail(t: LaurentTail, N: int):
@@ -221,10 +143,10 @@ def _polys_from_tail(t: LaurentTail, N: int):
     G^n is its coefficient of z^(n - i), so a product with entry j of G
     lands in entry i + j, and depth N - n keeps the entries up to N.
     """
-    d, gre, gim = _gauss_ints((t.lead, t.c0) + t.tail)
+    d, gre, gim = t.ints
     terms = [(j, x, y) for j, (x, y) in enumerate(zip(gre, gim)) if x or y]
     yield 1, [1], [0]
-    cre, cim, dn = gre, gim, d
+    cre, cim, dn = list(gre), list(gim), d
     for n in range(1, N + 1):
         if n > 1:
             nre, nim = [0] * (N + 1), [0] * (N + 1)

@@ -3,18 +3,25 @@
 The n-th Faber polynomial of a continuum is the polynomial part of the
 n-th power of its exterior map.  The library builds each kind's Faber
 polynomials in closed form; this module keeps the definition itself,
-powering a truncated exterior series in QC arithmetic, so the tests can
-compare the two bit for bit.  It also keeps the two-step Chebyshev view
-(exact affine change of variable, then the monomial-to-Chebyshev
-transform) that the one-pass Chebyshev Horner loop of
-FaberPoly.cheb_floats replaced, the QC elimination that the
-Gaussian-int elimination of to_faber_basis replaced, and the Horner
-loop that multiplied each coefficient by d^(n-k), which the shift-based
-series._gauss_horner replaced.
+powering a truncated exterior series in QC arithmetic (complex numbers
+as pairs of Fractions), so the tests can compare the two bit for bit.
+The library holds every exact number as a Gaussian-int triple
+(D, re, im); gauss_ints and qc_values convert between the two formats,
+and exact(p) gives the coefficients of a FaberPoly as QC values.
+
+It also keeps the two-step Chebyshev view (exact affine change of
+variable, then the monomial-to-Chebyshev transform) that the one-pass
+Chebyshev Horner loop of FaberPoly.cheb_floats replaced, the QC
+elimination that the Gaussian-int elimination of to_faber_basis
+replaced, the Horner loop that multiplied each coefficient by d^(n-k),
+which the shift-based series._gauss_horner replaced, and the sqrt
+binomial series that the Catalan-number tail of the segment closure
+replaced.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +29,104 @@ import numpy as np
 
 from faberbohr.errors import DomainError
 from faberbohr.faber import faber_polys
-from faberbohr.series import QC
+from faberbohr.series import _fraction
+
+
+class QC:
+    """A complex number whose real and imaginary parts are Fractions."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = _fraction(re)
+        self.im = _fraction(im)
+
+    @classmethod
+    def of(cls, value) -> "QC":
+        if isinstance(value, QC):
+            return value
+        if isinstance(value, complex):
+            return cls(_fraction(value.real), _fraction(value.imag))
+        return cls(_fraction(value))
+
+    def __add__(self, other):
+        o = QC.of(other)
+        return QC(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = QC.of(other)
+        return QC(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return QC.of(other).__sub__(self)
+
+    def __mul__(self, other):
+        o = QC.of(other)
+        return QC(self.re * o.re - self.im * o.im,
+                  self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return QC(-self.re, -self.im)
+
+    def inverse(self) -> "QC":
+        d = self.re * self.re + self.im * self.im
+        if d == 0:
+            raise ZeroDivisionError("inverse of exact zero")
+        return QC(self.re / d, -self.im / d)
+
+    def __truediv__(self, other):
+        return self * QC.of(other).inverse()
+
+    def __rtruediv__(self, other):
+        return QC.of(other) * self.inverse()
+
+    def conjugate(self) -> "QC":
+        return QC(self.re, -self.im)
+
+    def abs2(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def to_complex(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+    def __eq__(self, other):
+        if not isinstance(other, (QC, complex, int, float, Fraction)):
+            return NotImplemented
+        o = QC.of(other)
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"QC({self.re!s}, {self.im!s})"
+
+
+def gauss_ints(values) -> tuple:
+    """(D, re, im) with values[k] == (re[k] + i im[k]) / D, for QC values;
+    D is the least common denominator."""
+    D = math.lcm(*(q.denominator for v in values for q in (v.re, v.im)))
+    return (D, [v.re.numerator * (D // v.re.denominator) for v in values],
+            [v.im.numerator * (D // v.im.denominator) for v in values])
+
+
+def qc_values(ints) -> tuple:
+    """The entries (re[k] + i im[k])/D of a triple (D, re, im) as QC."""
+    D, re, im = ints
+    return tuple(QC(Fraction(x, D), Fraction(y, D)) for x, y in zip(re, im))
+
+
+def exact(p) -> tuple:
+    """The coefficients of the FaberPoly p as QC Gaussian rationals."""
+    return qc_values(p.ints)
+
 
 _QC_ZERO = QC(0)
 _QC_ONE = QC(1)
@@ -158,12 +262,12 @@ def cheb_from_monomial(coeffs):
     return tuple(out)
 
 
-def cheb_view(exact, a: float, b: float) -> np.ndarray:
+def cheb_view(coeffs, a: float, b: float) -> np.ndarray:
     """Chebyshev-basis coefficients on [a, b] of the polynomial with exact
     ascending coefficients, by the two-step transform, rounded once."""
     half = Fraction(b) / 2 - Fraction(a) / 2
     mid = Fraction(a) / 2 + Fraction(b) / 2
-    cheb = cheb_from_monomial(affine_compose(exact, QC(half), QC(mid)))
+    cheb = cheb_from_monomial(affine_compose(coeffs, QC(half), QC(mid)))
     return np.array([c.to_complex() for c in cheb])
 
 
@@ -188,7 +292,7 @@ def exterior_series(K, depth: int) -> GradedLaurent:
         return GradedLaurent(1, depth, (QC(1 / r), c0) + (_QC_ZERO,) * depth)
     if K.kind == "custom":
         t = K.map_tail
-        return GradedLaurent(1, t.M, (t.lead, t.c0) + t.tail).truncated(depth)
+        return GradedLaurent(1, t.M, qc_values(t.ints)).truncated(depth)
     if not (K.a == -1.0 and K.b == 1.0):
         raise DomainError("series form only available for the segment [-1, 1]")
     # z + sqrt(z^2-1) = 2z - (1/2)/z - (1/8)/z^3 - ...
@@ -210,7 +314,7 @@ def to_faber_basis(K, coeffs) -> np.ndarray:
     polys = faber_polys(K, d)
     out = [QC(0)] * (d + 1)
     for n in range(d, 0, -1):
-        fe = polys[n].exact
+        fe = exact(polys[n])
         a_n = work[n] / fe[-1]
         out[n] = a_n
         for k in range(n + 1):

@@ -85,6 +85,44 @@ class TestExteriorCoordinate:
         assert K.psi_coeffs == {k: 1024 * c
                                 for k, c in small.psi_coeffs.items()}
 
+    @pytest.mark.filterwarnings("error")
+    def test_segment_length_must_be_finite(self):
+        """b - a of segment(-1e308, 1e308) overflows: its gamma was 0.0 and
+        its psi_coeffs held inf.  It is refused, naming the ends."""
+        with pytest.raises(DomainError, match=r"\[-1e\+308, 1e\+308\]"):
+            fb.segment(-1e308, 1e308)
+        assert fb.segment(-0.8e308, 0.8e308).gamma == pytest.approx(2.5e-308)
+
+    @pytest.mark.filterwarnings("error")
+    def test_abs_faber_on_k_near_double_max(self):
+        """|F_n| on K forms the affine variable as phi does, through the
+        midpoint; 2 z - a - b overflowed and chebval warned (invalid
+        value).  Each value is that of the segment 2^10 times smaller."""
+        K = fb.segment(1e308, 1.7e308)
+        small = fb.segment(1e308 / 1024, 1.7e308 / 1024)
+        for n in (0, 1, 3, 8):
+            for z in (1e308, 1.5e308, 1.7e308):
+                assert (K.abs_faber_on_k(n, z)
+                        == small.abs_faber_on_k(n, z / 1024)), (n, z)
+        assert K.abs_faber_on_k(1, 1.7e308) == 2.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["seg", "udisc", "custom_spec"])
+    @pytest.mark.parametrize("z", [complex(math.inf, 0.0),
+                                   complex(0.5, math.nan),
+                                   complex(3.0, -math.inf)],
+                             ids=["inf", "nan", "-inf-imag"])
+    def test_phi_refuses_non_finite_point(self, kind, z, request):
+        """phi(segment(-1, 1), inf) was nan+nanj after a RuntimeWarning,
+        and a custom map called inf a point of K.  phi, and so green,
+        refuse a non-finite point, as the contour routes do."""
+        K = request.getfixturevalue(kind)
+        for arg in (z, np.array([3.0 + 1j, z])):
+            with pytest.raises(DomainError, match="finite"):
+                fb.phi(K, arg)
+            with pytest.raises(DomainError, match="finite"):
+                fb.green(K, arg)
+
     def test_green_is_log_modulus(self, seg, custom_spec):
         for K in (seg, custom_spec):
             z = fb.psi(K, 2.0 * np.exp(0.7j))

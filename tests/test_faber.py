@@ -27,11 +27,13 @@ from faberbohr.errors import (
     ReconstructionMismatch,
     WrongKind,
 )
-from faberbohr.series import QC
 from series_reference import (
+    QC,
     affine_compose,
     cheb_view,
+    exact,
     exterior_series,
+    gauss_ints,
     laurent_pow,
     qc_horner,
     split_parts_exact,
@@ -65,7 +67,7 @@ class TestSegmentConstruction:
         polys = fb.faber_polys(seg, 24)
         for n in range(1, 25):
             ref = _cheb_exact(n)
-            got = polys[n].exact
+            got = exact(polys[n])
             assert len(got) == n + 1
             for qc, c in zip(got, ref):
                 assert qc.im == 0
@@ -114,12 +116,12 @@ class TestSegmentConstruction:
         transform (affine change of variable, then monomial to Chebyshev)."""
         class TwoStep:   # exposes the reference view to sup_norm
             def __init__(self, p):
-                self.cheb_floats = lambda a, b: cheb_view(p.exact, a, b)
+                self.cheb_floats = lambda a, b: cheb_view(exact(p), a, b)
 
         S = fb.segment(a, b)
         polys = fb.faber_polys(make(), 24)
         for p in polys:
-            got, want = p.cheb_floats(a, b), cheb_view(p.exact, a, b)
+            got, want = p.cheb_floats(a, b), cheb_view(exact(p), a, b)
             assert got.tobytes() == want.tobytes(), p.n
         for n in (0, 1, 7, 24):
             assert (float(fb.sup_norm(polys[n], S))
@@ -177,7 +179,7 @@ class TestExactRoute:
         K = make()
         polys = fb.faber_polys(K, N)
         for n, ref in enumerate(_series_route(K, N)):
-            assert polys[n].exact == ref
+            assert exact(polys[n]) == ref
         for n in range(N):
             assert fb.faber_poly(K, n) is polys[n]
 
@@ -192,9 +194,9 @@ class TestExactRoute:
         result equals a family built in one call."""
         K = make()
         counts = []
-        exact = type(K).faber_exact
+        build = type(K).faber_exact
         monkeypatch.setattr(type(K), "faber_exact", lambda self, *args: (
-            counts.append(len(out := list(exact(self, *args)))) or out))
+            counts.append(len(out := list(build(self, *args)))) or out))
         fb.faber_polys(K, steps[0])
         for n in steps[1:]:
             fb.faber_poly(K, n)
@@ -202,8 +204,8 @@ class TestExactRoute:
         if built is not None:
             assert sum(counts) == built
         once = fb.faber_polys(make(), steps[-1])
-        assert ([p.exact for p in fb.faber_polys(K, steps[-1])]
-                == [p.exact for p in once])
+        assert ([exact(p) for p in fb.faber_polys(K, steps[-1])]
+                == [exact(p) for p in once])
 
 
 @pytest.mark.parametrize("make", [lambda: fb.segment(-1e-300, 1e-300),
@@ -216,11 +218,11 @@ def test_overflowing_family_fails_at_first_bad_member(make, monkeypatch):
     pulled = []
 
     def lazy(self, *args):
-        members = exact(self, *args)
+        members = build(self, *args)
         assert iter(members) is members, "faber_exact built a whole family"
         return (pulled.append(t) or t for t in members)
 
-    exact = type(K).faber_exact
+    build = type(K).faber_exact
     monkeypatch.setattr(type(K), "faber_exact", lazy)
     with pytest.raises(DomainError, match="coefficients of F_2 overflow"):
         fb.faber_polys(K, 300)
@@ -246,11 +248,22 @@ class TestDiscConstruction:
             assert np.array_equal(polys[n].coeffs, want)
 
 
+# 3/2 z + (1/3 - i/7) + (1/7)/z + (i/3)/z^2 - (2/21)/z^3 over D = 42
+FRACTION_MAP = (42, (63, 14, 6, 0, -4), (0, -6, 0, 14, 0))
+
+
 def _fraction_map():
-    """A map with non-dyadic exact coefficients (thirds and sevenths)."""
-    return fb.custom(fb.LaurentTail.build(
-        Fraction(3, 2), QC(Fraction(1, 3), Fraction(-1, 7)),
-        (Fraction(1, 7), QC(0, Fraction(1, 3)), Fraction(-2, 21))))
+    """A map with non-dyadic exact coefficients (thirds and sevenths),
+    given as its Gaussian-int triple."""
+    return fb.custom(fb.LaurentTail(FRACTION_MAP))
+
+
+def test_fraction_map_triple():
+    """The triple of the fraction map is the one of its QC coefficients."""
+    D, re, im = gauss_ints([
+        QC(Fraction(3, 2)), QC(Fraction(1, 3), Fraction(-1, 7)),
+        QC(Fraction(1, 7)), QC(0, Fraction(1, 3)), QC(Fraction(-2, 21))])
+    assert FRACTION_MAP == (D, tuple(re), tuple(im))
 
 
 KERNEL_CONTINUA = {
@@ -304,7 +317,7 @@ def _residual_reference(K, p, n, w):
     winv = wq.inverse()
     mid = QC((Fraction(K.a) + Fraction(K.b)) / 2)
     quarter = QC((Fraction(K.b) - Fraction(K.a)) / 4)
-    lhs = qc_horner(p.exact, mid + quarter * (wq + winv))
+    lhs = qc_horner(exact(p), mid + quarter * (wq + winv))
     wn, wninv = QC(1), QC(1)
     for _ in range(n):
         wn, wninv = wn * wq, wninv * winv
@@ -322,7 +335,7 @@ class TestIntegerKernel:
         polys = fb.faber_polys(K, KERNEL_N)
         for z in KERNEL_POINTS + _on_k(K):
             for p in (polys[n] for n in KERNEL_NS):
-                want = _outcome(lambda: qc_horner(p.exact,
+                want = _outcome(lambda: qc_horner(exact(p),
                                                   QC.of(complex(z))).to_complex())
                 assert _outcome(lambda: p.eval_exact(z)) == want, (p.n, z)
 
@@ -332,7 +345,7 @@ class TestIntegerKernel:
     @settings(max_examples=100, deadline=None)
     def test_eval_exact_property(self, name, n, z):
         p = fb.faber_poly(_kernel_continuum(name), n)
-        want = _outcome(lambda: qc_horner(p.exact,
+        want = _outcome(lambda: qc_horner(exact(p),
                                           QC.of(complex(z))).to_complex())
         assert _outcome(lambda: p.eval_exact(z)) == want
 
@@ -806,6 +819,8 @@ class TestIdentitiesAndNorms:
     def test_target_identity_guards(self, seg, udisc):
         with pytest.raises(DomainError):
             fb.target_identity_residual(seg, 0, 2.0)
+        with pytest.raises(DomainError, match="w != 0"):
+            fb.target_identity_residual(seg, 3, 0j)
         with pytest.raises(WrongKind):
             fb.target_identity_residual(udisc, 3, 2.0)
 

@@ -1,7 +1,11 @@
-"""Exact arithmetic: QC, and the Laurent-series route the tests compare to."""
+"""Exact arithmetic: map data, the QC reference and the Laurent-series
+route the tests compare to."""
 
+import ast
 import importlib
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +14,14 @@ from hypothesis import strategies as st
 
 import faberbohr as fb
 from faberbohr.errors import DomainError
-from faberbohr.series import QC, _gauss_horner
+from faberbohr.series import _gauss_horner
 from series_reference import (
+    QC,
     GradedLaurent,
+    _sqrt_binomials,
     exterior_series,
     gauss_horner,
+    gauss_ints,
     laurent_mul,
     laurent_pow,
     qc_horner,
@@ -65,6 +72,102 @@ class TestQC:
     def test_map_from_non_finite_float(self, args):
         with pytest.raises(DomainError, match="finite"):
             fb.custom(fb.LaurentTail.build(*args))
+
+
+_EXACT_NUMBERS = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(max_denominator=10 ** 12),
+    st.complex_numbers(allow_nan=False, allow_infinity=False))
+
+
+def _reference_triple(values) -> tuple:
+    """The reduced triple of QC values, with tuples for numerators."""
+    D, re_, im = gauss_ints(values)
+    return D, tuple(re_), tuple(im)
+
+
+class TestMapTriple:
+    """LaurentTail holds its map as one reduced Gaussian-int triple; it
+    must be the triple of the map's QC coefficients."""
+
+    @given(st.lists(_EXACT_NUMBERS, min_size=2, max_size=7), _EXACT_NUMBERS,
+           st.floats(1.0, 1e6, exclude_min=True))
+    @settings(max_examples=200, deadline=None)
+    def test_build_and_scaled_match_qc_reference(self, values, factor, R):
+        t = fb.LaurentTail.build(values[0], values[1], values[2:])
+        qcs = [QC.of(v) for v in values]
+        assert t.ints == _reference_triple(qcs)
+        assert t.M == len(values) - 2
+        for f in (factor, 1 / Fraction(R)):
+            assert t.scaled(f).ints == _reference_triple(
+                [q * QC.of(f) for q in qcs])
+
+    @given(st.lists(_EXACT_NUMBERS, min_size=1, max_size=5),
+           st.floats(1e-300, 1e300))
+    @settings(max_examples=100, deadline=None)
+    def test_float_views_match_qc_reference(self, tail, lead):
+        """gamma and the complex coefficients of a custom map are
+        float(Fraction) of the QC values, bit for bit."""
+        K = fb.custom(fb.LaurentTail.build(lead, tail[0], tail[1:]))
+        assert K.gamma == float(Fraction(lead))
+        lead_c, c0, rest = K._complex
+        want = [QC.of(v).to_complex() for v in [lead] + tail]
+        assert [lead_c, c0] + rest.tolist() == want
+
+    @pytest.mark.parametrize("lead", [0, -1.5, Fraction(-1, 3), 1j,
+                                      2 + 1e-300j, -2 + 0j])
+    def test_custom_refuses_lead(self, lead):
+        with pytest.raises(DomainError, match="real positive leading"):
+            fb.custom(fb.LaurentTail.build(lead, 0, (0.1,)))
+
+    def test_triple_is_reduced(self):
+        t = fb.LaurentTail((12, [6, 0, 4], [0, 2, 0]))
+        assert t.ints == (6, (3, 0, 2), (0, 1, 0))
+        assert t == fb.LaurentTail.build(3, 1j, (2,)).scaled(Fraction(1, 6))
+
+    @pytest.mark.parametrize("ints", [(0, [1, 0], [0, 0]),
+                                      (1, [1], [0]), (1, [1, 0], [0])])
+    def test_malformed_triple_is_refused(self, ints):
+        with pytest.raises(DomainError, match="map data"):
+            fb.LaurentTail(ints)
+
+    def test_segment_closure_tail_matches_binomial_reference(self):
+        """The Catalan-number tail of the [-1, 1] closure is the sqrt
+        binomial series z + sqrt(z^2 - 1) = 2z + sum b_j z^(1-2j),
+        exactly, for every depth 0-96."""
+        for depth in range(97):
+            b = _sqrt_binomials(depth // 2 + 1)
+            tail = [QC(b[(k + 1) // 2] if k % 2 else 0)
+                    for k in range(1, depth + 1)]
+            for R in (2.0, 1.3):
+                f = QC(1 / Fraction(R))
+                want = _reference_triple([QC(2) * f, QC(0)]
+                                         + [t * f for t in tail])
+                got = fb.scaled_closure(fb.segment(), R, depth).map_tail
+                assert got.ints == want, (depth, R)
+
+
+def test_one_exact_format_in_src():
+    """No module of the package names QC, and only the input conversion
+    of LaurentTail in series.py (the fractions import, _fraction,
+    _triple and build) names Fraction: every exact quantity of the
+    library is a Gaussian-int triple."""
+    src = Path(fb.__file__).parent
+    tree = ast.parse((src / "series.py").read_text())
+    allowed = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                or isinstance(node, ast.FunctionDef)
+                and node.name in ("_fraction", "_triple", "build")):
+            allowed.update(range(node.lineno, node.end_lineno + 1))
+    bad = []
+    for path in sorted(src.glob("*.py")):
+        for i, line in enumerate(path.read_text().splitlines(), 1):
+            if re.search(r"\bQC\b", line) or ("Fraction" in line and not (
+                    path.name == "series.py" and i in allowed)):
+                bad.append(f"{path.name}:{i}: {line.strip()}")
+    assert bad == []
 
 
 class TestSegmentSeries:
