@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .continua import (
     DEFAULT_SAMPLES,
     ContinuumSpec,

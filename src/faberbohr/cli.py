@@ -23,6 +23,11 @@ Exit codes: 0 success, 2 bad arguments or input, 3 contour mismatch,
 
 All output for a fixed command line (including ``--seed``) is
 byte-identical between runs.
+
+A command imports only what it runs: ``bohr`` and ``estimates`` are
+imported inside their commands, and numpy is loaded on first use (see
+``_lazy``), so ``faber`` without ``--check-contour`` runs on Python
+ints and floats alone.
 """
 
 from __future__ import annotations
@@ -30,18 +35,11 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 
-import numpy as np
-
-from .bohr import (
-    KAPTANOGLU_SADIK_ECCENTRICITY,
-    KAPTANOGLU_SADIK_RADIUS,
-    BoundedFamily,
-    bohr_verify,
-    segment_bohr_radius,
-)
+from ._lazy import np
 from .continua import (
     ContinuumSpec,
     custom,
@@ -52,7 +50,6 @@ from .continua import (
     segment,
 )
 from .errors import DomainError, FaberBohrError
-from .estimates import margins_csv, thm31_conditions
 from .faber import contour_values, faber_coeffs, faber_polys
 from .series import LaurentTail
 
@@ -191,13 +188,13 @@ def _cmd_faber(args, K: ContinuumSpec) -> int:
     elif args.output == "csv":
         lines = ["n,k,re,im"]
         for p in polys:
-            for k, c in enumerate(p.coeffs):
+            for k, c in enumerate(p.doubles):
                 lines.append("%d,%d,%.17g,%.17g" % (p.n, k, c.real, c.imag))
         print("\n".join(lines))
     else:
         print(f"Faber polynomials of {K.describe()}, ascending coefficients")
         for p in polys:
-            body = ", ".join(_ctext(c) for c in p.coeffs)
+            body = ", ".join(_ctext(c) for c in p.doubles)
             print(f"F_{p.n}: {body}")
         if check is not None:
             tag = "OK" if status == 0 else "MISMATCH"
@@ -227,6 +224,12 @@ def _cmd_levelset(args, K: ContinuumSpec) -> int:
 
 
 def _cmd_bohr_radius(args) -> int:
+    from .bohr import (
+        KAPTANOGLU_SADIK_ECCENTRICITY,
+        KAPTANOGLU_SADIK_RADIUS,
+        segment_bohr_radius,
+    )
+
     res = segment_bohr_radius(args.tol)
     if args.output == "json":
         _jprint({
@@ -257,6 +260,8 @@ def _cmd_bohr_radius(args) -> int:
 
 
 def _cmd_verify(args, K: ContinuumSpec) -> int:
+    from .bohr import BoundedFamily, bohr_verify
+
     sweep = _parse_sweep(args.sweep)
     if sweep is None and args.sweep is None and args.family == "moebius":
         sweep = (0.8, 0.99)
@@ -286,6 +291,8 @@ def _cmd_verify(args, K: ContinuumSpec) -> int:
 
 
 def _cmd_estimates(args, K: ContinuumSpec) -> int:
+    from .estimates import thm31_conditions
+
     rep = thm31_conditions(K, args.R, eps0=args.eps0, n_max=args.n_max,
                            m=args.samples)
     if args.output == "json":
@@ -470,7 +477,7 @@ def main(argv=None) -> int:
                 f"--samples must be a positive integer; got {args.samples}")
         for flag in ("R", "r"):
             value = getattr(args, flag, 0.0)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise DomainError(f"--{flag} must be finite; got {value}")
         if args.cmd == "bohr-radius":
             status = _cmd_bohr_radius(args)

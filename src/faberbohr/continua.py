@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from math import comb
 from typing import ClassVar
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (
     DomainError,
     FaberBohrError,
@@ -373,7 +373,8 @@ class CustomSpec(ContinuumSpec):
     @property
     def gamma(self) -> float:
         """Derivative of the exterior map at infinity (real positive)."""
-        return self._complex[0].real
+        D, re, _ = self.map_tail.ints
+        return re[0] / D
 
     def describe(self) -> str:
         return f"custom(gamma={self.gamma}, depth={self.map_tail.M})"
@@ -561,7 +562,7 @@ def _check_level(R, message: str, floor: float = 1.0) -> None:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _check_contour(r, m, dps=None, ns=()) -> None:

@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import np
 from .bohr import basis_norm
 from .continua import (
     ContinuumSpec,

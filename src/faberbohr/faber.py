@@ -27,8 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .continua import (
     ContinuumSpec,
     _check_contour,
@@ -71,18 +70,24 @@ _LEVEL_SLACK = 1e-12
 class FaberPoly:
     """Monomial coefficients of one Faber polynomial, plus exact views.
 
-    coeffs is ascending [c_0, ..., c_n]; the leading coefficient equals
-    gamma**n.  ints holds the same coefficients exactly, as the triple
-    (D, re, im): c_k = (re[k] + i im[k])/D with Python-int numerators,
-    which is what makes stable evaluation on segments possible at
-    degrees where the monomial form is hopeless in doubles.
+    doubles is ascending (c_0, ..., c_n) as Python complex values, and
+    coeffs the same values as an array, built on first use; the leading
+    coefficient equals gamma**n.  ints holds the same coefficients
+    exactly, as the triple (D, re, im): c_k = (re[k] + i im[k])/D with
+    Python-int numerators, which is what makes stable evaluation on
+    segments possible at degrees where the monomial form is hopeless in
+    doubles.
     """
 
     n: int
-    coeffs: np.ndarray
+    doubles: tuple
     gamma_n: complex
     ints: tuple = field(repr=False)
     _cheb: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @functools.cached_property
+    def coeffs(self) -> np.ndarray:
+        return np.array(self.doubles, dtype=complex)
 
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
@@ -137,7 +142,7 @@ class FaberPoly:
         return {
             "n": self.n,
             "gamma": [self.gamma_n.real, self.gamma_n.imag],
-            "coeffs": [[c.real, c.imag] for c in self.coeffs],
+            "coeffs": [[c.real, c.imag] for c in self.doubles],
         }
 
 
@@ -149,13 +154,11 @@ def _make_poly(ints) -> FaberPoly:
     coefficient is gamma^n.  Each double is one int/int true division."""
     D, re, im = ints
     try:
-        arr = np.array([complex(x / D, y / D) for x, y in zip(re, im)],
-                       dtype=complex)
+        cs = tuple([complex(x / D, y / D) for x, y in zip(re, im)])
     except OverflowError:
         raise DomainError(f"coefficients of F_{len(re) - 1} overflow double "
                           "precision") from None
-    return FaberPoly(n=len(re) - 1, coeffs=arr, gamma_n=complex(arr[-1]),
-                     ints=ints)
+    return FaberPoly(n=len(re) - 1, doubles=cs, gamma_n=cs[-1], ints=ints)
 
 
 def faber_polys(K: ContinuumSpec, N: int):

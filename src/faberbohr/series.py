@@ -26,6 +26,7 @@ each double is the exact value correctly rounded.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +40,9 @@ def _not_finite(x) -> DomainError:
 
 
 def _fraction(x) -> Fraction:
-    if not isinstance(x, (int, float, Fraction)):
+    if isinstance(x, numbers.Integral):   # NumPy integers too
+        return Fraction(int(x))
+    if not isinstance(x, (float, Fraction)):
         raise TypeError(f"cannot represent {type(x).__name__} exactly")
     try:   # Fraction(float) is exact, not a decimal approximation
         return Fraction(x)
@@ -48,8 +51,8 @@ def _fraction(x) -> Fraction:
 
 
 def _triple(values) -> tuple:
-    """(D, re, im) with values[k] == (re[k] + i im[k])/D for int, float,
-    Fraction or complex values; D is the least common denominator."""
+    """(D, re, im) with values[k] == (re[k] + i im[k])/D for integer,
+    float, Fraction or complex values; D is the least common denominator."""
     parts = [_fraction(x) for v in values
              for x in ((v.real, v.imag) if isinstance(v, complex) else (v, 0))]
     D = math.lcm(*(q.denominator for q in parts))

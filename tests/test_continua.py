@@ -321,6 +321,16 @@ def test_fractional_node_count_is_refused(seg, gate, m):
         _NODE_COUNT_GATES[gate](seg, m)
 
 
+def test_numpy_integer_counts_pass_the_gates(seg):
+    """NumPy integers are integers to every count gate, on both routes."""
+    for dps in (None, 20):
+        got = fb.contour_values(seg, [np.int64(2)], [0.3], 2.0,
+                                m=np.int64(64),
+                                dps=None if dps is None else np.int32(dps))
+        want = fb.contour_values(seg, [2], [0.3], 2.0, m=64, dps=dps)
+        assert np.array_equal(got, want)
+
+
 _PRECISION_GATES = {
     "contour_values": lambda K, dps: fb.contour_values(K, [1], [0.3], 2.0,
                                                        m=64, dps=dps),

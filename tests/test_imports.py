@@ -1,0 +1,154 @@
+"""What a command imports: numpy on first use, layer modules when needed.
+
+Each check that depends on what is already imported runs in a fresh
+interpreter, since the test process itself has numpy and every layer
+module loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import faberbohr as fb
+
+DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# a module counts as loaded once its body has run: until then a lazy
+# module is an instance of a ModuleType subclass
+_PRELUDE = """
+import json, sys, types
+
+def loaded(name):
+    return type(sys.modules.get(name)) is types.ModuleType
+
+def numpy_submodules():
+    return sorted(n for n in sys.modules if n.startswith("numpy."))
+"""
+
+_GOLDEN_FABER = [
+    ("segment_canonical", "segment:-1,1"),
+    ("segment_dyadic", "segment:-0.5,2"),
+    ("disc_dyadic", "disc:0.5,-0.25,1.5"),
+    ("custom_readme", f"custom:@{DATA / 'readme_map.json'}"),
+    ("segment_full_mantissa", "segment:-1.2345678901234567,2.718281828459045"),
+]
+_GOLDEN_CONTOUR = [
+    ("segment_canonical", "segment:-1,1"),
+    ("custom_readme", f"custom:@{DATA / 'readme_map.json'}"),
+]
+
+
+def _fresh(code: str) -> dict:
+    """Run _PRELUDE + code in a new interpreter; it prints one JSON line."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _PRELUDE + code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _run_cli(runs: dict) -> str:
+    """Code that runs main() on each {key: argv} and reports rc and stdout."""
+    return f"""
+import contextlib, io
+from faberbohr.cli import main
+
+out = {{}}
+for key, argv in {runs!r}.items():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    out[key] = [rc, buf.getvalue()]
+"""
+
+
+def test_cli_import_leaves_bohr_estimates_and_numpy_unloaded():
+    got = _fresh("""
+import faberbohr.cli
+print(json.dumps({"loaded": [n for n in ("faberbohr.bohr",
+                                         "faberbohr.estimates", "numpy")
+                             if loaded(n)],
+                  "numpy": numpy_submodules()}))
+""")
+    assert got == {"loaded": [], "numpy": []}
+
+
+def test_exact_faber_runs_without_numpy():
+    """The golden faber commands, and degree 64 on a segment, a disc and
+    a custom map in every format, load no numpy and print the same."""
+    runs = {f"{name}.{output}": ["--continuum", continuum, "--output", output,
+                                 "faber", "--n-max", "12"]
+            for name, continuum in _GOLDEN_FABER
+            for output in ("text", "json", "csv")}
+    continua = dict(_GOLDEN_FABER)
+    for name in ("segment_canonical", "disc_dyadic", "custom_readme"):
+        for output in ("text", "json", "csv"):
+            runs[f"{name}.{output}.64"] = [
+                "--continuum", continua[name], "--output", output, "faber",
+                "--n-max", "64"]
+    got = _fresh(_run_cli(runs) + """
+print(json.dumps({"out": out, "numpy": loaded("numpy"),
+                  "submodules": numpy_submodules()}))
+""")
+    assert not got["numpy"] and got["submodules"] == []
+    for key, (rc, text) in got["out"].items():
+        assert rc == 0, key
+        if not key.endswith(".64"):
+            assert text.encode() == (DATA / f"faber_{key}").read_bytes(), key
+    assert all(len(got["out"][k][1]) > 10_000 for k in got["out"]
+               if k.endswith(".64"))
+
+
+def test_contour_check_loads_numpy_and_matches():
+    runs = {name: ["--continuum", continuum, "--output", "json", "faber",
+                   "--n-max", "16", "--check-contour"]
+            for name, continuum in _GOLDEN_CONTOUR}
+    got = _fresh(_run_cli(runs) + """
+print(json.dumps({"out": out, "numpy": loaded("numpy")}))
+""")
+    assert got["numpy"]
+    for name, (rc, text) in got["out"].items():
+        assert rc == 0
+        assert text.encode() == (DATA / f"faber_contour_{name}.json").read_bytes()
+
+
+def test_numpy_imported_after_the_package_works():
+    got = _fresh("""
+import faberbohr
+import numpy
+print(json.dumps({"norm": float(numpy.linalg.norm([3, 4])),
+                  "same": numpy is faberbohr._lazy.np}))
+""")
+    assert got == {"norm": 5.0, "same": True}
+
+
+def test_numpy_imported_first_is_the_packages_np():
+    got = _fresh("""
+import numpy
+import faberbohr.cli
+from faberbohr import _lazy
+print(json.dumps({"same": _lazy.np is numpy, "loaded": loaded("numpy")}))
+""")
+    assert got == {"same": True, "loaded": True}
+
+
+def test_star_import_binds_every_export():
+    ns = {}
+    exec("from faberbohr import *", ns)
+    assert set(fb.__all__) <= set(ns)
+    for name in fb.__all__:
+        home = sys.modules[f"faberbohr.{fb._HOME[name]}"]
+        assert ns[name] is getattr(home, name), name
+    assert set(fb.__all__) <= set(dir(fb))
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    assert not hasattr(fb, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fb.no_such_name

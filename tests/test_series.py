@@ -121,6 +121,18 @@ class TestMapTriple:
         with pytest.raises(DomainError, match="real positive leading"):
             fb.custom(fb.LaurentTail.build(lead, 0, (0.1,)))
 
+    def test_numpy_integers_are_exact(self):
+        """A NumPy integer is an exact integer: an int64 scalar, and a map
+        whose tail is an int64 array, give the triple of Python ints."""
+        assert (fb.LaurentTail.build(np.int64(2)).ints
+                == fb.LaurentTail.build(2).ints)
+        tail = np.array([5, 0, -7, 2 ** 62], dtype=np.int64)
+        assert (fb.LaurentTail.build(np.int64(3), np.uint64(2 ** 64 - 1),
+                                     tail).ints
+                == fb.LaurentTail.build(3, 2 ** 64 - 1, tail.tolist()).ints)
+        t = fb.LaurentTail.build(2, 0.5, (1j,))
+        assert t.scaled(np.int64(-3)).ints == t.scaled(-3).ints
+
     def test_triple_is_reduced(self):
         t = fb.LaurentTail((12, [6, 0, 4], [0, 2, 0]))
         assert t.ints == (6, (3, 0, 2), (0, 1, 0))
@@ -167,6 +179,24 @@ def test_one_exact_format_in_src():
             if re.search(r"\bQC\b", line) or ("Fraction" in line and not (
                     path.name == "series.py" and i in allowed)):
                 bad.append(f"{path.name}:{i}: {line.strip()}")
+    assert bad == []
+
+
+def test_no_numpy_import_in_src():
+    """Modules of the package bind np from _lazy: on Python <= 3.11 an
+    `import numpy` statement loads the lazy module at once, so one such
+    statement would put numpy back on the path of every command."""
+    bad = []
+    for path in sorted(Path(fb.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                bad.append(f"{path.name}:{node.lineno}")
     assert bad == []
 
 
