@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -751,7 +752,11 @@ def _laurent_distance(K: ContinuumSpec, z: complex, r: float) -> float:
     the angles of all its roots and at the angle 0, which stands in
     when P is constant (the centre of a disc) and np.roots finds none.
     The a_k are scaled by a power of two first, so |g|^2 neither
-    underflows nor overflows whatever the size of K.
+    underflows nor overflows whatever the size of K.  The j p_j are
+    scaled again, since p_j can be subnormal when z is near the centre
+    of a disc, and entries still below the least normal double are
+    dropped: np.roots divides by the leading one, and the reciprocal of
+    a subnormal overflows.
     """
     c = K.psi_coeffs
     lo, hi = min(c), max(c)
@@ -765,7 +770,11 @@ def _laurent_distance(K: ContinuumSpec, z: complex, r: float) -> float:
                   for x in a])
     p = np.convolve(a, a[::-1].conj())   # p[j + L] = p_j
     L = hi - lo
-    roots = np.roots((np.arange(-L, L + 1) * p)[::-1])
+    q = np.arange(-L, L + 1) * p
+    e = math.frexp(float(np.abs(q).max()))[1]
+    q = np.ldexp(q.view(float), -e).view(complex)
+    q[np.abs(q) < sys.float_info.min] = 0.0
+    roots = np.roots(q[::-1])
     t = np.append(np.angle(roots), 0.0)
     return float(np.min(np.abs(psi(K, r * np.exp(1j * t)) - z)))
 

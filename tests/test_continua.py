@@ -436,6 +436,21 @@ class TestClosedFormDistance:
         assert d <= grid.min() + 1e-14 * scale
         assert abs(d - _sampled_distance(K, z, r, 1024)) <= 1e-12 * max(1.0, d)
 
+    @pytest.mark.parametrize("K, z", [
+        (fb.disc(0j, 1.0), 1.1125369292536007e-308),
+        (fb.disc(0j, 1.0), 5e-324),
+        (fb.disc(0j, 1e300), 1e-20),
+        (fb.segment(-1.0, 1.0), 1e160),
+    ], ids=["disc-subnormal", "disc-least", "disc-huge", "segment-far"])
+    def test_extreme_offsets(self, K, z):
+        """A point next to a disc's centre, or far from a segment, makes
+        products of the a_k subnormal; the distance is still the grid
+        minimum, with no overflow inside np.roots."""
+        d = fb.dist_to_level(K, z, 2.0)
+        pts = np.asarray(fb.psi(K, 2.0 * np.exp(2j * np.pi * np.arange(4096)
+                                                / 4096)))
+        assert d == pytest.approx(np.abs(pts - z).min(), rel=1e-12)
+
 
 def _refine_distances(K, zs, sign, fallback=False, m=64):
     """Extremal distance from each zs[i] to the level curve at 2, one row each."""
