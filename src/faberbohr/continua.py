@@ -9,7 +9,10 @@ A continuum K here is one of
   g*z + g0 + g1/z + ... (the map is the definition of the set).
 
 Each kind is one frozen subclass of ContinuumSpec (DiscSpec,
-SegmentSpec, CustomSpec) that holds all of its math.
+SegmentSpec, CustomSpec) that holds all of its math.  Segments and
+discs state psi once, exactly (psi_map); their Faber families, float
+psi coefficients and high-precision nodes derive from it.  A custom
+continuum is defined by phi; its Faber polynomials power phi.
 
 The exterior map phi sends the complement of K onto {|w| > 1} with
 phi(inf) = inf and real positive derivative at infinity.  Level sets
@@ -27,7 +30,6 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from math import comb
 from typing import ClassVar
 
 from ._lazy import np
@@ -71,22 +73,21 @@ class ContinuumSpec:
     """Immutable description of a continuum; build via disc/segment/custom.
 
     Each kind is one frozen subclass holding all of its math: gamma,
-    describe(), membership, phi, psi, psi', the scaled closure,
-    exact Faber coefficients, the pullback F_n(psi(w)), |F_n| on K,
-    sup_K |F_n| in closed form (faber_sup, None where it is sampled),
-    the coefficients of psi where it is a finite Laurent polynomial
-    (psi_coeffs, which gives distances to level curves in closed form),
-    the boundary path of sup_norm, a disc holding each level curve and
-    the high-precision contour nodes.  The module functions validate
-    input and delegate.  The members defined here work for any exterior
-    map; segments and discs override them with closed forms.
+    describe(), membership, phi, psi, psi', the scaled closure, the
+    pullback F_n(psi(w)), |F_n| on K, sup_K |F_n| in closed form
+    (faber_sup, None where sampled), the boundary path of sup_norm and
+    a disc holding each level curve.  Segments and discs state psi once,
+    exactly, as psi_map; the members here derive their exact Faber
+    families from it by one recurrence, and psi_coeffs (closed-form
+    level distances) and the high-precision nodes.  Custom maps power
+    phi.  The module functions validate input and delegate.
     """
 
     kind: ClassVar[str]
     faber_sup: ClassVar[float | None] = None
-    # {k: c_k} with psi(w) = sum c_k w^k where psi is a finite Laurent
-    # polynomial, else None (psi is found by Newton's method)
-    psi_coeffs: ClassVar[dict | None] = None
+    # psi as an exact LaurentTail c w + b_0 + b_1/w + ... + b_M/w^M where
+    # it is one, else None (psi is found by Newton's method)
+    psi_map: ClassVar[LaurentTail | None] = None
 
     @cached_property
     def _memo(self) -> dict:
@@ -94,10 +95,54 @@ class ContinuumSpec:
         field) so that it is freed with it."""
         return {}
 
+    @cached_property
+    def psi_coeffs(self) -> dict | None:
+        """{k: c_k}, psi(w) = sum c_k w^k, psi_map rounded once, or None."""
+        if self.psi_map is None:
+            return None
+        D, re, im = self.psi_map.ints
+        return {1 - i: complex(x / D, y / D)
+                for i, (x, y) in enumerate(zip(re, im))}
+
     @property
     def capacity(self) -> float:
         """Logarithmic capacity, the reciprocal of gamma."""
         return 1.0 / self.gamma
+
+    def faber_exact(self, N: int, have: tuple = ()):
+        """(D, re, im) of F_k, ..., F_N, k = len(have), one at a time.
+
+        With psi_map = (C w + B_0 + sum_j B_j w^-j)/E, C real, the
+        generating function psi'(w)/(psi(w) - z) = sum F_n(z) w^(-n-1)
+        gives F_n = P_n/C^n, P_0 = 1 and, B_j = 0 for j > M,
+        P_(n+1) = (E z - B_0) P_n - sum_(j=1..n) B_j C^j P_(n-j) - n B_n C^n
+        (Curtiss, Amer. Math. Monthly 78, 1971), in Gaussian ints with no
+        gcd; it resumes from the last M + 1 members in have.
+        """
+        E, re, im = self.psi_map.ints
+        C, M = re[0], len(re) - 2
+        BC = [(x * C ** j, y * C ** j)   # B_j C^j
+              for j, (x, y) in enumerate(zip(re[1:], im[1:]))]
+        P = [(r, i) for _, r, i in have[-M - 1:]]
+        if not P:
+            P = [([1], [0])]
+            yield 1, [1], [0]
+        start = max(len(have), 1) - 1   # P holds P_(start-M), ..., P_start
+        Cn = C ** start
+        for n in range(start, N):
+            xr, xi = P[-1]
+            nr, ni = [0] + [E * x for x in xr], [0] + [E * y for y in xi]
+            for (br, bi), (xr, xi) in zip(BC, reversed(P)):   # P_(n-j)
+                if br or bi:
+                    L = len(xr)
+                    nr[:L] = [a - br * x + bi * y for a, x, y in zip(nr, xr, xi)]
+                    ni[:L] = [a - br * y - bi * x for a, x, y in zip(ni, xr, xi)]
+            if 1 <= n <= M:
+                nr[0] -= n * re[n + 1] * Cn
+                ni[0] -= n * im[n + 1] * Cn
+            Cn *= C
+            P = (P + [(nr, ni)])[-M - 1:]
+            yield Cn, nr, ni
 
     def pullback(self, ns, w: np.ndarray) -> np.ndarray:
         """Matrix of F_n(psi(w)), rows indexed by ns, columns by w."""
@@ -139,10 +184,30 @@ class ContinuumSpec:
 
     def mp_nodes(self, ws):
         """(c, psi - c, psi') at the mpmath nodes ws, in the current
-        precision, with c the kind's centre; relative nodes keep their
-        digits however far K lies from 0."""
-        raise FaberBohrError("high-precision contour is implemented for "
-                             "segment and disc continua only")
+        precision, with c = b_0, the kind's centre.  Each coefficient of
+        psi_map is read exactly and rounded once to that precision, and
+        relative nodes keep their digits however far K lies from 0."""
+        if self.psi_map is None:
+            raise FaberBohrError("high-precision contour is implemented for "
+                                 "segment and disc continua only")
+        from mpmath import mp
+        from mpmath.libmp import from_rational
+
+        D, re, im = self.psi_map.ints
+        prec, rnd = mp._prec_rounding
+        lead, c, *tail = [mp.make_mpc((from_rational(x, D, prec, rnd),
+                                       from_rational(y, D, prec, rnd)))
+                          for x, y in zip(re, im)]
+        ts, dpsi = [], []
+        for w in ws:
+            t, dt = lead * w, lead
+            if tail:
+                u = 1 / w
+                t += sum(b * u ** k for k, b in enumerate(tail, 1))
+                dt -= sum(k * b * u ** (k + 1) for k, b in enumerate(tail, 1))
+            ts.append(t)
+            dpsi.append(dt)
+        return c, ts, dpsi
 
 
 @dataclass(frozen=True)
@@ -169,9 +234,10 @@ class DiscSpec(ContinuumSpec):
     def _phi(self, z):
         return (z - self.center) / self.radius
 
-    @property
-    def psi_coeffs(self) -> dict:
-        return {0: self.center, 1: self.radius}
+    @cached_property
+    def psi_map(self) -> LaurentTail:
+        """psi(w) = radius w + center, exactly."""
+        return LaurentTail.build(self.radius, self.center)
 
     def _psi(self, w):
         return self.center + self.radius * w
@@ -181,33 +247,6 @@ class DiscSpec(ContinuumSpec):
 
     def _closure(self, R: float, depth: int) -> ContinuumSpec:
         return disc(self.center, self.radius * R)
-
-    def faber_exact(self, N: int, have: tuple = ()):
-        """(D, re, im) of phi^k, ..., phi^N, k = len(have), one at a time.
-
-        With -c = (X + iY)/e and r = p/q, the z^j coefficient of phi^n
-        is C(n, j) (X + iY)^(n-j) e^j q^n over D = (p e)^n, less the
-        power of two D shares with every numerator (a shift, not a gcd).
-        """
-        X, Y, e = _dyadic(-self.center)
-        p, q = self.radius.as_integer_ratio()
-        xs, ys = [1], [0]   # (X + iY)^k
-        for _ in range(N):
-            x, y = xs[-1], ys[-1]
-            xs.append(x * X - y * Y)
-            ys.append(x * Y + y * X)
-        for n in range(len(have), N + 1):
-            D, re, im, c = (p * e) ** n, [], [], q ** n
-            for j in range(n + 1):
-                t = comb(n, j) * c
-                re.append(t * xs[n - j])
-                im.append(t * ys[n - j])
-                c *= e
-            low = D
-            for x in re + im:
-                low |= x
-            s = (low & -low).bit_length() - 1
-            yield D >> s, [x >> s for x in re], [y >> s for y in im]
 
     def pullback(self, ns, w: np.ndarray) -> np.ndarray:
         return w[None, :] ** np.asarray(ns, dtype=float)[:, None]
@@ -221,13 +260,6 @@ class DiscSpec(ContinuumSpec):
 
     def level_disc(self, R: float, m: int) -> tuple:
         return self.center, self.radius * R
-
-    def mp_nodes(self, ws):
-        from mpmath import mp, mpc
-
-        c = mpc(self.center.real, self.center.imag)
-        r = mp.mpf(repr(self.radius))
-        return c, [r * w for w in ws], [r] * len(ws)
 
 
 @dataclass(frozen=True)
@@ -249,11 +281,15 @@ class SegmentSpec(ContinuumSpec):
         return self.a == -1.0 and self.b == 1.0
 
     @cached_property
+    def psi_map(self) -> LaurentTail:
+        """psi(w) = (b - a)/4 (w + 1/w) + (a + b)/2, exactly."""
+        A, B, S = _dyadic(complex(self.a, self.b))   # a = A/S, b = B/S
+        return LaurentTail((4 * S, (B - A, 2 * (A + B), B - A), (0, 0, 0)))
+
+    @property
     def _mid(self) -> float:
-        """(a + b)/2, correctly rounded: 0.5 (a + b) where a + b is a
-        double, else 0.5 a + 0.5 b, which is then exact term by term."""
-        s = self.a + self.b
-        return 0.5 * s if math.isfinite(s) else 0.5 * self.a + 0.5 * self.b
+        """(a + b)/2, correctly rounded."""
+        return self.psi_coeffs[0].real
 
     def describe(self) -> str:
         return f"segment([{self.a}, {self.b}])"
@@ -279,11 +315,6 @@ class SegmentSpec(ContinuumSpec):
         w2 = u - s
         return np.where(np.abs(w1) >= np.abs(w2), w1, w2)
 
-    @property
-    def psi_coeffs(self) -> dict:
-        q = 0.25 * (self.b - self.a)
-        return {-1: q, 0: self._mid, 1: q}
-
     def _psi(self, w):
         return self._mid + 0.25 * (self.b - self.a) * (w + 1.0 / w)
 
@@ -306,33 +337,6 @@ class SegmentSpec(ContinuumSpec):
         tail = LaurentTail((4 ** J, re, [0] * len(re)))
         return custom(tail.scaled(1 / _fraction(R)))
 
-    def faber_exact(self, N: int, have: tuple = ()):
-        """(D, re, im) of F_k, ..., F_N, k = len(have), one at a time.
-
-        With u = (p z + q)/d, F_0 = 1 and F_n = 2 T_n(u) = 2 P_n/d^n,
-        where P_{n+1} = 2 (p z + q) P_n - d^2 P_{n-1}; D stays d^n, so
-        the recurrence continues from the last two members in have.
-        """
-        A, B, S = _dyadic(complex(self.a, self.b))   # a = A/S, b = B/S
-        g = math.gcd(2 * S, A + B, B - A)
-        p, q, d = 2 * S // g, -(A + B) // g, (B - A) // g
-        k = len(have)
-        if k < 3:
-            start, prev, cur = 1, [1], [q, p]   # P_0, P_1
-            yield from [(1, [1], [0]), (d, [2 * q, 2 * p], [0, 0])][k:N + 1]
-        else:   # P_{k-2}, P_{k-1} = numerators of F_{k-2}, F_{k-1} over 2
-            start = k - 1
-            prev, cur = ([c // 2 for c in f[1]] for f in have[-2:])
-        dn, d2 = d ** start, d * d
-        for _ in range(start, N):
-            nxt = [2 * q * c for c in cur] + [0]
-            for j, c in enumerate(cur):
-                nxt[j + 1] += 2 * p * c
-            for j, c in enumerate(prev):
-                nxt[j] -= d2 * c
-            prev, cur, dn = cur, nxt, dn * d
-            yield dn, [2 * c for c in cur], [0] * len(cur)
-
     def pullback(self, ns, w: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns)
         P = w[None, :] ** ns.astype(float)[:, None]
@@ -354,14 +358,6 @@ class SegmentSpec(ContinuumSpec):
 
     def level_disc(self, R: float, m: int) -> tuple:
         return self._mid, 0.25 * (self.b - self.a) * (R + 1.0 / R)
-
-    def mp_nodes(self, ws):
-        from mpmath import mp
-
-        mid = (mp.mpf(repr(self.a)) + mp.mpf(repr(self.b))) / 2
-        quarter = (mp.mpf(repr(self.b)) - mp.mpf(repr(self.a))) / 4
-        return (mid, [quarter * (w + 1 / w) for w in ws],
-                [quarter * (1 - 1 / (w * w)) for w in ws])
 
 
 @dataclass(frozen=True)

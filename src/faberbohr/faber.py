@@ -5,10 +5,9 @@ n-th power of its exterior map; the remainder (the principal part) is
 what the polynomial misses, and it vanishes at infinity.  Two
 independent routes are implemented and kept separate on purpose:
 
-* the exact route, one construction per kind, each yielding Gaussian-int
-  numerators over one denominator: the Chebyshev recurrence on segments
-  (F_n = 2 T_n of the affine variable), the binomial form on discs and
-  powers of the map tail on custom continua; faber_polys memoises one
+* the exact route in Gaussian-int numerators over one denominator:
+  one generating-function recurrence on the exact psi of segments and
+  discs, powers of phi on custom continua; faber_polys memoises one
   family per continuum, faber_poly reads F_n from it, and exact
   evaluation is Horner's rule in Gaussian ints, rounded once,
 * the contour route, a Cauchy-type integral over a level curve
@@ -164,11 +163,11 @@ def _make_poly(ints) -> FaberPoly:
 def faber_polys(K: ContinuumSpec, N: int):
     """Faber polynomials F_0, ..., F_N of K, exact, from one memoised family.
 
-    The family comes from the exact construction of K's kind
-    (faber_exact): the Chebyshev recurrence on segments, the binomial
-    form on discs and powers of the map tail on custom continua, all in
-    Gaussian ints.  Each member keeps its coefficients as integer
-    numerators over one denominator (ints), which eval_exact runs on.
+    The family comes from K.faber_exact, in Gaussian ints: one
+    generating-function recurrence on the exact psi_map of segments and
+    discs, powers of the map tail of phi on custom continua.  Each member
+    keeps its coefficients as integer numerators over one denominator
+    (ints), which eval_exact runs on.
     Members are converted to doubles as they are built, so a family
     whose F_n overflows fails at F_n.  The longest family built so far
     is kept on K; a longer request builds only the new members on
@@ -618,11 +617,11 @@ def target_identity_residual(K: ContinuumSpec, n: int, w) -> float:
 
     Both sides grow like |w|**n, far past the absolute resolution of
     doubles, so the residual is assembled exactly and only then rounded.
-    With w = (X + iY)/d, s = X^2 + Y^2, 1/w = d (X - iY)/s and the
-    ends a = A/S, b = B/S, the point z = psi(w) = mid + quarter
-    (w + 1/w) is a Gaussian int over dz = 4 S d s, reduced by one gcd,
-    and F_n(z) comes from the integer kernel over D dz^n.  With
-    U = (X + iY)^n, w^n + w^-n = (U s^n + d^2n conj(U))/(d^n s^n).  The
+    With w = (X + iY)/d, s = X^2 + Y^2, 1/w = d (X - iY)/s and psi_map
+    (C w + B_0 + C/w)/E, the point z = psi(w) is a Gaussian int over
+    dz = E d s, reduced by one gcd, and F_n(z) comes from the integer
+    kernel over D dz^n.  With U = (X + iY)^n,
+    w^n + w^-n = (U s^n + d^2n conj(U))/(d^n s^n).  The
     difference and its squared modulus are integers over one
     denominator, rounded once.
     """
@@ -633,10 +632,10 @@ def target_identity_residual(K: ContinuumSpec, n: int, w) -> float:
     x, y, d = _dyadic(complex(w))
     if not (x or y):
         raise DomainError("the identity is stated for w != 0")
-    A, B, S = _dyadic(complex(K.a, K.b))
+    E, (C, B0, _), _ = K.psi_map.ints
     s, d2 = x * x + y * y, d * d
-    zr = 2 * (A + B) * d * s + (B - A) * x * (s + d2)
-    zi, dz = (B - A) * y * (s - d2), 4 * S * d * s
+    zr = B0 * d * s + C * x * (s + d2)
+    zi, dz = C * y * (s - d2), E * d * s
     g = math.gcd(zr, zi, dz)
     ar, ai, da = _gauss_horner(*faber_poly(K, n).ints, zr // g, zi // g,
                                dz // g)

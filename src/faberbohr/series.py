@@ -96,15 +96,15 @@ def _gauss_horner(D: int, re, im, X: int, Y: int, d: int) -> tuple:
 
 @dataclass(frozen=True)
 class LaurentTail:
-    """Exterior map data g = lead*z + c0 + t_1/z + ... + t_M/z**M, exact.
+    """A finite Laurent map g = lead*z + c0 + t_1/z + ... + t_M/z**M, exact.
 
     ints is the Gaussian-int triple (D, re, im) of lead, c0, t_1, ...,
     t_M in that order: entry i, the coefficient of z^(1 - i), is
     (re[i] + i im[i])/D.  It is kept reduced, D > 0 sharing no factor
     with all the numerators, so equal maps have equal triples.  M, the
-    stored depth, is the number of tail terms.  A continuum given by
-    such a map is, by definition, the one whose exterior map is this
-    finite Laurent polynomial.
+    stored depth, is the number of tail terms.  It holds the phi that
+    defines a custom continuum, and the psi of a segment or a disc, in
+    the variable w (ContinuumSpec.psi_map).
     """
 
     ints: tuple

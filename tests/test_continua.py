@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import faberbohr as fb
@@ -19,6 +19,7 @@ from faberbohr.errors import (
     NonConvergent,
     PointInsideK,
 )
+from series_reference import QC, qc_values
 
 SQ3 = math.sqrt(3.0)
 
@@ -139,6 +140,72 @@ class TestExteriorCoordinate:
             fd = (fb.psi(K, w + h) - fb.psi(K, w - h)) / (2 * h)
             assert complex(fb.psi_prime(K, w)) == pytest.approx(
                 complex(fd), rel=1e-6)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# segments and discs at the edges of double range: ends and sums that
+# overflow, subnormal fields
+_EXTREME = [("segment", 1e308, 1.7e308), ("segment", -0.8e308, 0.8e308),
+            ("segment", -5e-324, 5e-324), ("segment", 5e-324, 1.5e-323),
+            ("segment", -1e-300, 1e-300),
+            ("disc", complex(1e308, -1.7e308), 1.7e308),
+            ("disc", complex(-5e-324, 1e-323), 5e-324)]
+
+
+@st.composite
+def _psi_continua(draw):
+    """A segment or a disc with full-mantissa fields drawn from the whole
+    double range, or one of the extreme continua."""
+    kind, x, y = draw(st.one_of(
+        st.sampled_from(_EXTREME),
+        st.tuples(st.just("segment"), _FINITE, _FINITE),
+        st.tuples(st.just("disc"), st.complex_numbers(allow_nan=False,
+                                                      allow_infinity=False),
+                  st.floats(5e-324, 1.7e308))))
+    if kind == "disc":
+        return fb.disc(x, y)
+    assume(x < y and math.isfinite(y - x))
+    return fb.segment(x, y)
+
+
+def _laurent_mul(p: dict, q: dict) -> dict:
+    out = {}
+    for i, x in p.items():
+        for j, y in q.items():
+            out[i + j] = out.get(i + j, QC(0)) + x * y
+    return out
+
+
+class TestExactPsi:
+    @settings(max_examples=40, deadline=None)
+    @given(_psi_continua())
+    def test_psi_is_stated_once(self, K):
+        """psi_map is psi built here from Fractions of the fields;
+        psi_coeffs equal, as doubles, the float forms 0.25 (b - a), the
+        midpoint 0.5 (a + b) (0.5 a + 0.5 b where a + b overflows),
+        center and radius (the exact map has no signed zero, so a -0.0
+        of a disc centre reads +0.0); and F_n(psi(w)), n <= 10, composed
+        here with Fractions, has polynomial part exactly w^n."""
+        if K.kind == "segment":
+            a, b = Fraction(K.a), Fraction(K.b)
+            want = {1: QC((b - a) / 4), 0: QC((a + b) / 2),
+                    -1: QC((b - a) / 4)}
+            q, s = 0.25 * (K.b - K.a), K.a + K.b
+            floats = {1: q, -1: q, 0: (0.5 * s if math.isfinite(s)
+                                       else 0.5 * K.a + 0.5 * K.b)}
+        else:
+            want = {1: QC(Fraction(K.radius)), 0: QC.of(K.center)}
+            floats = {1: K.radius, 0: K.center}
+        stated = qc_values(K.psi_map.ints)
+        assert dict(zip(range(1, -len(stated), -1), stated)) == want
+        assert K.psi_coeffs == floats
+        for n, ints in enumerate(K.faber_exact(10)):
+            comp = {}   # F_n(psi(w)) by Horner's rule
+            for c in reversed(qc_values(ints)):
+                comp = _laurent_mul(comp, want)
+                comp[0] = comp.get(0, QC(0)) + c
+            assert {k: v for k, v in comp.items()
+                    if k >= 0 and not v.is_zero()} == {n: QC(1)}
 
 
 class TestLevelGeometry:

@@ -173,8 +173,11 @@ class TestExactRoute:
          24),   # the custom_spec fixture
         (_three_term_map, 24),
         (lambda: _fraction_map(), 24),   # non-dyadic exact tail
+        (lambda: fb.segment(0.1, 0.7), 12),   # b - a is not a double
+        (lambda: fb.disc(1e10 - 3j, 1e-5), 12),   # far off 0, and small
     ], ids=["segment", "segment-full-mantissa", "disc", "readme-map",
-            "custom-fixture", "three-term-map", "fraction-map"])
+            "custom-fixture", "three-term-map", "fraction-map",
+            "segment-inexact-width", "disc-far-small"])
     def test_equals_series_route(self, make, N):
         K = make()
         polys = fb.faber_polys(K, N)
@@ -187,7 +190,13 @@ class TestExactRoute:
         (lambda: fb.segment(*FULL_MANTISSA), (24, 28, 34, 40), 41),
         (lambda: fb.disc(0.3 + 0.1j, 0.7), (24, 28, 34, 40), 41),
         (_three_term_map, (8, 10, 12), None),   # truncation depends on N
-    ], ids=["segment", "disc", "custom"])
+        # resumed from fewer than the M + 1 members the recurrence reads
+        (lambda: fb.segment(*FULL_MANTISSA), (0, 1, 2, 5), 6),
+        (lambda: fb.segment(*FULL_MANTISSA), (1, 2, 4), 5),
+        (lambda: fb.disc(0.3 + 0.1j, 0.7), (0, 1, 3), 4),
+        (lambda: fb.disc(0.3 + 0.1j, 0.7), (1, 2, 4), 5),
+    ], ids=["segment", "disc", "custom", "segment-from-0", "segment-from-1",
+            "disc-from-0", "disc-from-1"])
     def test_extension_builds_only_new_members(self, make, steps, built,
                                                monkeypatch):
         """Extending the family builds the new members only, and the
@@ -557,6 +566,23 @@ class TestContourMp:
         again = fb.contour_values(K, self.NS, zs, r, m=256, dps=30)
         assert np.array_equal(again, got)
         assert calls == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: fb.segment(0.1, 0.7),
+        lambda: fb.disc(0.1 + 0.2j, 0.3),
+    ], ids=["segment", "disc"])
+    def test_nodes_read_the_continuum_exactly(self, make):
+        """At dps=60 the route gives F_n(z), n <= 20, to 1e-30 relative
+        at seven points psi(1.05 e^(it)).  The nodes were built from the
+        decimal reprs of the fields, that is of another continuum: the
+        values were off by 1.3e-14 on this segment, 8.3e-16 on this disc."""
+        K = make()
+        zs = fb.psi(K, 1.05 * np.exp(1j * (0.4 + 0.9 * np.arange(7))))
+        ns = list(range(21))
+        got = fb.contour_values(K, ns, zs, 1.5, m=512, dps=60)
+        polys = fb.faber_polys(K, 20)
+        ref = np.array([[polys[n].eval_exact(z) for z in zs] for n in ns])
+        assert np.all(np.abs(got - ref) <= 1e-30 * np.abs(ref))
 
     # dyadic points x inside the r = 2 level of [-1, 1] and of the unit
     # disc, so that centre + size * x is exact for the continua below
