@@ -85,15 +85,15 @@ class BohrReport:
 def basis_norm(K: ContinuumSpec, n: int, up_to: int | None = None) -> float:
     """sup over K of |F_n|; the index-0 norm is 1.
 
-    Exact where the kind has a closed form (2 on segments, 1 on discs);
-    otherwise sampled on the boundary like sup_norm and kept on K in one
-    list of norms, which a miss extends to max(n, up_to) in one batched
-    sample-and-refine pass.
+    1 + |rho|^n where K.rho is known, the sup of |w^n + rho^n w^-n| on
+    |w| = 1 (2 on segments, 1 on discs); otherwise sampled on the
+    boundary like sup_norm and kept on K in one list of norms, which a
+    miss extends to max(n, up_to) in one batched sample-and-refine pass.
     """
     if n == 0:
         return 1.0
-    if K.faber_sup is not None:
-        return K.faber_sup
+    if K.rho is not None:
+        return 1.0 + abs(K.rho) ** n
     norms = K._memo.setdefault("norms", [1.0])
     if n >= len(norms):
         polys = faber_polys(K, max(n, up_to or 0))[len(norms):]
@@ -118,6 +118,8 @@ def bohr_sum(f: FaberSeries, K: ContinuumSpec | None = None) -> BohrReport:
     terms = np.array([abs(a) * basis_norm(K, n, up_to=f.N)
                       for n, a in enumerate(f.coeffs)])
     total = float(np.sum(terms))
+    if not math.isfinite(total):
+        raise DomainError(f"Bohr sum {total} is not finite")
     return BohrReport(sum=total, terms=terms, slack=1.0 - total,
                       verdict="Holds" if total < 1.0 else "Violated",
                       K=K, R=f.R)
@@ -243,7 +245,7 @@ def coeff_bound_check(f: FaberSeries, R: float | None = None,
 
 def _check_bound_pre(f: FaberSeries, R: float, mode: str, samples: int):
     if mode == "bohr" and f.cert_sup is not None:
-        if f.cert_sup >= 1.0:
+        if not f.cert_sup < 1.0:
             raise PreconditionViolated(
                 f"certified sup {f.cert_sup} is not below 1", value=f.cert_sup)
         return
@@ -253,14 +255,14 @@ def _check_bound_pre(f: FaberSeries, R: float, mode: str, samples: int):
     if mode == "bohr":
         j = int(np.argmax(np.abs(vals)))
         worst = float(np.abs(vals[j]))
-        if worst > 1.0 + 1e-9:
+        if not worst <= 1.0 + 1e-9:
             raise PreconditionViolated("sampled modulus exceeds 1",
                                        point=complex(psi(f.K, w[j])),
                                        value=worst)
     else:
         j = int(np.argmin(vals.real))
         worst = float(vals[j].real)
-        if worst < -1e-9:
+        if not worst >= -1e-9:
             raise PreconditionViolated("sampled real part dips below 0",
                                        point=complex(psi(f.K, w[j])),
                                        value=worst)
@@ -370,7 +372,7 @@ def _extract_members(fn, sups, K: ContinuumSpec, R: float,
         factor = 1.0 if s_raw <= target else target / s_raw
         series = faber_coeffs(fn(z_ext, i), K, r_ext, family.n_coeffs)
         cert = s_raw * factor
-        if cert >= 1.0:
+        if not cert < 1.0:
             raise CertificationFailed(
                 f"{label}: certified sup {cert} is not below 1")
         out.append(FaberSeries(K=K, R=float(R), coeffs=series.coeffs * factor,
@@ -409,7 +411,7 @@ def _certified(K: ContinuumSpec, R: float, coeffs: list, name: str) -> list:
     out = []
     for i, (a, cert) in enumerate(zip(coeffs,
                                       _series_sups(K, R, coeffs).tolist())):
-        if cert >= 1.0:
+        if not cert < 1.0:
             raise CertificationFailed(
                 f"{name}[{i}]: certified sup {cert} is not below 1")
         out.append(FaberSeries(K=K, R=float(R), coeffs=a, cert_sup=cert,

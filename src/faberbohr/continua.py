@@ -11,8 +11,8 @@ A continuum K here is one of
 Each kind is one frozen subclass of ContinuumSpec (DiscSpec,
 SegmentSpec, CustomSpec) that holds all of its math.  Segments and
 discs state psi once, exactly (psi_map); their Faber families, float
-psi coefficients and high-precision nodes derive from it.  A custom
-continuum is defined by phi; its Faber polynomials power phi.
+psi coefficients, high-precision nodes and rho derive from it.  A
+custom continuum is defined by phi; its Faber polynomials power phi.
 
 The exterior map phi sends the complement of K onto {|w| > 1} with
 phi(inf) = inf and real positive derivative at infinity.  Level sets
@@ -74,17 +74,19 @@ class ContinuumSpec:
 
     Each kind is one frozen subclass holding all of its math: gamma,
     describe(), membership, phi, psi, psi', the scaled closure, the
-    pullback F_n(psi(w)), |F_n| on K, sup_K |F_n| in closed form
-    (faber_sup, None where sampled), the boundary path of sup_norm and
-    a disc holding each level curve.  Segments and discs state psi once,
-    exactly, as psi_map; the members here derive their exact Faber
-    families from it by one recurrence, and psi_coeffs (closed-form
-    level distances) and the high-precision nodes.  Custom maps power
-    phi.  The module functions validate input and delegate.
+    boundary path of sup_norm and a disc holding each level curve.
+    Segments and discs state psi once, exactly, as psi_map; the members
+    here derive from it their exact Faber families (one recurrence),
+    psi_coeffs (closed-form level distances), the high-precision nodes
+    and rho = b_1/c of psi(w) = c w + b_0 + b_1/w: 1 on a segment, 0
+    on a disc.  F_n(psi(w)) = w^n + rho^n w^-n for n >= 1, its one
+    Grunsky term (Pommerenke, Univalent Functions, 1975), gives the
+    pullback, sup_K |F_n| = 1 + |rho|^n and phi^n - F_n = -(rho/phi)^n.
+    Custom maps power phi.  The module functions validate input and
+    delegate.
     """
 
     kind: ClassVar[str]
-    faber_sup: ClassVar[float | None] = None
     # psi as an exact LaurentTail c w + b_0 + b_1/w + ... + b_M/w^M where
     # it is one, else None (psi is found by Newton's method)
     psi_map: ClassVar[LaurentTail | None] = None
@@ -144,21 +146,38 @@ class ContinuumSpec:
             P = (P + [(nr, ni)])[-M - 1:]
             yield Cn, nr, ni
 
+    @cached_property
+    def rho(self) -> complex | None:
+        """b_1/c of psi_map = c w + b_0 + b_1/w, rounded once (0 with no
+        b_1), or None: custom maps and longer tails."""
+        if self.psi_map is None or self.psi_map.M > 1:
+            return None
+        _, (c, _, *x), (_, _, *y) = self.psi_map.ints
+        return complex(x[0] / c, y[0] / c) if x else 0j
+
     def pullback(self, ns, w: np.ndarray) -> np.ndarray:
-        """Matrix of F_n(psi(w)), rows indexed by ns, columns by w."""
-        from .faber import faber_polys   # faber imports this module
+        """Matrix of F_n(psi(w)), rows indexed by ns, columns by w:
+        w^n + rho^n w^-n (row n = 0 is 1) where rho is known, else the
+        Faber polynomials at psi(w); DomainError beyond double range."""
+        ns = np.asarray(ns)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.rho is None:
+                from .faber import faber_polys   # faber imports this module
 
-        polys = faber_polys(self, int(max(ns)))
-        C = np.zeros((len(polys), len(ns)), dtype=complex)
-        for i, n in enumerate(ns):
-            C[: n + 1, i] = polys[n].coeffs
-        return np.polynomial.polynomial.polyval(psi(self, w), C)
-
-    def abs_faber_on_k(self, n: int, z: complex) -> float:
-        """|F_n(z)| for a point z of K."""
-        from .faber import faber_poly
-
-        return abs(faber_poly(self, n).eval_exact(z))
+                polys = faber_polys(self, int(max(ns)))
+                C = np.zeros((len(polys), len(ns)), dtype=complex)
+                for i, n in enumerate(ns):
+                    C[: n + 1, i] = polys[n].coeffs
+                V = np.polynomial.polynomial.polyval(psi(self, w), C)
+            else:
+                V = w[None, :] ** ns.astype(float)[:, None]
+                if self.rho:
+                    V = V + (self.rho ** ns)[:, None] / V
+                    V[ns == 0] = 1.0
+        if not np.isfinite(V.view(float)).all():
+            raise DomainError(f"F_n(psi(w)) on {self.describe()} leaves "
+                              "double range")
+        return V
 
     def _boundary(self, t):
         """Boundary angle -> points of K's boundary, as psi just outside |w| = 1."""
@@ -169,11 +188,14 @@ class ContinuumSpec:
         return lambda t: _eval_on_values(p, self._boundary(t))
 
     def level_disc(self, R: float, m: int) -> tuple:
-        """Centre c and radius s with |z - c| <= s on {|phi| = R}.
-
-        Here the centroid of m level points and the sampled, refined
-        largest distance from it.
+        """Centre z0 and radius s with |z - z0| <= s on {|phi| = R}: b_0
+        and |c| (R + |rho|/R) where rho is known, else the centroid of m
+        level points and the sampled, refined largest distance from it.
         """
+        if self.rho is not None:
+            c = self.psi_coeffs
+            return c[0], abs(c[1]) * (R + abs(self.rho) / R)
+
         def dist(t):
             return np.abs(psi(self, R * np.exp(1j * t)) - zc)
 
@@ -217,7 +239,6 @@ class DiscSpec(ContinuumSpec):
     center: complex
     radius: float
     kind = "disc"
-    faber_sup = 1.0   # F_n = phi^n
 
     @property
     def gamma(self) -> float:
@@ -248,18 +269,9 @@ class DiscSpec(ContinuumSpec):
     def _closure(self, R: float, depth: int) -> ContinuumSpec:
         return disc(self.center, self.radius * R)
 
-    def pullback(self, ns, w: np.ndarray) -> np.ndarray:
-        return w[None, :] ** np.asarray(ns, dtype=float)[:, None]
-
-    def abs_faber_on_k(self, n: int, z: complex) -> float:
-        return abs((z - self.center) / self.radius) ** n
-
     def _boundary_path(self, p):
         return lambda t: _eval_on_values(p, self.center
                                          + self.radius * np.exp(1j * t))
-
-    def level_disc(self, R: float, m: int) -> tuple:
-        return self.center, self.radius * R
 
 
 @dataclass(frozen=True)
@@ -269,7 +281,6 @@ class SegmentSpec(ContinuumSpec):
     a: float
     b: float
     kind = "segment"
-    faber_sup = 2.0   # F_n = 2 T_n of the affine variable
 
     @property
     def gamma(self) -> float:
@@ -301,15 +312,12 @@ class SegmentSpec(ContinuumSpec):
             d = min(abs(z - self.a), abs(z - self.b))
         return d <= MEMBERSHIP_TOL
 
-    def _u(self, z):
-        """The affine variable (2z - a - b)/(b - a) of [-1, 1]."""
-        if abs(self.a) + abs(self.b) < 1.0:   # halving these ends may round
-            return (2.0 * z - (self.a + self.b)) / (self.b - self.a)
-        # the same u, but neither 2z nor a + b can overflow
-        return (z - self._mid) / (0.5 * (self.b - self.a))
-
     def _phi(self, z):
-        u = self._u(z)
+        """u + sqrt(u^2 - 1), u = (2z - a - b)/(b - a), with |phi| >= 1."""
+        if abs(self.a) + abs(self.b) < 1.0:   # halving these ends may round
+            u = (2.0 * z - (self.a + self.b)) / (self.b - self.a)
+        else:   # the same u, but neither 2z nor a + b can overflow
+            u = (z - self._mid) / (0.5 * (self.b - self.a))
         s = np.sqrt(u * u - 1.0)
         w1 = u + s
         w2 = u - s
@@ -337,27 +345,12 @@ class SegmentSpec(ContinuumSpec):
         tail = LaurentTail((4 ** J, re, [0] * len(re)))
         return custom(tail.scaled(1 / _fraction(R)))
 
-    def pullback(self, ns, w: np.ndarray) -> np.ndarray:
-        ns = np.asarray(ns)
-        P = w[None, :] ** ns.astype(float)[:, None]
-        V = P + 1.0 / P
-        V[ns == 0] = 1.0
-        return V
-
-    def abs_faber_on_k(self, n: int, z: complex) -> float:
-        cheb = [0.0] * n + [2.0] if n else [1.0]
-        return float(abs(np.polynomial.chebyshev.chebval(self._u(z.real),
-                                                         cheb)))
-
     def _boundary_path(self, p):
         if hasattr(p, "cheb_floats"):
             cheb = p.cheb_floats(self.a, self.b)
             return lambda t: np.polynomial.chebyshev.chebval(np.cos(t), cheb)
         mid, half = self._mid, 0.5 * (self.b - self.a)
         return lambda t: _eval_on_values(p, mid + half * np.cos(t))
-
-    def level_disc(self, R: float, m: int) -> tuple:
-        return self._mid, 0.25 * (self.b - self.a) * (R + 1.0 / R)
 
 
 @dataclass(frozen=True)
@@ -515,14 +508,17 @@ def phi(K: ContinuumSpec, z):
 
 
 def psi(K: ContinuumSpec, w):
-    """Inverse of the exterior map, defined for |w| > 1."""
+    """Inverse of the exterior map, |w| > 1; DomainError past double range."""
     arr = np.asarray(w, dtype=complex)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if np.any(np.abs(arr) <= 1.0):
         bad = arr[np.abs(arr) <= 1.0][0]
         raise InsideUnitDisc(f"psi is defined for |w| > 1, got {bad}")
-    z = K._psi(arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = K._psi(arr)
+    if not np.isfinite(z).all():
+        raise DomainError(f"psi on {K.describe()} leaves double range")
     return complex(z[0]) if scalar else z
 
 

@@ -45,7 +45,7 @@ from .errors import (
     NotOnLevel,
     PointOutsideK,
 )
-from .faber import faber_remainder
+from .faber import faber_poly, faber_remainder
 
 __all__ = [
     "EstimateContext",
@@ -150,8 +150,8 @@ def make_context(K: ContinuumSpec, r: float, R: float, a=None,
 def _fn_at(K: ContinuumSpec, ns, z: complex) -> np.ndarray:
     """F_n at a point of the exterior for each n in ns, through w = phi(z).
 
-    The segment and disc pullbacks w^n + w^-n and w^n are exact
-    identities and keep full relative accuracy at magnitudes R^n where
+    Where rho is known the pullback w^n + rho^n w^-n is an exact
+    identity and keeps full relative accuracy at magnitudes R^n where
     the monomial form has none.
     """
     return K.pullback(ns, np.array([phi(K, complex(z))]))[:, 0]
@@ -169,8 +169,9 @@ class EnBound(NamedTuple):
 def en_bound(ctx: EstimateContext, n: int, z) -> EnBound:
     """Remainder size against r^n * length / distance at an exterior point.
 
-    The normalised bound divides by 2 pi and is the one the tests
-    assert; actual <= normalized_bound <= paper_bound.
+    actual is |faber_remainder|, exactly |rho/phi(z)|^n where rho is
+    known.  The normalised bound divides by 2 pi and is the one the
+    tests assert; actual <= normalized_bound <= paper_bound.
     """
     z = complex(z)
     actual = abs(faber_remainder(ctx.K, n, z, ctx.r, ctx.m))
@@ -227,14 +228,15 @@ class FkBound(NamedTuple):
 
 
 def fk_bound(ctx: EstimateContext, n: int, z) -> FkBound:
-    """|F_n| on K itself against the r^n * length / distance envelope."""
+    """|F_n(z)| on K, exact and rounded once, against the r^n * length /
+    distance envelope."""
     z = complex(z)
     if not contains(ctx.K, z):
         raise PointOutsideK(f"{z} does not lie on {ctx.K.describe()}")
     d = dist_to_level(ctx.K, z, ctx.r, ctx.m)
     paper = ctx.r ** n * ctx.lg_r / d
     return FkBound(paper_bound=paper, normalized_bound=paper / _TWO_PI,
-                   actual=ctx.K.abs_faber_on_k(n, z))
+                   actual=abs(faber_poly(ctx.K, n).eval_exact(z)))
 
 
 # ---------------------------------------------------------------------------

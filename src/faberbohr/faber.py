@@ -34,6 +34,7 @@ from .continua import (
     _check_points,
     contains,
     green,
+    phi,
     psi,
     psi_prime,
 )
@@ -494,14 +495,17 @@ def faber_remainder(K: ContinuumSpec, n: int, z, r: float, m: int = 1024,
                     dps: int | None = None) -> complex:
     """Remainder phi^n - F_n at a point outside the level curve.
 
-    Same integrand, normalisation and gates as faber_contour; the
-    orientation of the residue count flips the sign for exterior points.
+    Same gates as faber_contour.  Where K.rho is known it is
+    -(rho/phi(z))^n, 0 at n = 0, with no contour; otherwise the contour
+    integral of faber_contour, its sign flipped for exterior points.
     """
     z = _check_faber_call(n, z, r, m, dps)
     if contains(K, z) or green(K, z) <= np.log(r) + _LEVEL_SLACK:
         raise PointInsideLevel(
             f"z={z} is not outside the level curve at r={r}")
-    return -complex(contour_values(K, [n], [z], r, m=m, dps=dps)[0, 0])
+    if K.rho is None:
+        return -complex(contour_values(K, [n], [z], r, m=m, dps=dps)[0, 0])
+    return -(K.rho / phi(K, z)) ** n if n and K.rho else 0j
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +541,8 @@ class FaberSeries:
     def eval_w(self, w):
         """Evaluate through the target coordinate w = phi(z).
 
-        Each basis term is the pullback F_n(psi(w)) of the continuum's
-        kind: w^n + w^-n on segments, w^n on discs.
+        Each basis term is the pullback F_n(psi(w)) of the continuum,
+        w^n + rho^n w^-n where rho is known (ContinuumSpec.pullback).
         """
         w = np.asarray(w, dtype=complex)
         ns = np.flatnonzero(self.coeffs)
@@ -550,13 +554,6 @@ class FaberSeries:
     def scaled(self, factor: complex) -> "FaberSeries":
         cert = None if self.cert_sup is None else self.cert_sup * abs(factor)
         return FaberSeries(self.K, self.R, self.coeffs * factor, cert, self.label)
-
-    def rotated_nonneg(self) -> "FaberSeries":
-        """Multiply by a unimodular constant so the constant term is >= 0."""
-        a0 = self.coeffs[0]
-        if a0 == 0:
-            return self
-        return self.scaled(abs(a0) / a0)
 
     def to_json_dict(self) -> dict:
         return {

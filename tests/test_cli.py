@@ -264,6 +264,26 @@ class TestFailureModes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "double range" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ("--continuum", "segment:1e308,1.7e308", "verify", "--R", "4",
+         "--count", "3"),
+        ("verify", "--R", "1e20", "--family", "faber_series", "--count", "3"),
+        ("--continuum", "segment:1e308,1.7e308", "levelset", "--R", "4"),
+        ("--continuum", "segment:1e308,1.7e308", "estimates", "--R", "8"),
+    ], ids=["verify-psi", "verify-pullback", "levelset", "estimates"])
+    def test_values_beyond_double_range_are_refused(self, capsys, argv):
+        """The level curve of segment(1e308, 1.7e308) at R = 4 leaves
+        double range, and so does F_24 at |w| = 1e20: the first campaign
+        reported NaN sums as violations (exit 4), the second NaN
+        certificates as no violation (exit 0), each after RuntimeWarnings.
+        Each command exits 2 with one error line and no warning."""
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "double range" in err
+
     def test_missing_custom_file(self, capsys):
         rc, _, err = run(capsys, "--continuum", "custom:@/nonexistent.json",
                          "faber")

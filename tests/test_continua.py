@@ -96,16 +96,32 @@ class TestExteriorCoordinate:
 
     @pytest.mark.filterwarnings("error")
     def test_abs_faber_on_k_near_double_max(self):
-        """|F_n| on K forms the affine variable as phi does, through the
-        midpoint; 2 z - a - b overflowed and chebval warned (invalid
-        value).  Each value is that of the segment 2^10 times smaller."""
+        """|F_n| on K, as fk_bound reads it, is the exact value rounded
+        once; the affine variable 2 z - a - b of the Chebyshev form it
+        replaced overflowed and chebval warned (invalid value).  Each
+        value is that of the segment 2^10 times smaller."""
         K = fb.segment(1e308, 1.7e308)
         small = fb.segment(1e308 / 1024, 1.7e308 / 1024)
+
+        def abs_fn(L, n, z):
+            return abs(fb.faber_poly(L, n).eval_exact(z))
+
         for n in (0, 1, 3, 8):
             for z in (1e308, 1.5e308, 1.7e308):
-                assert (K.abs_faber_on_k(n, z)
-                        == small.abs_faber_on_k(n, z / 1024)), (n, z)
-        assert K.abs_faber_on_k(1, 1.7e308) == 2.0
+                assert abs_fn(K, n, z) == abs_fn(small, n, z / 1024), (n, z)
+        assert abs_fn(K, 1, 1.7e308) == 2.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("K", [fb.segment(1e308, 1.7e308),
+                                   fb.disc(1.7e308, 1e308)],
+                             ids=["segment", "disc"])
+    def test_psi_refuses_a_value_beyond_double_range(self, K):
+        """psi(segment(1e308, 1.7e308), 4) was inf after a RuntimeWarning,
+        and campaigns summed NaN from it; psi refuses such a value."""
+        for w in (4.0, np.array([1.5, 4.0j, 4.0])):
+            with pytest.raises(DomainError, match="double range"):
+                fb.psi(K, w)
+        assert np.isfinite(fb.psi(K, -1.01))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", ["seg", "udisc", "custom_spec"])
@@ -168,6 +184,13 @@ def _psi_continua(draw):
     return fb.segment(x, y)
 
 
+def _qc_pow(x: QC, n: int) -> QC:
+    out = QC(1)
+    for _ in range(n):
+        out = out * x
+    return out
+
+
 def _laurent_mul(p: dict, q: dict) -> dict:
     out = {}
     for i, x in p.items():
@@ -185,7 +208,8 @@ class TestExactPsi:
         midpoint 0.5 (a + b) (0.5 a + 0.5 b where a + b overflows),
         center and radius (the exact map has no signed zero, so a -0.0
         of a disc centre reads +0.0); and F_n(psi(w)), n <= 10, composed
-        here with Fractions, has polynomial part exactly w^n."""
+        here with Fractions, is exactly w^n + rho^n w^-n with
+        rho = b_1/c, the one Grunsky term; K.rho is rho rounded once."""
         if K.kind == "segment":
             a, b = Fraction(K.a), Fraction(K.b)
             want = {1: QC((b - a) / 4), 0: QC((a + b) / 2),
@@ -199,13 +223,49 @@ class TestExactPsi:
         stated = qc_values(K.psi_map.ints)
         assert dict(zip(range(1, -len(stated), -1), stated)) == want
         assert K.psi_coeffs == floats
+        rho = want.get(-1, QC(0)) / want[1]
+        assert K.rho == rho.to_complex()
         for n, ints in enumerate(K.faber_exact(10)):
             comp = {}   # F_n(psi(w)) by Horner's rule
             for c in reversed(qc_values(ints)):
                 comp = _laurent_mul(comp, want)
                 comp[0] = comp.get(0, QC(0)) + c
+            grunsky = {n: QC(1)}   # w^n + rho^n w^-n, 1 at n = 0
+            if n and not rho.is_zero():
+                grunsky[-n] = _qc_pow(rho, n)
             assert {k: v for k, v in comp.items()
-                    if k >= 0 and not v.is_zero()} == {n: QC(1)}
+                    if not v.is_zero()} == grunsky
+
+    @settings(max_examples=60, deadline=None)
+    @given(_psi_continua(),
+           st.lists(st.integers(0, 130), min_size=1, max_size=12),
+           st.lists(st.tuples(st.floats(1.0, 8.0, exclude_min=True),
+                              st.floats(0.0, 2 * math.pi)),
+                    min_size=1, max_size=6))
+    def test_pullback_is_the_closed_form(self, K, ns, polar):
+        """pullback, derived from rho, is to the bit the closed form each
+        kind stated: P + 1/P with row n = 0 equal to 1 on a segment, P
+        on a disc, P = w**n."""
+        w = np.array([cmath.rect(r, t) for r, t in polar])
+        P = w[None, :] ** np.asarray(ns, dtype=float)[:, None]
+        if K.kind == "segment":
+            want = P + 1.0 / P
+            want[np.asarray(ns) == 0] = 1.0
+        else:
+            want = P
+        assert K.pullback(ns, w).tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_psi_continua(), st.floats(1.0, 1e3, exclude_min=True))
+    def test_level_disc_is_the_closed_form(self, K, R):
+        """level_disc, derived from rho, is the disc each kind stated: the
+        midpoint and (b - a)/4 (R + 1/R) on a segment, the centre and
+        radius R on a disc."""
+        if K.kind == "segment":
+            want = (K.psi_coeffs[0].real, 0.25 * (K.b - K.a) * (R + 1.0 / R))
+        else:
+            want = (K.center, K.radius * R)
+        assert K.level_disc(R, 64) == want
 
 
 class TestLevelGeometry:

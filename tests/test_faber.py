@@ -460,15 +460,35 @@ class TestContourRoute:
     @pytest.mark.parametrize("call", [
         lambda K: fb.contour_values(K, [3, 1100], [0.3], 2.0, m=64),
         lambda K: fb.faber_contour(K, 1100, 0.3, 2.0, m=2048),
-        lambda K: fb.faber_remainder(K, 1100, 3.0, 2.0, m=2048),
         lambda K: fb.contour_values(K, [1023], [0.3], 2.0, m=64),
-    ], ids=["values", "contour", "remainder", "sum-overflows"])
+    ], ids=["values", "contour", "sum-overflows"])
     def test_float_overflow_names_the_mp_route(self, seg, call):
         """2^1100 leaves double range: the float route returned nan+nanj
         after two RuntimeWarnings.  At n = 1023 r^n still fits, but the
         node sum does not."""
         with pytest.raises(DomainError, match="dps="):
             call(seg)
+
+    def test_remainder_overflow_names_the_mp_route(self, seg, custom_spec):
+        """faber_remainder runs the float route only on custom maps, where
+        3^1100 leaves double range (at r = 2 Newton's method stalls on
+        this map, which is not univalent).  On a segment the remainder is
+        -(1/phi(3))^1100, about -10^-842, which rounds to zero."""
+        with pytest.raises(DomainError, match="dps="):
+            fb.faber_remainder(custom_spec, 1100, 3.0, 3.0, m=2048)
+        assert fb.faber_remainder(seg, 1100, 3.0, 2.0, m=2048) == 0
+
+    @pytest.mark.parametrize("dps", [None, 40])
+    def test_remainder_is_exact_below_the_alias_gate(self, seg, udisc, dps):
+        """F_n = phi^n + phi^-n on [-1, 1], so phi^n - F_n at z = 3 is
+        -(3 + 2 sqrt 2)^-n; the trapezoid sum over 64 nodes gave 3.165e18
+        at n = 63.  On a disc F_n = phi^n and the remainder is 0."""
+        got = fb.faber_remainder(seg, 63, 3.0, 2.0, m=64, dps=dps)
+        want = -(3.0 + 2.0 * math.sqrt(2.0)) ** -63
+        assert abs(got - want) <= 1e-13 * abs(want)
+        assert fb.faber_remainder(seg, 0, 3.0, 2.0, m=64, dps=dps) == 0
+        for n in (0, 1, 63):
+            assert fb.faber_remainder(udisc, n, 3.0, 2.0, m=64, dps=dps) == 0
 
     @pytest.mark.parametrize("dps", [None, 40])
     @pytest.mark.parametrize("call, z", [(fb.faber_contour, 0.3),

@@ -182,6 +182,25 @@ def test_one_exact_format_in_src():
     assert bad == []
 
 
+def test_faber_facts_stated_once_in_src():
+    """The pullback, the level disc, sup_K |F_n| and |F_n| on K derive
+    from ContinuumSpec.rho: no kind defines pullback, level_disc,
+    abs_faber_on_k or faber_sup, and the last two names appear nowhere
+    in the package."""
+    per_kind = {"pullback", "level_disc", "abs_faber_on_k", "faber_sup"}
+    bad = []
+    for path in sorted(Path(fb.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for cls in ast.walk(ast.parse(text)):
+            if isinstance(cls, ast.ClassDef) and cls.name != "ContinuumSpec":
+                bad += [f"{path.name}:{node.lineno}: {cls.name}"
+                        for node in ast.walk(cls)   # defs and assignments
+                        if getattr(node, "name", getattr(node, "id", None))
+                        in per_kind]
+        bad += re.findall(r"\b(?:abs_faber_on_k|faber_sup)\b", text)
+    assert bad == []
+
+
 def test_no_numpy_import_in_src():
     """Modules of the package bind np from _lazy: on Python <= 3.11 an
     `import numpy` statement loads the lazy module at once, so one such
