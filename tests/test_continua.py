@@ -268,6 +268,71 @@ class TestExactPsi:
         assert K.level_disc(R, 64) == want
 
 
+# ends and radii of normal doubles, from 1e-300 to 1e150 in modulus
+_NORMAL = st.one_of(st.just(0.0), st.builds(
+    lambda s, x: s * x, st.sampled_from([-1.0, 1.0]), st.floats(1e-300, 1e150)))
+_POLAR = st.lists(st.tuples(st.floats(1.001, 8.0),
+                            st.floats(0.0, 2 * math.pi)), min_size=1, max_size=8)
+
+
+@st.composite
+def _normal_continua(draw):
+    """A segment or a disc whose fields are normal doubles."""
+    if draw(st.booleans()):
+        return fb.disc(complex(draw(_NORMAL), draw(_NORMAL)),
+                       abs(draw(_NORMAL)) or 1.0)
+    a, b = sorted([draw(_NORMAL), draw(_NORMAL)])
+    assume(a < b)
+    return fb.segment(a, b)
+
+
+class TestFiniteMapFloats:
+    """The float gamma, psi, psi', phi and disc boundary of segments and
+    discs, bit for bit, against the forms each kind once wrote out:
+    4/(b - a), mid + (b - a)/4 (w + 1/w), (b - a)/4 (1 - w^-2) and the
+    larger root u +- sqrt(u^2 - 1) with u = (2z - a - b)/(b - a) on a
+    segment; 1/radius, center + radius w, radius, (z - center)/radius
+    and center + radius e^(it) on a disc."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_normal_continua(), _POLAR, _POLAR)
+    def test_floats_are_the_written_forms(self, K, polar, offsets):
+        w = np.array([cmath.rect(r, t) for r, t in polar])
+        t = np.array([t for _, t in polar])
+        if K.kind == "segment":
+            a, b = K.a, K.b
+            q = 0.25 * (b - a)
+            mid = float((Fraction(a) + Fraction(b)) / 2)
+            gamma, z = 4.0 / (b - a), mid + q * (w + 1.0 / w)
+            dz = q * (1.0 - w ** -2)
+            # points of the plane around K, off the level curves too
+            zs = np.concatenate([z, mid + q * np.array(
+                [cmath.rect(x - 1.0, y) for x, y in offsets])])
+            if abs(a) + abs(b) < 1.0:
+                u = (2.0 * zs - (a + b)) / (b - a)
+            else:
+                u = (zs - mid) / (0.5 * (b - a))
+            s = np.sqrt(u * u - 1.0)
+            w1, w2 = u + s, u - s
+            ph = np.where(np.abs(w1) >= np.abs(w2), w1, w2)
+        else:
+            c, r = K.center, K.radius
+            gamma, z = 1.0 / r, c + r * w
+            dz = np.full_like(w, r)
+            zs = np.concatenate([z, c + r * np.array(
+                [cmath.rect(x - 1.0, y) for x, y in offsets])])
+            ph = (zs - c) / r
+            p = np.array([0.5, -1j, 2.0])
+            with np.errstate(all="ignore"):   # p overflows on large discs
+                assert (K._boundary_path(p)(t).tobytes() == np.polynomial.
+                        polynomial.polyval(c + r * np.exp(1j * t), p).tobytes())
+        assert K.gamma == gamma
+        assert fb.psi(K, w).tobytes() == z.tobytes()
+        assert fb.psi_prime(K, w).tobytes() == dz.tobytes()
+        with np.errstate(all="ignore"):   # u * u of far points overflows
+            assert K._phi(zs).tobytes() == ph.tobytes()
+
+
 class TestLevelGeometry:
     def test_eccentricity_values(self):
         assert fb.eccentricity(10.0) == pytest.approx(20.0 / 101.0, abs=1e-15)
