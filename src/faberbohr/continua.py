@@ -2,17 +2,17 @@
 
 A continuum K here is one of
 
-* a closed disc, exterior map (z - center)/radius,
-* a real segment [a, b], exterior map via the inverse Zhukovskii map
-  u + sqrt(u*u - 1) on the affine image of [-1, 1],
+* a closed disc, inverse exterior map psi(w) = center + radius w,
+* a real segment [a, b], psi(w) = (a + b)/2 + (b - a)/4 (w + 1/w),
+* a filled ellipse, psi(w) = c w + b0 + b1/w with |b1| < c, the level
+  closure of a segment or of an ellipse,
 * a custom continuum defined by a finite Laurent polynomial
   g*z + g0 + g1/z + ... (the map is the definition of the set).
 
-Each kind is one frozen subclass of ContinuumSpec (DiscSpec,
-SegmentSpec, CustomSpec) that holds all of its math.  Segments and
-discs state psi once, exactly (psi_map); their Faber families, float
-psi coefficients, high-precision nodes and rho derive from it.  A
-custom continuum is defined by phi; its Faber polynomials power phi.
+Each kind is one frozen subclass of ContinuumSpec.  The first three
+state psi exactly (psi_map), and ContinuumSpec derives their math from
+it.  A custom continuum is defined by phi; its Faber polynomials power
+phi.
 
 The exterior map phi sends the complement of K onto {|w| > 1} with
 phi(inf) = inf and real positive derivative at infinity.  Level sets
@@ -72,18 +72,17 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class ContinuumSpec:
     """Immutable description of a continuum; build via disc/segment/custom.
 
-    Each kind is one frozen subclass holding all of its math: gamma,
-    describe(), membership, phi, psi, psi', the scaled closure, the
-    boundary path of sup_norm and a disc holding each level curve.
-    Segments and discs state psi once, exactly, as psi_map; the members
-    here derive from it their exact Faber families (one recurrence),
-    psi_coeffs (closed-form level distances), the high-precision nodes
-    and rho = b_1/c of psi(w) = c w + b_0 + b_1/w: 1 on a segment, 0
-    on a disc.  F_n(psi(w)) = w^n + rho^n w^-n for n >= 1, its one
-    Grunsky term (Pommerenke, Univalent Functions, 1975), gives the
-    pullback, sup_K |F_n| = 1 + |rho|^n and phi^n - F_n = -(rho/phi)^n.
-    Custom maps power phi.  The module functions validate input and
-    delegate.
+    Segments, discs and ellipses state psi once, exactly, as psi_map;
+    the members here derive from it, with rho = b_1/c of
+    psi(w) = c w + b_0 + b_1/w (1 on a segment, 0 on a disc), gamma,
+    the float psi, psi' and phi, |phi| <= 1 membership, the boundary,
+    the closure psi(R w), psi_coeffs, the Faber family (one recurrence)
+    and the high-precision nodes.  F_n(psi(w)) = w^n + rho^n w^-n for
+    n >= 1, its one Grunsky term (Pommerenke, Univalent Functions,
+    1975), gives the pullback, sup_K |F_n| = 1 + |rho|^n and
+    phi^n - F_n = -(rho/phi)^n.  Segments and discs keep their own
+    membership; custom maps override what phi defines.  The module
+    functions validate input and delegate.
     """
 
     kind: ClassVar[str]
@@ -107,9 +106,56 @@ class ContinuumSpec:
                 for i, (x, y) in enumerate(zip(re, im))}
 
     @property
+    def gamma(self) -> float:
+        """Derivative of the exterior map at infinity (real positive): 1/c."""
+        return 1.0 / self.psi_coeffs[1].real
+
+    @property
     def capacity(self) -> float:
         """Logarithmic capacity, the reciprocal of gamma."""
         return 1.0 / self.gamma
+
+    def _psi(self, w):
+        """b_0 + c (w + rho/w)."""
+        c, rho = self.psi_coeffs, self.rho
+        return c[0] + c[1] * (w + rho / w if rho else w)
+
+    def _psi_prime(self, w):
+        """c (1 - rho w^-2)."""
+        c, rho = self.psi_coeffs[1], self.rho
+        return c * (1.0 - rho * w ** -2) if rho else np.full_like(w, c)
+
+    def _phi(self, z):
+        """(z - b_0)/c, or the larger root u +- sqrt(u^2 - rho) of
+        w + rho/w = 2u, u = (z - b_0)/(2c)."""
+        c, rho = self.psi_coeffs, self.rho
+        if not rho:
+            return (z - c[0]) / c[1]
+        u = (z - c[0]) / (2.0 * c[1])
+        s = np.sqrt(u * u - rho)
+        w1, w2 = u + s, u - s
+        return np.where(np.abs(w1) >= np.abs(w2), w1, w2)
+
+    def _contains(self, z: complex) -> bool:
+        w = self._phi(np.array([z], dtype=complex))[0]
+        if not np.isfinite(w):
+            return True
+        return abs(w) <= 1.0 + MEMBERSHIP_TOL
+
+    def _closure(self, R: float) -> ContinuumSpec:
+        """The ellipse psi(R w), exactly: c w + b_0 + b_1/w at R = P/Q
+        is (c P^2 w + b_0 P Q + b_1 Q^2/w)/(P Q)."""
+        P, Q = _fraction(R).as_integer_ratio()
+        D, re, im = self.psi_map.ints
+        s = (P * P, P * Q, Q * Q)
+        ints = [[x * k for x, k in zip(v, s)] for v in (re, im)]
+        K = EllipseSpec(LaurentTail((D * P * Q, *ints)))
+        try:
+            K.psi_coeffs
+        except OverflowError:
+            raise DomainError(f"the closure of {self.describe()} at R={R} "
+                              "leaves double range") from None
+        return K
 
     def faber_exact(self, N: int, have: tuple = ()):
         """(D, re, im) of F_k, ..., F_N, k = len(have), one at a time.
@@ -180,8 +226,8 @@ class ContinuumSpec:
         return V
 
     def _boundary(self, t):
-        """Boundary angle -> points of K's boundary, as psi just outside |w| = 1."""
-        return psi(self, (1.0 + 1e-9) * np.exp(1j * t))
+        """Boundary angle -> points of K's boundary, psi on |w| = 1."""
+        return self._psi(np.exp(1j * t))
 
     def _boundary_path(self, p):
         """Boundary angle -> values of the polynomial p on the boundary of K."""
@@ -240,11 +286,6 @@ class DiscSpec(ContinuumSpec):
     radius: float
     kind = "disc"
 
-    @property
-    def gamma(self) -> float:
-        """Derivative of the exterior map at infinity (real positive)."""
-        return 1.0 / self.radius
-
     def describe(self) -> str:
         return f"disc(center={self.center}, radius={self.radius})"
 
@@ -252,26 +293,13 @@ class DiscSpec(ContinuumSpec):
         return abs(z - self.center) <= (self.radius
                                         + MEMBERSHIP_TOL * max(1.0, self.radius))
 
-    def _phi(self, z):
-        return (z - self.center) / self.radius
-
     @cached_property
     def psi_map(self) -> LaurentTail:
         """psi(w) = radius w + center, exactly."""
         return LaurentTail.build(self.radius, self.center)
 
-    def _psi(self, w):
-        return self.center + self.radius * w
-
-    def _psi_prime(self, w):
-        return np.full_like(w, self.radius)
-
-    def _closure(self, R: float, depth: int) -> ContinuumSpec:
+    def _closure(self, R: float) -> ContinuumSpec:
         return disc(self.center, self.radius * R)
-
-    def _boundary_path(self, p):
-        return lambda t: _eval_on_values(p, self.center
-                                         + self.radius * np.exp(1j * t))
 
 
 @dataclass(frozen=True)
@@ -282,25 +310,11 @@ class SegmentSpec(ContinuumSpec):
     b: float
     kind = "segment"
 
-    @property
-    def gamma(self) -> float:
-        """Derivative of the exterior map at infinity (real positive)."""
-        return 4.0 / (self.b - self.a)
-
-    @property
-    def _canonical(self) -> bool:
-        return self.a == -1.0 and self.b == 1.0
-
     @cached_property
     def psi_map(self) -> LaurentTail:
         """psi(w) = (b - a)/4 (w + 1/w) + (a + b)/2, exactly."""
         A, B, S = _dyadic(complex(self.a, self.b))   # a = A/S, b = B/S
         return LaurentTail((4 * S, (B - A, 2 * (A + B), B - A), (0, 0, 0)))
-
-    @property
-    def _mid(self) -> float:
-        """(a + b)/2, correctly rounded."""
-        return self.psi_coeffs[0].real
 
     def describe(self) -> str:
         return f"segment([{self.a}, {self.b}])"
@@ -312,45 +326,25 @@ class SegmentSpec(ContinuumSpec):
             d = min(abs(z - self.a), abs(z - self.b))
         return d <= MEMBERSHIP_TOL
 
-    def _phi(self, z):
-        """u + sqrt(u^2 - 1), u = (2z - a - b)/(b - a), with |phi| >= 1."""
-        if abs(self.a) + abs(self.b) < 1.0:   # halving these ends may round
-            u = (2.0 * z - (self.a + self.b)) / (self.b - self.a)
-        else:   # the same u, but neither 2z nor a + b can overflow
-            u = (z - self._mid) / (0.5 * (self.b - self.a))
-        s = np.sqrt(u * u - 1.0)
-        w1 = u + s
-        w2 = u - s
-        return np.where(np.abs(w1) >= np.abs(w2), w1, w2)
-
-    def _psi(self, w):
-        return self._mid + 0.25 * (self.b - self.a) * (w + 1.0 / w)
-
-    def _psi_prime(self, w):
-        return 0.25 * (self.b - self.a) * (1.0 - w ** -2)
-
-    def _closure(self, R: float, depth: int) -> ContinuumSpec:
-        """phi/R from the series 2z - (1/2)/z - (1/8)/z^3 - ... of
-        z + sqrt(z^2 - 1), cut after z^-depth: its z^-(2j-1) term is
-        -C_(j-1)/2^(2j-1), C the Catalan numbers, put over 4^J."""
-        if not self._canonical:
-            raise DomainError("series form only available for the segment [-1, 1]")
-        if depth < 0:
-            raise DomainError("depth must be nonnegative")
-        J, c = (depth + 1) // 2, 1
-        re = [2 << 2 * J] + [0] * (depth + 1)   # lead, c0, z^-1, ..., z^-depth
-        for j in range(1, J + 1):
-            re[2 * j] = -c << 2 * (J - j) + 1
-            c = c * 2 * (2 * j - 1) // (j + 1)   # C_j from C_(j-1)
-        tail = LaurentTail((4 ** J, re, [0] * len(re)))
-        return custom(tail.scaled(1 / _fraction(R)))
-
     def _boundary_path(self, p):
         if hasattr(p, "cheb_floats"):
             cheb = p.cheb_floats(self.a, self.b)
             return lambda t: np.polynomial.chebyshev.chebval(np.cos(t), cheb)
-        mid, half = self._mid, 0.5 * (self.b - self.a)
+        mid, half = self.psi_coeffs[0].real, 0.5 * (self.b - self.a)
         return lambda t: _eval_on_values(p, mid + half * np.cos(t))
+
+
+@dataclass(frozen=True)
+class EllipseSpec(ContinuumSpec):
+    """The filled ellipse bounded by psi(|w| = 1), psi_map = c w + b_0 +
+    b_1/w with |b_1| < c: the level closure of a segment or an ellipse."""
+
+    psi_map: LaurentTail
+    kind = "ellipse"
+
+    def describe(self) -> str:
+        c = self.psi_coeffs
+        return f"ellipse(c={c[1].real}, b0={c[0]}, b1={c[-1]})"
 
 
 @dataclass(frozen=True)
@@ -375,12 +369,6 @@ class CustomSpec(ContinuumSpec):
         D, re, im = self.map_tail.ints
         c = [complex(x / D, y / D) for x, y in zip(re, im)]
         return c[0], c[1], np.array(c[2:], dtype=complex)
-
-    def _contains(self, z: complex) -> bool:
-        w = self._phi(np.array([z], dtype=complex))[0]
-        if not np.isfinite(w):
-            return True
-        return abs(w) <= 1.0 + MEMBERSHIP_TOL
 
     def _phi(self, z):
         lead, c0, tail = self._complex
@@ -426,7 +414,11 @@ class CustomSpec(ContinuumSpec):
     def _psi_prime(self, w):
         return 1.0 / self._phi_deriv(self._psi(w))
 
-    def _closure(self, R: float, depth: int) -> ContinuumSpec:
+    def _boundary(self, t):
+        """psi just outside |w| = 1, where Newton's method converges."""
+        return psi(self, (1.0 + 1e-9) * np.exp(1j * t))
+
+    def _closure(self, R: float) -> ContinuumSpec:
         return custom(self.map_tail.scaled(1 / _fraction(R)))
 
     def faber_exact(self, N: int, have: tuple = ()):
@@ -474,10 +466,9 @@ def custom(tail: LaurentTail) -> ContinuumSpec:
 # membership
 
 def contains(K: ContinuumSpec, z) -> bool:
-    """True when z lies on K, within an absolute tolerance of 1e-12.
-
-    Points within tolerance of the boundary count as inside; the
-    exterior map is never evaluated there.
+    """True when z lies on K, within a tolerance of 1e-12: absolute on a
+    segment, relative to max(1, radius) on a disc, on |phi(z)| <= 1
+    elsewhere.  Points within tolerance of the boundary count as inside.
     """
     return K._contains(complex(z))
 
@@ -573,17 +564,17 @@ def _check_contour(r, m, dps=None, ns=()) -> None:
             raise DomainError(f"degree n must be an integer; got {n!r}")
 
 
-def scaled_closure(K: ContinuumSpec, R: float, depth: int = 96) -> ContinuumSpec:
+def scaled_closure(K: ContinuumSpec, R: float) -> ContinuumSpec:
     """The filled level set {green <= log R} as a continuum of its own.
 
-    Its exterior map is phi/R.  For a disc this is again a disc.  For a
-    custom continuum it is the custom continuum of the stored map tail
-    over R, exactly; depth does not apply.  For the canonical segment
-    [-1, 1] the infinite series of phi over R is cut after z^-depth and
-    materialised as a custom spec; other segments raise DomainError.
+    Its exterior map is phi/R, its inverse map psi(R w), both exact.
+    For a disc this is again a disc, and for a custom continuum the
+    custom continuum of the stored map tail over R.  A segment or an
+    ellipse gives the ellipse of psi(R w), whose Faber polynomials are
+    R^-n F_n.
     """
     _check_level(R, "level parameter R must exceed 1")
-    return K._closure(R, depth)
+    return K._closure(R)
 
 
 # ---------------------------------------------------------------------------
@@ -639,15 +630,20 @@ def arc_length(K: ContinuumSpec, r: float, m: int = DEFAULT_SAMPLES,
 
     The integrand |psi'(r e^(i theta))| * r is smooth and periodic, so
     the node count is doubled until two successive values agree to
-    relative rtol.
+    relative rtol.  A sum beyond double range raises DomainError.
     """
     _check_level(r, "level parameter must exceed 1")
 
     def value(mm: int) -> float:
         th = 2.0 * np.pi * np.arange(mm) / mm
         w = r * np.exp(1j * th)
-        integ = np.abs(psi_prime(K, w)) * r
-        return float(np.sum(integ)) * 2.0 * np.pi / mm
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(np.abs(psi_prime(K, w)) * r))
+        length = total * 2.0 * np.pi / mm
+        if not math.isfinite(length):
+            raise DomainError(f"the arc length at r={r} of {K.describe()} "
+                              "leaves double range")
+        return length
 
     prev = value(m)
     for _ in range(max_doublings):
@@ -717,7 +713,7 @@ def _sample_refine(rows, f, m: int, sign: float,
 def dist_to_level(K: ContinuumSpec, z, r: float, m: int = DEFAULT_SAMPLES) -> float:
     """Distance from z to the level curve {|phi| = r}.
 
-    Where psi is a finite Laurent polynomial (segments and discs, see
+    Where psi is a finite Laurent polynomial (segments, discs, ellipses, see
     ContinuumSpec.psi_coeffs) the nearest point is found in closed form
     (_laurent_distance) and m is only checked.  For custom maps, m is
     the number of boundary samples of _sampled_distance.  z must be

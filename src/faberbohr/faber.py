@@ -81,9 +81,12 @@ class FaberPoly:
 
     n: int
     doubles: tuple
-    gamma_n: complex
     ints: tuple = field(repr=False)
     _cheb: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def gamma_n(self) -> complex:   # the leading coefficient, gamma**n
+        return self.doubles[-1]
 
     @functools.cached_property
     def coeffs(self) -> np.ndarray:
@@ -158,21 +161,21 @@ def _make_poly(ints) -> FaberPoly:
     except OverflowError:
         raise DomainError(f"coefficients of F_{len(re) - 1} overflow double "
                           "precision") from None
-    return FaberPoly(n=len(re) - 1, doubles=cs, gamma_n=cs[-1], ints=ints)
+    return FaberPoly(n=len(re) - 1, doubles=cs, ints=ints)
 
 
 def faber_polys(K: ContinuumSpec, N: int):
     """Faber polynomials F_0, ..., F_N of K, exact, from one memoised family.
 
     The family comes from K.faber_exact, in Gaussian ints: one
-    generating-function recurrence on the exact psi_map of segments and
-    discs, powers of the map tail of phi on custom continua.  Each member
+    generating-function recurrence on the exact psi_map of segments,
+    discs and ellipses, powers of the map tail of phi on custom continua.  Each member
     keeps its coefficients as integer numerators over one denominator
     (ints), which eval_exact runs on.
     Members are converted to doubles as they are built, so a family
     whose F_n overflows fails at F_n.  The longest family built so far
-    is kept on K; a longer request builds only the new members on
-    segments and discs, while custom maps rebuild the whole family,
+    is kept on K; a longer request builds only the new members where
+    psi_map is known, while custom maps rebuild the whole family,
     since their tail truncation depends on N.
     """
     if N < 0:

@@ -270,14 +270,19 @@ class TestFailureModes:
          "--count", "3"),
         ("verify", "--R", "1e20", "--family", "faber_series", "--count", "3"),
         ("--continuum", "segment:1e308,1.7e308", "levelset", "--R", "4"),
+        ("--continuum", "segment:1e308,1.7e308", "levelset", "--R", "1.25"),
         ("--continuum", "segment:1e308,1.7e308", "estimates", "--R", "8"),
-    ], ids=["verify-psi", "verify-pullback", "levelset", "estimates"])
+    ], ids=["verify-psi", "verify-pullback", "levelset", "arc-length",
+            "estimates"])
     def test_values_beyond_double_range_are_refused(self, capsys, argv):
         """The level curve of segment(1e308, 1.7e308) at R = 4 leaves
         double range, and so does F_24 at |w| = 1e20: the first campaign
         reported NaN sums as violations (exit 4), the second NaN
         certificates as no violation (exit 0), each after RuntimeWarnings.
-        Each command exits 2 with one error line and no warning."""
+        At R = 1.25 the curve is in range but its length is not: the
+        trapezoid sum overflowed and the doubling loop ended in
+        NonConvergent.  Each command exits 2 with one error line and no
+        warning."""
         rc, out, err = run(capsys, *argv)
         assert rc == 2
         assert out == ""

@@ -288,7 +288,7 @@ def _normal_continua(draw):
 
 class TestFiniteMapFloats:
     """The float gamma, psi, psi', phi and disc boundary of segments and
-    discs, bit for bit, against the forms each kind once wrote out:
+    discs, bit for bit, against reference forms written out here:
     4/(b - a), mid + (b - a)/4 (w + 1/w), (b - a)/4 (1 - w^-2) and the
     larger root u +- sqrt(u^2 - 1) with u = (2z - a - b)/(b - a) on a
     segment; 1/radius, center + radius w, radius, (z - center)/radius
@@ -437,20 +437,66 @@ class TestLevelGeometry:
             z = fb.psi(seg, (R + 2.0) * np.exp(0.4j))
             assert complex(fb.phi(Kt, z)) == pytest.approx(
                 complex(fb.phi(seg, z)) / R, rel=1e-9)
-        with pytest.raises(DomainError, match="depth"):
-            fb.scaled_closure(seg, 2.0, -1)
 
-    @pytest.mark.parametrize("depth", [1, 3, 96])
-    def test_scaled_closure_keeps_custom_map(self, custom_spec, depth):
-        """A custom closure is the stored map over R at any depth: its
-        finite tail is neither cut nor padded with zeros."""
+    def test_scaled_closure_keeps_custom_map(self, custom_spec):
+        """A custom closure is the stored map over R: its finite tail is
+        neither cut nor padded with zeros."""
         R = 2.5
-        Kt = fb.scaled_closure(custom_spec, R, depth)
+        Kt = fb.scaled_closure(custom_spec, R)
         assert Kt.map_tail == custom_spec.map_tail.scaled(1 / Fraction(R))
         assert Kt.describe() == "custom(gamma=0.8, depth=3)"
         z = fb.psi(custom_spec, 3.0 * np.exp(0.7j))
         assert complex(fb.phi(Kt, z)) == pytest.approx(
             complex(fb.phi(custom_spec, z)) / R, rel=1e-14)
+
+    def test_scaled_closure_of_any_segment(self):
+        """The closure of segment(0, 2) raised "series form only available
+        for the segment [-1, 1]".  It is the filled ellipse psi(R w), a
+        finite map, so the exact and closed-form routes serve it."""
+        K, R = fb.segment(0.0, 2.0), 2.0
+        Kt = fb.scaled_closure(K, R)
+        assert Kt.psi_coeffs == {1: 1.0, 0: 1.0, -1: 0.25}
+        assert Kt.rho == 0.25 and Kt.gamma == K.gamma / R == 1.0
+        z = fb.psi(K, 3.0 * np.exp(0.4j))
+        assert complex(fb.phi(Kt, z)) == pytest.approx(
+            complex(fb.phi(K, z)) / R, rel=1e-14)
+        assert fb.dist_to_level(Kt, 4.0, 1.5) == pytest.approx(
+            fb.dist_to_level(K, 4.0, 3.0), rel=1e-14)
+        assert Kt.level_disc(1.5, 64) == K.level_disc(3.0, 64)
+        assert fb.faber_remainder(Kt, 5, z, 1.2) == pytest.approx(
+            -(0.25 / complex(fb.phi(Kt, z))) ** 5, rel=1e-14)
+        F = fb.faber_poly(Kt, 6).eval_exact(z)
+        assert fb.faber_contour(Kt, 6, z, 2.0, dps=30) == pytest.approx(
+            F, rel=1e-20)
+        with pytest.raises(DomainError, match="double range"):   # c R
+            fb.scaled_closure(fb.segment(0.0, 1e308), 10.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3),
+           st.floats(1.0, 8.0, exclude_min=True), _POLAR)
+    def test_segment_closure_is_psi_of_r_w(self, a, length, R, polar):
+        """The closure of a segment at R has Faber family R^-n F_n, exactly
+        as rationals, exterior map phi/R, basis norms 1 + R^-2n (n >= 1),
+        and holds the points where green <= log R."""
+        K = fb.segment(a, a + length)
+        Kt = fb.scaled_closure(K, R)
+        q = Fraction(R)
+        for n, (F, G) in enumerate(zip(fb.faber_polys(K, 12),
+                                       fb.faber_polys(Kt, 12))):
+            (D, re, im), (E, gre, gim) = F.ints, G.ints
+            assert [Fraction(x, E) for x in gre + gim] == [
+                Fraction(x, D) / q ** n for x in re + im]
+            assert fb.basis_norm(Kt, n) == pytest.approx(
+                1 + R ** (-2 * n) if n else 1.0, rel=1e-14)
+        z = fb.psi(K, np.array([cmath.rect(3 * R * (r - 1) / 7 + 1.001, t)
+                                for r, t in polar]))
+        g = fb.green(K, z)
+        for zz, gg in zip(z, g):
+            if abs(gg - math.log(R)) < 1e-6:   # on the level curve
+                continue
+            assert fb.contains(Kt, zz) == (gg < math.log(R))
+            assert complex(Kt._phi(np.array([zz]))[0]) == pytest.approx(
+                complex(fb.phi(K, zz)) / R, rel=1e-9)
 
 
 _LEVEL_GATES = {

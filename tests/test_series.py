@@ -18,7 +18,6 @@ from faberbohr.series import _gauss_horner
 from series_reference import (
     QC,
     GradedLaurent,
-    _sqrt_binomials,
     exterior_series,
     gauss_horner,
     gauss_ints,
@@ -144,21 +143,6 @@ class TestMapTriple:
         with pytest.raises(DomainError, match="map data"):
             fb.LaurentTail(ints)
 
-    def test_segment_closure_tail_matches_binomial_reference(self):
-        """The Catalan-number tail of the [-1, 1] closure is the sqrt
-        binomial series z + sqrt(z^2 - 1) = 2z + sum b_j z^(1-2j),
-        exactly, for every depth 0-96."""
-        for depth in range(97):
-            b = _sqrt_binomials(depth // 2 + 1)
-            tail = [QC(b[(k + 1) // 2] if k % 2 else 0)
-                    for k in range(1, depth + 1)]
-            for R in (2.0, 1.3):
-                f = QC(1 / Fraction(R))
-                want = _reference_triple([QC(2) * f, QC(0)]
-                                         + [t * f for t in tail])
-                got = fb.scaled_closure(fb.segment(), R, depth).map_tail
-                assert got.ints == want, (depth, R)
-
 
 def test_one_exact_format_in_src():
     """No module of the package names QC, and only the input conversion
@@ -180,6 +164,18 @@ def test_one_exact_format_in_src():
                     path.name == "series.py" and i in allowed)):
                 bad.append(f"{path.name}:{i}: {line.strip()}")
     assert bad == []
+
+
+def test_finite_map_floats_stated_once_in_src():
+    """gamma, phi, psi and psi' of a finite psi derive from psi_coeffs
+    and rho on ContinuumSpec: segments and discs define none of them,
+    and a disc no boundary path either, so no per-kind float form can
+    come back."""
+    from faberbohr.continua import DiscSpec, SegmentSpec
+
+    floats = {"gamma", "_phi", "_psi", "_psi_prime"}
+    assert floats & set(vars(SegmentSpec)) == set()
+    assert (floats | {"_boundary_path"}) & set(vars(DiscSpec)) == set()
 
 
 def test_faber_facts_stated_once_in_src():
