@@ -438,13 +438,22 @@ class TestLevelGeometry:
             assert complex(fb.phi(Kt, z)) == pytest.approx(
                 complex(fb.phi(seg, z)) / R, rel=1e-9)
 
-    def test_scaled_closure_keeps_custom_map(self, custom_spec):
-        """A custom closure is the stored map over R: its finite tail is
-        neither cut nor padded with zeros."""
+    @pytest.mark.parametrize("depth", [1, 3, 96])
+    def test_scaled_closure_keeps_custom_map(self, custom_spec, depth):
+        """A custom closure is the stored map over R at any tail depth:
+        its finite tail is neither cut nor padded with zeros.  Depth 3 is
+        the fixture map; depths 1 and 96 cut its tail or extend it by a
+        small last term."""
+        tail = {1: (0.5,), 3: (0.5, 0.0, 0.125),
+                96: (0.5, 0.0, 0.125) + (0.0,) * 92 + (2.0 ** -40,)}[depth]
+        if depth != 3:
+            custom_spec = fb.custom(fb.LaurentTail.build(2.0, 0.1, tail))
+        assert custom_spec.map_tail.M == depth
         R = 2.5
         Kt = fb.scaled_closure(custom_spec, R)
         assert Kt.map_tail == custom_spec.map_tail.scaled(1 / Fraction(R))
-        assert Kt.describe() == "custom(gamma=0.8, depth=3)"
+        assert Kt.map_tail.M == depth
+        assert Kt.describe() == f"custom(gamma=0.8, depth={depth})"
         z = fb.psi(custom_spec, 3.0 * np.exp(0.7j))
         assert complex(fb.phi(Kt, z)) == pytest.approx(
             complex(fb.phi(custom_spec, z)) / R, rel=1e-14)
