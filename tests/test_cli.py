@@ -171,6 +171,9 @@ class TestVerifyCommand:
          ("--continuum", "segment:-0.5,2", "verify", "--family",
           "faber_series")),
         ("disc_default", 0, ("--continuum", "disc:0.5,-0.25,1.5", "verify")),
+        ("custom_readme", 4,
+         ("--continuum", f"custom:@{DATA / 'readme_map.json'}", "verify",
+          "--R", "2.5")),
     ])
     def test_golden_stdout(self, capsys, name, rc, argv):
         # recorded with the same command line; every member's sup, sum
@@ -195,6 +198,14 @@ class TestEstimatesCommand:
                          "--R", "8", "--n-max", "4")
         assert rc == 0
         assert out.split("\n")[0] == "n,condition,lhs,rhs,margin"
+
+    def test_golden_custom_readme(self, capsys):
+        # the sampled level disc and basis norms of a custom map, to the bit
+        rc, out, _ = run(capsys, "--output", "json", "--continuum",
+                         f"custom:@{DATA / 'readme_map.json'}", "estimates",
+                         "--R", "8")
+        assert rc == 0
+        assert out.encode() == (DATA / "estimates_custom_readme.json").read_bytes()
 
 
 class TestCoeffsCommand:

@@ -390,6 +390,34 @@ class TestLevelGeometry:
                 assert fb.dist_to_level(K, z, 2.0, m) == (
                     _sampled_distance(K, z, 2.0, m))
 
+    @pytest.mark.parametrize("z, r, m, want", [
+        (0.05, 1.3, 64, "0x1.0cdac499f6617p-1"),
+        (0.05, 1.3, 1024, "0x1.0cdac499f6618p-1"),
+        (0.05, 2.0, 64, "0x1.cbf4b464aed68p-1"),
+        (0.05, 2.0, 1024, "0x1.cbf4b464aed68p-1"),
+        (0.3 - 0.2j, 1.3, 64, "0x1.ff059693b75e4p-3"),
+        (0.3 - 0.2j, 1.3, 1024, "0x1.ff059693b75e5p-3"),
+        (0.3 - 0.2j, 2.0, 64, "0x1.3703aa54aae10p-1"),
+        (0.3 - 0.2j, 2.0, 1024, "0x1.3703aa54aae10p-1"),
+        (0.6826908916721934 + 0.32982369070780265j, 1.3, 64,
+         "0x1.3c690d088da5fp-3"),
+        (0.6826908916721934 + 0.32982369070780265j, 1.3, 1024,
+         "0x1.3c690d088da5dp-3"),
+        (0.6826908916721934 + 0.32982369070780265j, 2.0, 64,
+         "0x1.a23c92a352dc8p-3"),
+        (0.6826908916721934 + 0.32982369070780265j, 2.0, 1024,
+         "0x1.a23c92a352dc8p-3"),
+        (3.0 + 4.0j, 1.3, 64, "0x1.15f4ad7d79f72p+2"),
+        (3.0 + 4.0j, 1.3, 1024, "0x1.15f4ad7d79f73p+2"),
+        (3.0 + 4.0j, 2.0, 64, "0x1.00406c9244a75p+2"),
+        (3.0 + 4.0j, 2.0, 1024, "0x1.00406c9244a75p+2"),
+    ])
+    def test_dist_readme_map_pinned(self, z, r, m, want):
+        """The sampled distance on the README map, pinned to the bit (a
+        point of K, one inside the band, one on the level 1.6, one far)."""
+        K = fb.custom(fb.LaurentTail.build(2.0, 0.05, (0.04, 0.01)))
+        assert fb.dist_to_level(K, z, r, m).hex() == want
+
     def test_dist_concentric_circles(self, udisc):
         for theta in (0.0, 1.1, 3.9):
             z = 2.5 * np.exp(1j * theta)
