@@ -24,7 +24,6 @@ from .continua import (
     ContinuumSpec,
     _check_level,
     _row_sups,
-    _sample_refine,
     eccentricity,
     psi,
 )
@@ -356,31 +355,7 @@ def _draw_polys(rng, family: BoundedFamily) -> np.ndarray:
     return np.array(draws, dtype=complex).reshape(family.count, d).T
 
 
-def _extract_members(fn, sups, K: ContinuumSpec, R: float,
-                     family: BoundedFamily, target: float, labels: list) -> list:
-    """Faber coefficients of each fn row with a certified boundary sup <= target.
-
-    fn(z, i) is member i at the points z (see _row_sups) and sups holds
-    the members' sampled sups on the level curve; the extraction circle
-    goes through psi once for the family.
-    """
-    m = max(family.samples, 4 * family.n_coeffs)
-    r_ext = math.sqrt(R)
-    z_ext = psi(K, r_ext * np.exp(2j * np.pi * np.arange(m) / m))
-    out = []
-    for i, (label, s_raw) in enumerate(zip(labels, sups.tolist())):
-        factor = 1.0 if s_raw <= target else target / s_raw
-        series = faber_coeffs(fn(z_ext, i), K, r_ext, family.n_coeffs)
-        cert = s_raw * factor
-        if not cert < 1.0:
-            raise CertificationFailed(
-                f"{label}: certified sup {cert} is not below 1")
-        out.append(FaberSeries(K=K, R=float(R), coeffs=series.coeffs * factor,
-                               cert_sup=cert, label=label))
-    return out
-
-
-def _series_sups(K: ContinuumSpec, R: float, coeffs: list) -> np.ndarray:
+def _series_sups(K: ContinuumSpec, R: float, coeffs: list) -> list:
     """Sampled and refined sups on |w| = R of Faber series with these coeffs.
 
     One pullback serves every series at each sample grid and golden
@@ -391,31 +366,27 @@ def _series_sups(K: ContinuumSpec, R: float, coeffs: list) -> np.ndarray:
     terms = [(a[ns], ns) for a, ns in zip(coeffs, map(np.flatnonzero, coeffs))]
     top = max(map(len, coeffs), default=1)
 
-    def pull(t):
-        return K.pullback(np.arange(top), R * np.exp(1j * t))
+    def values(P, i):
+        if np.ndim(i) == 0:
+            a, ns = terms[i]
+            return a @ P[ns]
+        return np.array([(a @ P[ns, j:j + 1])[0]
+                         for j, (a, ns) in zip(i, terms)])
 
-    def rows(th):
-        P = pull(th)
-        return (np.abs(a @ P[ns]) for a, ns in terms)
-
-    def stage(t):
-        P = pull(t)
-        return np.abs([(a @ P[ns, i:i + 1])[0]
-                       for i, (a, ns) in enumerate(terms)])
-
-    return _sample_refine(rows, stage, _CERT_SAMPLES, 1.0)
+    return _row_sups(lambda t: K.pullback(np.arange(top), R * np.exp(1j * t)),
+                     values, len(terms), _CERT_SAMPLES).tolist()
 
 
-def _certified(K: ContinuumSpec, R: float, coeffs: list, name: str) -> list:
+def _certified(K: ContinuumSpec, R: float, coeffs: list, sups: list,
+               labels: list) -> list:
     """Faber series with these coeffs, their sups on |w| = R as certificates."""
     out = []
-    for i, (a, cert) in enumerate(zip(coeffs,
-                                      _series_sups(K, R, coeffs).tolist())):
+    for a, cert, label in zip(coeffs, sups, labels):
         if not cert < 1.0:
             raise CertificationFailed(
-                f"{name}[{i}]: certified sup {cert} is not below 1")
+                f"{label}: certified sup {cert} is not below 1")
         out.append(FaberSeries(K=K, R=float(R), coeffs=a, cert_sup=cert,
-                               label=f"{name}[{i}]"))
+                               label=label))
     return out
 
 
@@ -469,15 +440,27 @@ def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
             u = inner(z, i)
             return (a[i] - u) / (1.0 - a[i] * u)
 
-        labels = [f"moebius[{i}] a={float(ai):.6g}" for i, ai in enumerate(a)]
-        return _extract_members(fn, level_sups(fn), K, R, family, target,
-                                labels)
+        # members scaled to a sup of at most target, their coefficients
+        # read on the circle r_ext = sqrt(R), which goes through psi once
+        sups = level_sups(fn).tolist()
+        m = max(family.samples, 4 * family.n_coeffs)
+        r_ext = math.sqrt(R)
+        z_ext = psi(K, r_ext * np.exp(2j * np.pi * np.arange(m) / m))
+        coeffs, certs = [], []
+        for i, sup in enumerate(sups):
+            factor = 1.0 if sup <= target else target / sup
+            series = faber_coeffs(fn(z_ext, i), K, r_ext, family.n_coeffs)
+            coeffs.append(series.coeffs * factor)
+            certs.append(sup * factor)
+        return _certified(K, R, coeffs, certs, [
+            f"moebius[{i}] a={float(ai):.6g}" for i, ai in enumerate(a)])
 
     if family.kind == "scaled_poly":
         C = _draw_polys(rng, family)
         C = C / ((1.0 + family.margin) * level_sups(_poly_rows(C)))
-        return _certified(K, R, [to_faber_basis(K, c) for c in C.T],
-                          "scaled_poly")
+        coeffs = [to_faber_basis(K, c) for c in C.T]
+        return _certified(K, R, coeffs, _series_sups(K, R, coeffs),
+                          [f"scaled_poly[{i}]" for i in range(count)])
 
     if family.kind == "faber_series":
         c = target * (1.0 - family.rho) / 2.0
@@ -488,7 +471,8 @@ def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
             mags = rng.random(family.n_coeffs + 1)
             phases = np.exp(2j * np.pi * rng.random(family.n_coeffs + 1))
             coeffs.append(c * mags * phases * decay * scale)
-        return _certified(K, R, coeffs, "faber_series")
+        return _certified(K, R, coeffs, _series_sups(K, R, coeffs),
+                          [f"faber_series[{i}]" for i in range(count)])
 
     raise DomainError(f"unknown family kind {family.kind!r}")
 

@@ -242,13 +242,11 @@ class ContinuumSpec:
             c = self.psi_coeffs
             return c[0], abs(c[1]) * (R + abs(self.rho) / R)
 
-        def dist(t):
-            return np.abs(psi(self, R * np.exp(1j * t)) - zc)
+        def level(t):
+            return psi(self, R * np.exp(1j * t))
 
-        z = psi(self, R * np.exp(1j * _angles(m)))
-        zc = complex(np.mean(z))
-        return zc, float(_sample_refine(lambda th: [np.abs(z - zc)], dist, m,
-                                        1.0)[0])
+        zc = complex(np.mean(level(_angles(m))))
+        return zc, float(_row_sups(level, lambda x, i: x - zc, 1, m)[0])
 
     def mp_nodes(self, ws):
         """(c, psi - c, psi') at the mpmath nodes ws, in the current
@@ -257,7 +255,7 @@ class ContinuumSpec:
         relative nodes keep their digits however far K lies from 0."""
         if self.psi_map is None:
             raise FaberBohrError("high-precision contour is implemented for "
-                                 "segment and disc continua only")
+                                 "segment, disc and ellipse continua only")
         from mpmath import mp
         from mpmath.libmp import from_rational
 
@@ -624,13 +622,13 @@ def eccentricity(R: float) -> float:
     return 2.0 * R / (1.0 + R * R)
 
 
-def arc_length(K: ContinuumSpec, r: float, m: int = DEFAULT_SAMPLES,
-               rtol: float = 1e-8, max_doublings: int = 12) -> float:
+def arc_length(K: ContinuumSpec, r: float, m: int = DEFAULT_SAMPLES) -> float:
     """Arc length of {|phi| = r} by the periodic trapezoid rule.
 
     The integrand |psi'(r e^(i theta))| * r is smooth and periodic, so
-    the node count is doubled until two successive values agree to
-    relative rtol.  A sum beyond double range raises DomainError.
+    the node count is doubled, at most 12 times, until two successive
+    values agree to relative 1e-8.  A sum beyond double range raises
+    DomainError.
     """
     _check_level(r, "level parameter must exceed 1")
 
@@ -646,17 +644,18 @@ def arc_length(K: ContinuumSpec, r: float, m: int = DEFAULT_SAMPLES,
         return length
 
     prev = value(m)
-    for _ in range(max_doublings):
+    for _ in range(12):
         m *= 2
         cur = value(m)
-        if abs(cur - prev) <= rtol * abs(cur):
+        if abs(cur - prev) <= 1e-8 * abs(cur):
             return cur
         prev = cur
     raise NonConvergent("arc length did not stabilise; is the map tail sane?")
 
 
-def _golden_extremum(f, lo, hi, sign: float, iters: int = 60) -> np.ndarray:
-    """Golden-section searches for the extrema of f, one per row, in lockstep.
+def _golden_extremum(f, lo, hi, sign: float) -> np.ndarray:
+    """60-step golden-section searches for the extrema of f, one per row,
+    in lockstep.
 
     lo and hi hold one bracket per row, and f maps an array of angles,
     one per row, to each row's value at its own angle.  Every stage is
@@ -666,7 +665,7 @@ def _golden_extremum(f, lo, hi, sign: float, iters: int = 60) -> np.ndarray:
     d = _GOLDEN * (hi - lo)
     x1, x2 = hi - d, lo + d
     f1, f2 = sign * f(x1), sign * f(x2)
-    for _ in range(iters):
+    for _ in range(60):
         left = f1 <= f2   # keep [x1, hi], else [lo, x2]
         lo, hi = np.where(left, x1, lo), np.where(left, hi, x2)
         d = _GOLDEN * (hi - lo)
@@ -679,35 +678,6 @@ def _golden_extremum(f, lo, hi, sign: float, iters: int = 60) -> np.ndarray:
 
 def _angles(m: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(m) / m
-
-
-def _sample_refine(rows, f, m: int, sign: float,
-                   fallback: bool = False) -> np.ndarray:
-    """Extrema over the boundary angle of k rows: max for sign 1, min for -1.
-
-    rows(th) yields each row's real values at the m equispaced angles
-    th, one row at a time, so no k-by-m array is held.  f maps an array
-    of k angles to each row's value at its own angle.  Every row is
-    refined by a 60-step golden-section search within 2 pi/m of its best
-    sample, all rows in lockstep, and keeps the better of the two.  When
-    refinement fails to converge, fallback returns the sampled values of
-    every row instead of raising.
-    """
-    th = _angles(m)
-    coarse, centre = [], []
-    for vals in rows(th):
-        j = int(np.argmax(sign * vals))
-        coarse.append(vals[j])
-        centre.append(th[j])
-    coarse, centre = np.array(coarse, dtype=float), np.array(centre)
-    step = 2.0 * np.pi / m
-    try:
-        fine = _golden_extremum(f, centre - step, centre + step, sign)
-    except NonConvergent:
-        if not fallback:
-            raise
-        return coarse
-    return np.where(sign * fine > sign * coarse, fine, coarse)
 
 
 def dist_to_level(K: ContinuumSpec, z, r: float, m: int = DEFAULT_SAMPLES) -> float:
@@ -776,11 +746,8 @@ def _sampled_distance(K: ContinuumSpec, z, r: float, m: int) -> float:
     an overestimate here would wrongly tighten the bounds built on it,
     an underestimate only loosens them.
     """
-    def f(t):
-        return np.abs(psi(K, r * np.exp(1j * t)) - z)
-
-    return float(_sample_refine(lambda th: [f(th)], f, m, -1.0,
-                                fallback=True)[0])
+    return float(_row_sups(lambda t: psi(K, r * np.exp(1j * t)),
+                           lambda x, i: x - z, 1, m, -1.0, fallback=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +775,8 @@ def sup_norm(p, S, m: int = DEFAULT_SAMPLES) -> SupNorm:
     discrete maximiser.  On segments, polynomials that expose an exact
     Chebyshev-basis view (see FaberPoly.cheb_floats) are evaluated
     through it; monomial evaluation of high-degree Faber data on [-1, 1]
-    loses everything to cancellation.
+    loses everything to cancellation.  A sup beyond double range raises
+    DomainError.
     """
     if isinstance(S, LevelSet):
         def path(t):
@@ -817,20 +785,45 @@ def sup_norm(p, S, m: int = DEFAULT_SAMPLES) -> SupNorm:
         path = S._boundary_path(p)
     else:
         raise WrongKind(f"cannot take a sup norm over {type(S).__name__}")
-    return SupNorm(_row_sups(path, lambda v, i: v, 1, m)[0], m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _row_sups(path, lambda v, i: v, 1, m)[0]
+    if not math.isfinite(s):
+        K = getattr(S, "spec", S)
+        raise DomainError(f"the sup of p over {K.describe()} leaves double "
+                          "range")
+    return SupNorm(s, m)
 
 
-def _row_sups(path, values, k: int, m: int) -> np.ndarray:
-    """Sampled and refined sups of |values(path(t), i)| over t, rows i < k.
+def _row_sups(path, values, k: int, m: int, sign: float = 1.0,
+              fallback: bool = False) -> np.ndarray:
+    """Extrema of |values(path(t), i)| over the angle t, rows i < k: sups
+    for sign 1, infs for sign -1.
 
     values(x, i) gives row i at the points x for an integer i and, for
-    an index array i, row i[j] at x[j].  The grid goes through path
-    once and each row is sampled on it by itself; every golden stage
-    is one path call and one values call for all rows.
+    an index array i, row i[j] at x[j].  The m equispaced angles go
+    through path once and each row is sampled on them by itself, so no
+    k-by-m array is held.  Every row is then refined by a golden-section
+    search within 2 pi/m of its best sample, all rows in lockstep, one
+    path call and one values call a stage, and keeps the better of the
+    two.  When refinement fails to converge, fallback returns the
+    sampled values of every row instead of raising.
     """
-    def rows(th):
-        x = path(th)
-        return (np.abs(values(x, i)) for i in range(k))
-
+    th = _angles(m)
+    x = path(th)
+    coarse, centre = [], []
+    for i in range(k):
+        vals = np.abs(values(x, i))
+        j = int(np.argmax(sign * vals))
+        coarse.append(vals[j])
+        centre.append(th[j])
+    coarse, centre = np.array(coarse, dtype=float), np.array(centre)
+    step = 2.0 * np.pi / m
     idx = np.arange(k)
-    return _sample_refine(rows, lambda t: np.abs(values(path(t), idx)), m, 1.0)
+    try:
+        fine = _golden_extremum(lambda t: np.abs(values(path(t), idx)),
+                                centre - step, centre + step, sign)
+    except NonConvergent:
+        if not fallback:
+            raise
+        return coarse
+    return np.where(sign * fine > sign * coarse, fine, coarse)

@@ -6,8 +6,8 @@ what the polynomial misses, and it vanishes at infinity.  Two
 independent routes are implemented and kept separate on purpose:
 
 * the exact route in Gaussian-int numerators over one denominator:
-  one generating-function recurrence on the exact psi of segments and
-  discs, powers of phi on custom continua; faber_polys memoises one
+  one generating-function recurrence on the exact psi of segments,
+  discs and ellipses, powers of phi on custom continua; faber_polys memoises one
   family per continuum, faber_poly reads F_n from it, and exact
   evaluation is Horner's rule in Gaussian ints, rounded once,
 * the contour route, a Cauchy-type integral over a level curve
@@ -169,9 +169,9 @@ def faber_polys(K: ContinuumSpec, N: int):
 
     The family comes from K.faber_exact, in Gaussian ints: one
     generating-function recurrence on the exact psi_map of segments,
-    discs and ellipses, powers of the map tail of phi on custom continua.  Each member
-    keeps its coefficients as integer numerators over one denominator
-    (ints), which eval_exact runs on.
+    discs and ellipses, powers of the map tail of phi on custom
+    continua.  Each member keeps its coefficients as integer numerators
+    over one denominator (ints), which eval_exact runs on.
     Members are converted to doubles as they are built, so a family
     whose F_n overflows fails at F_n.  The longest family built so far
     is kept on K; a longer request builds only the new members where

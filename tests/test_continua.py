@@ -3,6 +3,7 @@
 import cmath
 import gc
 import math
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import faberbohr as fb
-from faberbohr.continua import _sample_refine, _sampled_distance
+from faberbohr.continua import _row_sups, _sampled_distance
 from faberbohr.errors import (
     DomainError,
     InsideUnitDisc,
@@ -668,6 +669,18 @@ class TestSupNorm:
         # sup of |w + 1/w| on |w| = 2 is 2.5
         assert float(fb.sup_norm(p, ls)) == pytest.approx(2.5, abs=1e-6)
 
+    @pytest.mark.parametrize("K", [fb.disc(0, 5.6e102),
+                                   fb.segment(-1e103, 1e103)],
+                             ids=["disc", "segment"])
+    def test_sup_beyond_double_range_is_refused(self, K):
+        """A cubic whose values on K overflow returned inf after a
+        RuntimeWarning; psi and the pullback refuse such values."""
+        p = np.array([0.5, -1j, 2.0, 0.25 + 1j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="double range"):
+                fb.sup_norm(p, K)
+
 
 _unit = st.floats(0.0, 1.0)
 
@@ -729,19 +742,18 @@ class TestClosedFormDistance:
 
 def _refine_distances(K, zs, sign, fallback=False, m=64):
     """Extremal distance from each zs[i] to the level curve at 2, one row each."""
-    def level(t):
-        return fb.psi(K, 2.0 * np.exp(1j * t))
-
-    return _sample_refine(lambda th: (np.abs(level(th) - z) for z in zs),
-                          lambda t: np.abs(level(t) - zs), m, sign, fallback)
+    return _row_sups(lambda t: fb.psi(K, 2.0 * np.exp(1j * t)),
+                     lambda x, i: x - zs[i], len(zs), m, sign, fallback)
 
 
 class TestLockstepRefine:
     @pytest.mark.parametrize("fallback", [False, True])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("K", [fb.segment(-0.5, 2.0),
-                                   fb.disc(0.3 + 0.1j, 0.7)],
-                             ids=["segment", "disc"])
+                                   fb.disc(0.3 + 0.1j, 0.7),
+                                   fb.custom(fb.LaurentTail.build(
+                                       2.0, 0.05, (0.04, 0.01)))],
+                             ids=["segment", "disc", "custom"])
     def test_rows_equal_single_row_calls(self, K, sign, fallback):
         rng = np.random.default_rng(11)
         rho = 1.2 + 3.0 * rng.random(9)
@@ -768,10 +780,18 @@ class TestLockstepRefine:
         def stalls(t):
             raise NonConvergent("stalled")
 
-        got = _sample_refine(lambda th: vals, stalls, 4, 1.0, fallback=True)
+        def path(t):
+            if len(t) == 4:   # the sample grid; the golden stages stall
+                return None
+            raise NonConvergent("stalled")
+
+        def values(x, i):
+            return vals[i]
+
+        got = _row_sups(path, values, 2, 4, fallback=True)
         assert got.tolist() == [2.0, 3.0]
         with pytest.raises(NonConvergent):
-            _sample_refine(lambda th: vals, stalls, 4, 1.0)
+            _row_sups(path, values, 2, 4)
 
 
 class TestMemoLifetime:

@@ -730,7 +730,8 @@ class TestContourMp:
 
     def test_custom_map_has_no_mp_route(self, custom_spec):
         with pytest.raises(FaberBohrError,
-                           match="implemented for segment and disc continua only"):
+                           match="implemented for segment, disc and ellipse "
+                                 "continua only"):
             fb.contour_values(custom_spec, [1], [0.1 + 0.1j], 2.0, m=64, dps=20)
         assert custom_spec._memo == {}
 

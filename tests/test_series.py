@@ -197,6 +197,24 @@ def test_faber_facts_stated_once_in_src():
     assert bad == []
 
 
+def test_one_sample_and_refine_routine_in_src():
+    """Every sampled extremum goes through continua._row_sups: the golden
+    search has its one call site there, and the old per-caller wrappers
+    _sample_refine and _extract_members appear nowhere in the package."""
+    calls, bad = [], []
+    for path in sorted(Path(fb.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        bad += re.findall(r"\b(?:_sample_refine|_extract_members)\b", text)
+        for fn in ast.walk(ast.parse(text)):
+            if isinstance(fn, ast.FunctionDef):
+                calls += [(path.name, fn.name) for node in ast.walk(fn)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", None)
+                          == "_golden_extremum"]
+    assert bad == []
+    assert calls == [("continua.py", "_row_sups")]
+
+
 def test_no_numpy_import_in_src():
     """Modules of the package bind np from _lazy: on Python <= 3.11 an
     `import numpy` statement loads the lazy module at once, so one such
