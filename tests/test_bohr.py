@@ -25,6 +25,16 @@ class TestPhiOfR:
         vals = np.array([fb.phi_of_R(R) for R in grid])
         assert np.all(np.diff(vals) < 0)
 
+    @pytest.mark.parametrize("R", [1.1, 2.0, 5.1282, 10.0, 64.0])
+    def test_matches_mpmath_sum(self, R):
+        import mpmath
+
+        with mpmath.workdps(30):
+            Rm = mpmath.mpf(R)
+            ref = mpmath.nsum(lambda n: 4 / (Rm ** n - Rm ** -n),
+                              [1, mpmath.inf])
+        assert abs(fb.phi_of_R(R) - ref) <= 1e-14 * ref
+
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             fb.phi_of_R(1.0)

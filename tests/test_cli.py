@@ -124,6 +124,17 @@ class TestBohrRadiusCommand:
         b = json.loads(fine)["radius"]
         assert abs(a - b) < 1.1e-3
 
+    @pytest.mark.parametrize("output", ["text", "json", "csv"])
+    @pytest.mark.parametrize("name, tol", [("default", None),
+                                           ("tol_1e-8", "1e-8")])
+    def test_golden_stdout(self, capsys, name, tol, output):
+        # the root, its eccentricity and the iteration count, to the bit
+        argv = ("--output", output, "bohr-radius") + (("--tol", tol) if tol
+                                                      else ())
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        assert out.encode() == (DATA / f"bohr_radius_{name}.{output}").read_bytes()
+
 
 class TestVerifyCommand:
     def test_no_violation_exit(self, capsys):
@@ -199,6 +210,17 @@ class TestEstimatesCommand:
         assert rc == 0
         assert out.split("\n")[0] == "n,condition,lhs,rhs,margin"
 
+    @pytest.mark.parametrize("name, continuum", [
+        ("segment_canonical", "segment:-1,1"),
+        ("disc_unit", "disc:0,0,1"),
+    ])
+    def test_golden_stdout(self, capsys, name, continuum):
+        # the margin rows at R = 8, R* and the anchor margins of the sweep
+        rc, out, _ = run(capsys, "--output", "json", "--continuum", continuum,
+                         "estimates")
+        assert rc == 0
+        assert out.encode() == (DATA / f"estimates_{name}.json").read_bytes()
+
     def test_golden_custom_readme(self, capsys):
         # the sampled level disc and basis norms of a custom map, to the bit
         rc, out, _ = run(capsys, "--output", "json", "--continuum",
@@ -228,6 +250,26 @@ class TestCoeffsCommand:
         # z^2/4 + 1/2 = F_2/16 + 5/8 on [-1, 1]
         assert coeffs[0] == pytest.approx(0.625, abs=1e-9)
         assert coeffs[2] == pytest.approx(0.0625, abs=1e-9)
+
+
+class TestHelpAndUsage:
+    """Every --help text and a set of usage errors, recorded at 80 columns.
+
+    Each entry of cli_help.json holds an argv and the exit code, stdout
+    and stderr it gave.
+    """
+
+    GOLDEN = json.loads((DATA / "cli_help.json").read_text())
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_golden(self, capsys, monkeypatch, key):
+        monkeypatch.setenv("COLUMNS", "80")
+        want = self.GOLDEN[key]
+        with pytest.raises(SystemExit) as exc:
+            main(want["argv"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out, err) == (want["exit"], want["stdout"],
+                                             want["stderr"])
 
 
 class TestFailureModes:
