@@ -130,24 +130,24 @@ def bohr_sum(f: FaberSeries, K: ContinuumSpec | None = None) -> BohrReport:
 def phi_of_R(R: float) -> float:
     """sum over n >= 1 of 4/(R^n - R^-n), the segment Bohr-sum majorant.
 
-    Strictly decreasing from +inf (at R -> 1) to 0; summation stops when
-    a term drops below 1e-15 of the partial sum.
+    Strictly decreasing from +inf (at R -> 1) to 0.  The terms are taken
+    as 4 q^n/(1 - q^2n) with q = 1/R, which underflow to 0 where R^n
+    would overflow, in blocks of 256 added up by math.fsum; summation
+    stops after the first block whose last term is below 1e-15 of the
+    partial sum, and NonConvergent is raised when no block before
+    n = 10^7 does.  Plain floats, so the segment level needs no numpy.
     """
     R = float(R)
     _check_level(R, "phi_of_R needs R > 1 + 1e-6", 1.0 + 1e-6)
+    q = 1.0 / R
     total = 0.0
-    n0 = 1
-    with np.errstate(over="ignore"):
-        while True:
-            ns = np.arange(n0, n0 + 256, dtype=float)
-            pos = np.power(R, ns)
-            terms = 4.0 / (pos - 1.0 / pos)
-            total += float(np.sum(terms))
-            if terms[-1] < 1e-15 * total:
-                return total
-            n0 += 256
-            if n0 > 10 ** 7:
-                raise NonConvergent("phi series did not settle; R too close to 1")
+    for n0 in range(1, 10 ** 7 + 1, 256):
+        block = [4.0 * t / (1.0 - t * t)
+                 for t in [q ** n for n in range(n0, n0 + 256)]]
+        total = math.fsum([total, *block])
+        if block[-1] < 1e-15 * total:
+            return total
+    raise NonConvergent("phi series did not settle; R too close to 1")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ verify       run a bounded-family campaign on a level-set domain
              (exit 4 when a counterexample to the classical sum
              threshold is found)
 estimates    margins for the separation conditions plus a level sweep
-coeffs       Faber coefficients of a sampled function
+coeffs       exact Faber coefficients of faber:n, const:c or poly:...
 
 A continuum is named as ``segment:a,b``, ``disc:re,im,radius`` or
 ``custom:@mapfile.json``; the JSON file holds the exterior map as
@@ -26,8 +26,10 @@ byte-identical between runs.
 
 A command imports only what it runs: ``bohr`` and ``estimates`` are
 imported inside their commands, and numpy is loaded on first use (see
-``_lazy``), so ``faber`` without ``--check-contour`` runs on Python
-ints and floats alone.
+``_lazy``), so ``faber`` without ``--check-contour``, ``bohr-radius``
+and ``coeffs`` of ``faber:n`` or ``const:c`` run on Python ints and
+floats alone.  Each subparser gets its flags only when its command is
+the one that runs (``_Subcommands``).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import sys
 from ._lazy import np
 from .continua import (
     ContinuumSpec,
+    _check_level,
     custom,
     disc,
     eccentricity,
@@ -50,7 +53,7 @@ from .continua import (
     segment,
 )
 from .errors import DomainError, FaberBohrError
-from .faber import contour_values, faber_coeffs, faber_polys
+from .faber import contour_values, faber_polys
 from .series import LaurentTail
 
 SCHEMA = "faberbohr/1"
@@ -335,11 +338,11 @@ def _cmd_estimates(args, K: ContinuumSpec) -> int:
 
 
 def _cmd_coeffs(args, K: ContinuumSpec) -> int:
-    m = args.samples
-    r = args.r
-    th = 2.0 * np.pi * np.arange(m) / m
-    w = r * np.exp(1j * th)
+    """Exact Faber coefficients: e_n for faber:n, (c, 0, ...) for const:c
+    and to_faber_basis for poly:..., cut or padded to n_coeffs + 1."""
+    r, N = args.r, args.n_coeffs
     kind, _, rest = args.function.partition(":")
+    monomial = None
     if kind == "faber":
         try:
             n = int(rest)
@@ -348,18 +351,17 @@ def _cmd_coeffs(args, K: ContinuumSpec) -> int:
         if n < 0:
             raise DomainError(f"function 'faber:n' needs an integer index "
                               f"n >= 0; got {rest!r}")
-        vals = K.pullback([n], w)[0]
+        faber = {n: 1.0}
     elif kind == "poly":
         try:
-            c = [complex(tok) for tok in rest.split(",")]
+            monomial = [complex(tok) for tok in rest.split(",")]
         except ValueError:
             raise DomainError(
                 f"function 'poly:c0,c1,...' needs complex-literal fields "
                 f"like 1, 0.5, 1j, 2+3j (no spaces); got {rest!r}")
-        vals = np.polynomial.polynomial.polyval(np.asarray(psi(K, w)), c)
     elif kind == "const":
         try:
-            vals = np.full(m, complex(rest))
+            faber = {0: complex(rest)}
         except ValueError:
             raise DomainError(f"function 'const:c' needs a complex literal; "
                               f"got {rest!r}")
@@ -367,7 +369,24 @@ def _cmd_coeffs(args, K: ContinuumSpec) -> int:
         raise DomainError(
             f"unknown function kind {kind!r}; use 'faber:n', "
             "'poly:c0,c1,...' or 'const:c'")
-    coeffs = faber_coeffs(vals, K, r, args.n_coeffs).coeffs
+    # the extraction radius and the m/4 rule still bound what is asked for
+    _check_level(r, "extraction radius must exceed 1")
+    if N < 0:
+        raise DomainError("N must be nonnegative")
+    if N > args.samples // 4:
+        raise DomainError(f"N={N} exceeds the anti-aliasing limit "
+                          f"m/4={args.samples // 4}")
+    if monomial is not None:
+        from .bohr import to_faber_basis
+
+        try:
+            faber = dict(enumerate(to_faber_basis(K, monomial)))
+        except OverflowError:
+            raise DomainError(f"a Faber coefficient of {args.function!r} "
+                              "leaves double range") from None
+    coeffs = [complex(faber.get(k, 0.0)) for k in range(N + 1)]
+    if not all(map(cmath.isfinite, coeffs)):
+        raise DomainError(f"function {args.function!r} is not finite")
     if args.output == "json":
         _jprint({"schema": SCHEMA, "continuum": K.describe(), "r": r,
                  "n_coeffs": args.n_coeffs,
@@ -414,33 +433,23 @@ def _add_common(p, top: bool) -> None:
                         "(default: 1024)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="faberbohr",
-        description="Faber polynomials, Green level sets and Bohr-type "
-                    "coefficient sums for planar continua.")
-    _add_common(p, top=True)
-    sub = p.add_subparsers(dest="cmd", required=True)
-
-    f = sub.add_parser("faber", help="Faber polynomial coefficients")
-    _add_common(f, top=False)
+def _faber_args(f) -> None:
     f.add_argument("--n-max", dest="n_max", type=int, default=8)
     f.add_argument("--check-contour", action="store_true",
                    help="cross-check the coefficients against the contour "
                         "route; exit 3 on mismatch beyond 1e-7")
 
-    ls = sub.add_parser("levelset", help="sample a Green level curve")
-    _add_common(ls, top=False)
+
+def _levelset_args(ls) -> None:
     ls.add_argument("--R", type=float, default=2.0)
     ls.add_argument("--m", type=int, default=256)
 
-    br = sub.add_parser("bohr-radius",
-                        help="sufficient Bohr level of the segment")
-    _add_common(br, top=False)
+
+def _bohr_radius_args(br) -> None:
     br.add_argument("--tol", type=float, default=1e-6)
 
-    v = sub.add_parser("verify", help="bounded-family campaign")
-    _add_common(v, top=False)
+
+def _verify_args(v) -> None:
     v.add_argument("--R", type=float, default=3.0)
     v.add_argument("--family",
                    choices=("moebius", "scaled_poly", "faber_series"),
@@ -451,20 +460,63 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lo,hi grid for the moebius parameter, or 'none' "
                         "for random parameters (moebius default: 0.8,0.99)")
 
-    e = sub.add_parser("estimates", help="separation-condition margins")
-    _add_common(e, top=False)
+
+def _estimates_args(e) -> None:
     e.add_argument("--R", type=float, default=8.0)
     e.add_argument("--eps0", type=float, default=0.25)
     e.add_argument("--n-max", dest="n_max", type=int, default=32)
 
-    c = sub.add_parser("coeffs", help="Faber coefficients of a function")
-    _add_common(c, top=False)
+
+def _coeffs_args(c) -> None:
     c.add_argument("--function", default="faber:1",
                    help="faber:n | poly:c0,c1,... | const:c")
     c.add_argument("--r", type=float, default=2.0,
                    help="extraction radius in the exterior coordinate")
     c.add_argument("--n-coeffs", dest="n_coeffs", type=int, default=16)
 
+
+# name, help line, and the function that adds the command's own flags
+_SUBCOMMANDS = (
+    ("faber", "Faber polynomial coefficients", _faber_args),
+    ("levelset", "sample a Green level curve", _levelset_args),
+    ("bohr-radius", "sufficient Bohr level of the segment", _bohr_radius_args),
+    ("verify", "bounded-family campaign", _verify_args),
+    ("estimates", "separation-condition margins", _estimates_args),
+    ("coeffs", "Faber coefficients of a function", _coeffs_args),
+)
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """Subparsers whose flags are added when their command is chosen.
+
+    Every subcommand is listed (for the top-level help and the choice
+    check), but only the one that runs gets its arguments: a command
+    line pays for one subparser's flags, not six.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pending = {}
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        add = self.pending.pop(values[0], None)
+        if add is not None:
+            sub = self._name_parser_map[values[0]]
+            _add_common(sub, top=False)
+            add(sub)
+        super().__call__(parser, namespace, values, option_string)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="faberbohr",
+        description="Faber polynomials, Green level sets and Bohr-type "
+                    "coefficient sums for planar continua.")
+    _add_common(p, top=True)
+    sub = p.add_subparsers(dest="cmd", required=True, action=_Subcommands)
+    for name, text, add in _SUBCOMMANDS:
+        sub.add_parser(name, help=text)
+        sub.pending[name] = add
     return p
 
 

@@ -292,6 +292,7 @@ def lemma33_check(phi_norms_K, phi_shift_norms, eps, C: float) -> bool:
 # the sufficient-condition sweep
 
 _CONDITIONS = ("compact_sup", "anchor_bound", "separation")
+_ANCHOR_TAIL = 5      # grid levels whose n = 1 anchor margin is reported
 
 
 def _condition_rows(K: ContinuumSpec, R: float, a: complex, C: float,
@@ -323,8 +324,8 @@ class Thm31Report:
     r_star is the smallest grid level at which every margin is positive
     for all n up to n_max; an empirical threshold, labeled as such in
     note, not a certified constant.  anchor_margin_tail records the
-    n = 1 anchor_bound margins over the last grid points (their growth
-    is reported, not asserted).
+    n = 1 anchor_bound margins over the last five grid points (their
+    growth is reported, not asserted).
     """
 
     K: ContinuumSpec
@@ -365,7 +366,9 @@ def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
     At the requested R the full margin table is returned; the sweep
     walks a geometric grid from 1 + 2*eps0 to grid_hi, re-anchoring a
     at the same boundary angle on each level, and reports the first
-    level where all conditions hold for every n <= n_max.
+    level where all conditions hold for every n <= n_max.  Past that
+    level only the n = 1 rows of the last five levels are evaluated,
+    for anchor_margin_tail.
     """
     eps0 = float(eps0)
     if not eps0 > 0.0:
@@ -382,14 +385,21 @@ def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
 
     theta_a = cmath.phase(phi(K, ctx.a))
     grid = np.geomspace(1.0 + 2.0 * eps0, grid_hi, grid_points)
+    tail_from = len(grid) - _ANCHOR_TAIL
     r_star = None
     anchor_tail = []
-    for Rg in grid:
+    for i, Rg in enumerate(grid):
+        # past R* only the n = 1 anchor margins of the tail are reported;
+        # rows are elementwise in n, so the n = 1 row is the same alone
+        if r_star is not None and i < tail_from:
+            continue
         a_g = complex(psi(K, Rg * cmath.exp(1j * theta_a)))
-        rows_g = _condition_rows(K, float(Rg), a_g, C, n_max, m, norms)
-        anchor_tail.append(next(
-            row["margin"] for row in rows_g
-            if row["n"] == 1 and row["condition"] == "anchor_bound"))
+        rows_g = _condition_rows(K, float(Rg), a_g, C,
+                                 n_max if r_star is None else 1, m, norms)
+        if i >= tail_from:
+            anchor_tail.append(next(
+                row["margin"] for row in rows_g
+                if row["n"] == 1 and row["condition"] == "anchor_bound"))
         if r_star is None and all(row["margin"] > 0.0 for row in rows_g):
             r_star = float(Rg)
     if r_star is None:
@@ -401,7 +411,7 @@ def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
         K=K, R=float(R), eps0=eps0, C=float(C), n_max=int(n_max), a=ctx.a,
         rows=tuple(rows), all_hold=all_hold, r_star=r_star,
         grid=tuple(float(g) for g in grid),
-        anchor_margin_tail=tuple(anchor_tail[-5:]),
+        anchor_margin_tail=tuple(anchor_tail),
         tail_ratio=r / r_star,
         tail_dominance_ok=r / r_star < 1.0,
         theta_residual_max=ctx.theta_residual_max,

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faberbohr.cli import main
+import faberbohr as fb
+from faberbohr.cli import main, parse_continuum
+from test_faber import _bits
 
 DATA = Path(__file__).parent / "data"
 
@@ -231,25 +233,76 @@ class TestEstimatesCommand:
 
 
 class TestCoeffsCommand:
+    @staticmethod
+    def coeffs(capsys, *argv):
+        rc, out, err = run(capsys, "--output", "json", "coeffs", *argv)
+        assert (rc, err) == (0, "")
+        return [complex(p, q) for p, q in json.loads(out)["coeffs"]]
+
     def test_faber_basis_vector(self, capsys):
-        rc, out, _ = run(capsys, "--output", "json", "coeffs",
-                         "--function", "faber:3", "--n-coeffs", "6")
-        assert rc == 0
-        coeffs = np.array([complex(p, q)
-                           for p, q in json.loads(out)["coeffs"]])
+        coeffs = self.coeffs(capsys, "--function", "faber:3", "--n-coeffs", "6")
         assert abs(coeffs[3] - 1.0) < 1e-9
         others = np.delete(coeffs, 3)
         assert np.max(np.abs(others)) < 1e-9
 
     def test_poly_function(self, capsys):
-        rc, out, _ = run(capsys, "--output", "json", "coeffs",
-                         "--function", "poly:0.5,0,0.25", "--n-coeffs", "4")
-        assert rc == 0
-        coeffs = np.array([complex(p, q)
-                           for p, q in json.loads(out)["coeffs"]])
+        coeffs = self.coeffs(capsys, "--function", "poly:0.5,0,0.25",
+                             "--n-coeffs", "4")
         # z^2/4 + 1/2 = F_2/16 + 5/8 on [-1, 1]
         assert coeffs[0] == pytest.approx(0.625, abs=1e-9)
         assert coeffs[2] == pytest.approx(0.0625, abs=1e-9)
+
+    @pytest.mark.parametrize("continuum", [
+        "segment:-1,1", "disc:0.5,-0.25,1.5",
+        f"custom:@{DATA / 'readme_map.json'}"])
+    def test_exact_values(self, capsys, continuum):
+        """faber:n is e_n and const:c is (c, 0, ...) exactly, and poly:...
+        is to_faber_basis to the bit, cut or padded to n_coeffs + 1; the
+        sampled route printed a_0..a_2 of faber:3 as ~1e-16."""
+        K = parse_continuum(continuum)
+        at = ("--continuum", continuum, "--function")
+        assert self.coeffs(capsys, *at, "faber:3") == [
+            1.0 if n == 3 else 0.0 for n in range(17)]
+        assert self.coeffs(capsys, *at, "faber:20") == [0.0] * 17
+        assert self.coeffs(capsys, *at, "const:2+1j", "--n-coeffs", "3") == [
+            2 + 1j, 0, 0, 0]
+        for c, N in (("0.5,0,0.25", 6), ("1j,2,3+4j,0.125,-7", 2)):
+            want = fb.to_faber_basis(K, [complex(t) for t in c.split(",")])
+            want = list(want[: N + 1]) + [0j] * (N + 1 - len(want))
+            got = self.coeffs(capsys, *at, f"poly:{c}", "--n-coeffs", str(N))
+            assert [_bits(z) for z in got] == [_bits(z) for z in want]
+
+    def test_no_overflow_at_large_radius(self, capsys):
+        # F_40 at |w| = 1e10 leaves double range: the sampled route
+        # exited 2 here; its Faber coefficients are e_40
+        assert self.coeffs(capsys, "--function", "faber:40", "--r", "1e10",
+                           "--n-coeffs", "64") == [
+            1.0 if n == 40 else 0.0 for n in range(65)]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--r", "0.5"), "extraction radius must exceed 1"),
+        (("--r", "1"), "extraction radius must exceed 1"),
+        (("--r", "nan"), "--r must be finite; got nan"),
+        (("--r", "inf"), "--r must be finite; got inf"),
+        (("--n-coeffs", "-1"), "N must be nonnegative"),
+        (("--samples", "8", "--n-coeffs", "3"),
+         "N=3 exceeds the anti-aliasing limit m/4=2"),
+        (("--function", "faber:x"),
+         "function 'faber:n' needs an integer index n >= 0; got 'x'"),
+        (("--function", "faber:-3"),
+         "function 'faber:n' needs an integer index n >= 0; got '-3'"),
+        (("--function", "poly:1,x"),
+         "function 'poly:c0,c1,...' needs complex-literal fields like 1, "
+         "0.5, 1j, 2+3j (no spaces); got '1,x'"),
+        (("--function", "const:x"),
+         "function 'const:c' needs a complex literal; got 'x'"),
+        (("--function", "nope:3"),
+         "unknown function kind 'nope'; use 'faber:n', 'poly:c0,c1,...' "
+         "or 'const:c'"),
+    ])
+    def test_refusals(self, capsys, argv, message):
+        rc, out, err = run(capsys, "coeffs", *argv)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestHelpAndUsage:

@@ -1,9 +1,12 @@
 """Remainder bounds, two-sided envelopes, separation conditions."""
 
+import cmath
+
 import numpy as np
 import pytest
 
 import faberbohr as fb
+from faberbohr import estimates
 from faberbohr.errors import (
     DomainError,
     GridExhausted,
@@ -213,6 +216,55 @@ class TestConditionSweep:
     def test_collar_guard(self, seg):
         with pytest.raises(DomainError):
             fb.thm31_conditions(seg, 1.2, eps0=0.25)
+
+    @staticmethod
+    def _full_sweep(K, rep, m):
+        """R* and the last five n = 1 anchor margins from all n <= n_max
+        rows at every grid level, as the sweep was first written."""
+        theta_a = cmath.phase(fb.phi(K, rep.a))
+        norms = [fb.basis_norm(K, n, up_to=rep.n_max)
+                 for n in range(rep.n_max + 1)]
+        r_star, tail = None, []
+        for Rg in rep.grid:
+            a_g = complex(fb.psi(K, Rg * cmath.exp(1j * theta_a)))
+            rows = estimates._condition_rows(K, Rg, a_g, rep.C, rep.n_max,
+                                             m, norms)
+            tail.append(next(row["margin"] for row in rows if row["n"] == 1
+                             and row["condition"] == "anchor_bound"))
+            if r_star is None and all(row["margin"] > 0.0 for row in rows):
+                r_star = Rg
+        return r_star, tuple(tail[-5:])
+
+    @pytest.mark.parametrize("K, R, n_max, points", [
+        (fb.segment(-1.0, 1.0), 8.0, 32, 48),
+        (fb.disc(0j, 1.0), 8.0, 32, 48),
+        (fb.segment(-0.5, 2.0), 3.0, 8, 48),
+        (fb.custom(fb.LaurentTail.build(1.0, 0.0, (0.25,))), 8.0, 12, 48),
+        (fb.disc(0j, 1.0), 4.0, 8, 7),
+        (fb.disc(0j, 1.0), 4.0, 8, 3),
+    ], ids=["segment", "disc", "segment-R3", "custom", "seven-levels",
+            "three-levels"])
+    def test_sweep_stops_at_r_star(self, monkeypatch, K, R, n_max, points):
+        """Past R* only the n = 1 rows of the last five levels are built:
+        full rows at R and at grid levels 0..i*, n = 1 rows at the tail
+        levels after i*; the report equals a sweep of every level."""
+        m = 256
+        calls = []
+        rows_of = estimates._condition_rows
+
+        def spy(K, R, a, C, n_max, m, norms):
+            calls.append(n_max)
+            return rows_of(K, R, a, C, n_max, m, norms)
+
+        monkeypatch.setattr(estimates, "_condition_rows", spy)
+        rep = fb.thm31_conditions(K, R, n_max=n_max, m=m, grid_points=points)
+        monkeypatch.undo()
+        i_star = rep.grid.index(rep.r_star)
+        tail = [i for i in range(points) if i >= points - 5 and i > i_star]
+        assert calls == [n_max] * (i_star + 2) + [1] * len(tail)
+        assert len(rep.anchor_margin_tail) == min(points, 5)
+        assert (rep.r_star, rep.anchor_margin_tail) == self._full_sweep(
+            K, rep, m)
 
     @pytest.mark.parametrize("call", [
         lambda K: fb.thm31_conditions(K, 1e20),

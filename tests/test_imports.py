@@ -17,6 +17,7 @@ import faberbohr as fb
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # a module counts as loaded once its body has run: until then a lazy
 # module is an instance of a ModuleType subclass
@@ -116,6 +117,91 @@ print(json.dumps({"out": out, "numpy": loaded("numpy")}))
     for name, (rc, text) in got["out"].items():
         assert rc == 0
         assert text.encode() == (DATA / f"faber_contour_{name}.json").read_bytes()
+
+
+def test_bohr_radius_and_exact_coeffs_run_without_numpy():
+    """bohr-radius in every format, and coeffs of faber:k and const:c,
+    load no numpy; bohr-radius prints its golden stdout."""
+    runs = {f"bohr_radius_{name}.{output}": ["--output", output, "bohr-radius",
+                                             *extra]
+            for name, extra in (("default", []), ("tol_1e-8", ["--tol", "1e-8"]))
+            for output in ("text", "json", "csv")}
+    for function in ("faber:0", "faber:7", "faber:40", "const:2+1j", "const:0"):
+        for output in ("text", "json", "csv"):
+            runs[f"coeffs.{function}.{output}"] = [
+                "--continuum", f"custom:@{DATA / 'readme_map.json'}",
+                "--output", output, "coeffs", "--function", function]
+    got = _fresh(_run_cli(runs) + """
+print(json.dumps({"out": out, "numpy": loaded("numpy"),
+                  "submodules": numpy_submodules()}))
+""")
+    assert not got["numpy"] and got["submodules"] == []
+    for key, (rc, text) in got["out"].items():
+        assert rc == 0, key
+        if key.startswith("bohr_radius"):
+            assert text.encode() == (DATA / key).read_bytes(), key
+
+
+# command lines for each command of the README table "What a command
+# loads"; a cell "with `X` only" holds for exactly the runs whose
+# command line contains X
+_TABLE_RUNS = {
+    "faber": [["faber"], ["--output", "json", "faber", "--n-max", "12"],
+              ["faber", "--n-max", "4", "--check-contour"]],
+    "coeffs": [["coeffs"], ["--output", "csv", "coeffs", "--function", "faber:3"],
+               ["coeffs", "--function", "const:2+1j"],
+               ["--output", "json", "coeffs", "--function", "poly:0.5,0,0.25"]],
+    "bohr-radius": [["bohr-radius"],
+                    ["--output", "json", "bohr-radius", "--tol", "1e-8"],
+                    ["--output", "csv", "bohr-radius"]],
+    "levelset": [["levelset", "--m", "16"]],
+    "verify": [["verify", "--R", "5.2", "--count", "2"]],
+    "estimates": [["estimates", "--n-max", "2"]],
+}
+
+
+def _readme_table() -> dict:
+    """{command: {module: cell}} from the README table."""
+    section = README.read_text().split("### What a command loads\n", 1)[1]
+    lines = section.split("\n|", 1)[1].split("\n\n", 1)[0]
+    header, _, *rows = ("|" + lines).splitlines()
+    modules = {"numpy": "numpy", "`bohr`": "faberbohr.bohr",
+               "`estimates`": "faberbohr.estimates"}
+    names = [modules.get(c.strip(), c.strip())
+             for c in header.strip("|").split("|")][1:]
+    table = {}
+    for row in rows:
+        first, *cells = (c.strip() for c in row.strip("|").split("|"))
+        for command in first.split(", "):
+            table[command.strip("`")] = dict(zip(names, cells))
+    return table
+
+
+def _expected(cell: str, argv: list) -> bool:
+    if cell in ("yes", "no"):
+        return cell == "yes"
+    flag = cell.removeprefix("with `").removesuffix("` only")
+    assert cell == f"with `{flag}` only", cell
+    return any(flag in arg for arg in argv)
+
+
+def test_readme_table_names_every_command():
+    assert set(_readme_table()) == set(_TABLE_RUNS)
+
+
+@pytest.mark.parametrize("command", sorted(_TABLE_RUNS))
+def test_readme_table_row(command):
+    """Each command line loads what its README row says, in a fresh
+    interpreter; a stale row fails here."""
+    row = _readme_table()[command]
+    for argv in _TABLE_RUNS[command]:
+        got = _fresh(_run_cli({"run": argv}) + f"""
+print(json.dumps({{"rc": out["run"][0],
+                  "loaded": {{n: loaded(n) for n in {sorted(row)!r}}}}}))
+""")
+        assert got["rc"] == 0, argv
+        assert got["loaded"] == {n: _expected(cell, argv)
+                                 for n, cell in row.items()}, argv
 
 
 def test_numpy_imported_after_the_package_works():
