@@ -163,18 +163,18 @@ _TABLE_RUNS = {
 def _readme_table() -> dict:
     """{command: {module: cell}} from the README table."""
     section = README.read_text().split("### What a command loads\n", 1)[1]
-    lines = section.split("\n|", 1)[1].split("\n\n", 1)[0]
-    header, _, *rows = ("|" + lines).splitlines()
+    table = next(p for p in section.split("\n\n") if p.startswith("|"))
+    header, _, *rows = table.splitlines()
     modules = {"numpy": "numpy", "`bohr`": "faberbohr.bohr",
                "`estimates`": "faberbohr.estimates"}
     names = [modules.get(c.strip(), c.strip())
              for c in header.strip("|").split("|")][1:]
-    table = {}
+    out = {}
     for row in rows:
         first, *cells = (c.strip() for c in row.strip("|").split("|"))
         for command in first.split(", "):
-            table[command.strip("`")] = dict(zip(names, cells))
-    return table
+            out[command.strip("`")] = dict(zip(names, cells))
+    return out
 
 
 def _expected(cell: str, argv: list) -> bool:
