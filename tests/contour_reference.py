@@ -1,11 +1,17 @@
-"""The pure-int high-precision contour route: the reference for the tests.
+"""References for the high-precision contour route of the tests.
 
-faber.contour_values(..., dps=...) forms the Gaussian-int sums
+faber.contour_values(..., dps=...) builds its nodes from the exact map
+in Python ints and forms the Gaussian-int sums
 S_k(z) = sum_j omega^(jk) B_j(z) for every k and z in one exact float64
-GEMM on limbs.  This module keeps the route it replaced, unchanged: the
-same fixed-point nodes, weights and B_j(z), with every S_k(z) summed by
-three Python-int dot products per k and z.  Both must round the same
-integers, so the tests compare them with np.array_equal.
+GEMM on limbs.  This module keeps two independent references:
+
+* mp_nodes, the nodes and weights evaluated in mpc arithmetic from
+  psi_map, each coefficient rounded once; run at more bits than the
+  route uses, it is what the fixed-point nodes are held to;
+* contour_mp, the route with every S_k(z) summed by three Python-int dot
+  products per k and z.  It reads the same fixed-point nodes
+  (faber._fixed_nodes) and roots of unity, so both must round the same
+  integers, and the tests compare them with np.array_equal.
 """
 
 from __future__ import annotations
@@ -14,21 +20,41 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from faberbohr.faber import _GUARD_BITS, _fixed
+from faberbohr import faber as fbf
 
 
-def fixed_nodes(K, r, m):
-    """P, the roots of unity at 2**P and the node data, as Python ints;
-    the fixed-point conversion of faber._fixed_nodes, without the memo."""
+def mp_nodes(K, ws):
+    """(c, psi - c, psi') at the mpmath nodes ws, in the current
+    precision, with c = b_0, the kind's centre.  Each coefficient of
+    psi_map is read exactly and rounded once to that precision."""
+    from mpmath import mp
+    from mpmath.libmp import from_rational
+
+    D, re, im = K.psi_map.ints
+    prec, rnd = mp._prec_rounding
+    lead, c, *tail = [mp.make_mpc((from_rational(x, D, prec, rnd),
+                                   from_rational(y, D, prec, rnd)))
+                      for x, y in zip(re, im)]
+    ts, dpsi = [], []
+    for w in ws:
+        t, dt = lead * w, lead
+        if tail:
+            u = 1 / w
+            t += sum(b * u ** k for k, b in enumerate(tail, 1))
+            dt -= sum(k * b * u ** (k + 1) for k, b in enumerate(tail, 1))
+        ts.append(t)
+        dpsi.append(dt)
+    return c, ts, dpsi
+
+
+def reference_nodes(K, r, m):
+    """The nodes psi(w_j) - b_0 and the weights psi'(w_j) w_j at
+    w_j = r omega^j, r the double, as mpc in the current precision."""
     from mpmath import mp
 
-    P = mp.prec + int(m).bit_length() + _GUARD_BITS
-    omega = mp.unitroots(m)
-    ws = [mp.mpf(repr(float(r))) * o for o in omega]
-    c, ts, dpsi = K.mp_nodes(ws)
-    e = max(mp.mag(t) for t in ts)
-    return (P, _fixed(omega, P), c, e, _fixed(ts, P - e),
-            _fixed([d * w for d, w in zip(dpsi, ws)], P - e))
+    ws = [mp.mpf(float(r)) * o for o in mp.unitroots(m)]
+    _, ts, dpsi = mp_nodes(K, ws)
+    return ts, [d * w for d, w in zip(dpsi, ws)]
 
 
 def contour_mp(K, ns, zs, r, m, dps) -> np.ndarray:
@@ -38,7 +64,8 @@ def contour_mp(K, ns, zs, r, m, dps) -> np.ndarray:
     zs = np.asarray(zs, dtype=complex).ravel()
     out = np.zeros((len(ns), len(zs)), dtype=complex)
     with mp.workdps(dps):
-        P, (wr, wi), c, e, (tr, ti), (dr, di) = fixed_nodes(K, r, m)
+        P, _, c, e, (tr, ti), (dr, di) = fbf._fixed_nodes(K, r, m, dps)
+        wr, wi = fbf._fixed(fbf._unit_roots(m, mp.prec)[0], P)
         rows = {}
         for k in {n % m for n in ns}:
             x = [wr[j * k % m] for j in range(m)]
@@ -47,7 +74,7 @@ def contour_mp(K, ns, zs, r, m, dps) -> np.ndarray:
         rr = mp.mpf(repr(float(r)))
         scales = [mp.ldexp(rr ** n / m, -2 * P) for n in ns]
         for jz, z in enumerate(zs):
-            (zr,), (zi,) = _fixed([mpc(z) - c], P - e)
+            (zr,), (zi,) = fbf._fixed([mpc(z) - c], P - e)
             u, v = [], []   # B_j = dw_j/(t_j - z) = u_j + i v_j at 2**P
             for a, b, t_re, t_im in zip(dr, di, tr, ti):
                 er, ei = t_re - zr, t_im - zi

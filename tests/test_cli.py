@@ -304,6 +304,14 @@ class TestCoeffsCommand:
         rc, out, err = run(capsys, "coeffs", *argv)
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
+    def test_coefficient_beyond_double_range(self, capsys):
+        """z^112 on the disc of radius 1000 has a_112 = 1000^112."""
+        poly = "poly:" + ",".join(["0"] * 112 + ["1"])
+        rc, out, err = run(capsys, "--continuum", "disc:0,0,1000", "coeffs",
+                           "--function", poly)
+        assert (rc, out, err) == (2, "", f"error: a Faber coefficient of "
+                                         f"{poly!r} leaves double range\n")
+
 
 class TestHelpAndUsage:
     """Every --help text and a set of usage errors, recorded at 80 columns.

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import faberbohr as fb
 import faberbohr.faber as fbf
-from contour_reference import contour_mp
+from contour_reference import contour_mp, mp_nodes, reference_nodes
 from faberbohr.errors import (
     AliasingRisk,
     DomainError,
@@ -537,7 +537,7 @@ def _contour_mp_accumulated(K, ns, zs, r, m, dps):
         rr = mp.mpf(repr(float(r)))
         ws = [rr * mpc(mp.cos(2 * mp.pi * j / m), mp.sin(2 * mp.pi * j / m))
               for j in range(m)]
-        c, ts, dpsi = K.mp_nodes(ws)
+        c, ts, dpsi = mp_nodes(K, ws)
         dw = [d * w for d, w in zip(dpsi, ws)]
         for jz, z in enumerate(zs):
             zq = mpc(z.real, z.imag) - c
@@ -608,7 +608,7 @@ class TestContourMp:
     # disc, so that centre + size * x is exact for the continua below
     UNIT_POINTS = np.array([0.5, -0.25 + 0.375j, 0.75 - 0.25j, 0.125 + 0.5j])
 
-    @pytest.mark.parametrize("make, unit, dps", [
+    AFFINE = [
         (lambda: fb.segment(-2.0 ** -100, 2.0 ** -100), fb.segment, 30),
         (lambda: fb.segment(-2.0 ** -200, 2.0 ** -200), fb.segment, 30),
         (lambda: fb.segment(2.0 ** 40 - 1, 2.0 ** 40 + 1), fb.segment, 30),
@@ -618,8 +618,12 @@ class TestContourMp:
         # 2^48 sizes away from 0, with fewer digits than that to spare
         (lambda: fb.segment(2.0 ** 50 - 4, 2.0 ** 50 + 4), fb.segment, 20),
         (lambda: fb.disc(complex(2.0 ** 50, -2.0 ** 49), 4.0), fb.disc, 20),
-    ], ids=["segment-2^-100", "segment-2^-200", "segment-far", "segment-2^300",
-            "disc-2^-100", "segment-2^48-sizes-off", "disc-2^48-sizes-off"])
+    ]
+    AFFINE_IDS = ["segment-2^-100", "segment-2^-200", "segment-far",
+                  "segment-2^300", "disc-2^-100", "segment-2^48-sizes-off",
+                  "disc-2^48-sizes-off"]
+
+    @pytest.mark.parametrize("make, unit, dps", AFFINE, ids=AFFINE_IDS)
     def test_invariant_under_affine_maps(self, make, unit, dps):
         """F_n does not change under affine maps of K, nor may its value."""
         K, ref_K = make(), unit()
@@ -632,6 +636,38 @@ class TestContourMp:
         ref = fb.contour_values(ref_K, self.NS, self.UNIT_POINTS, 2.0, m=256,
                                 dps=dps)
         assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+    @pytest.mark.parametrize("make", [
+        lambda: fb.segment(-1.0, 1.0),
+        lambda: fb.segment(-0.5, 2.0),
+        lambda: fb.disc(0.3 + 0.1j, 0.7),
+        lambda: fb.disc(-2.0, 1e-3),
+        lambda: fb.scaled_closure(fb.segment(-0.5, 2.0), 1.3),
+    ] + [make for make, _, _ in AFFINE],
+        ids=["segment", "segment-shifted", "disc", "disc-small", "ellipse"]
+        + AFFINE_IDS)
+    def test_nodes_within_their_bound(self, make):
+        """Each part of every fixed-point node and weight lies within
+        2^(P - prec) units at 2^(P - e) of the reference evaluated at
+        prec + 64 bits, for m = 1, 2, 16, 256 and 1024 nodes and dps 15,
+        30 and 80."""
+        from mpmath import mp
+
+        K = make()
+        cases = [(m, dps) for m in (1, 2, 16, 256, 1024) for dps in (15, 30, 80)]
+        for i, (m, dps) in enumerate(cases):
+            r = (1.5, 2.0, 3.0)[i % 3]
+            with mp.workdps(dps):
+                prec = mp.prec
+                P, _, _, e, (tr, ti), (dr, di) = fbf._fixed_nodes(K, r, m, dps)
+            with mp.workprec(prec + 64):
+                ts, dws = reference_nodes(K, r, m)
+                worst = max(
+                    max(abs(x - mp.ldexp(v.real, P - e)),
+                        abs(y - mp.ldexp(v.imag, P - e)))
+                    for xs, ys, vs in ((tr, ti, ts), (dr, di, dws))
+                    for x, y, v in zip(xs, ys, vs))
+            assert worst <= 2 ** (P - prec), (m, dps, r, worst / 2 ** (P - prec))
 
     def test_high_degree(self, seg):
         """F_60 = 2 T_60 at r = 3, where r^60 ~ 4e28 needs the digits."""
@@ -690,6 +726,65 @@ class TestContourMp:
         K, ns, zs, r, m, dps = case
         got = fb.contour_values(K, ns, zs, r, m=m, dps=dps)
         assert np.array_equal(got, contour_mp(K, ns, zs, r, m, dps))
+
+    @staticmethod
+    def _value_bounds(K, ns, zs, r, m, dps_list, values):
+        """The error bound of contour_values for each value, summed over
+        the precisions in dps_list: 4 u kappa r^n + (5 u + 2^-53) |V|,
+        u = 2^-prec, kappa = 1 + (A/g)(1 + (A + |b_0| + |z - b_0|)/g),
+        A = 2^e and g the least |t_j - z| over the nodes; None where
+        8 u (A + |b_0| + |z - b_0|) exceeds g, where no bound is claimed.
+        Evaluated in mpmath."""
+        from mpmath import mp, mpc
+        from mpmath.libmp import from_rational
+
+        precs = []
+        for dps in dps_list:
+            with mp.workdps(dps):
+                precs.append((mp.prec, fbf._fixed_nodes(K, r, m, dps)[3]))
+        out = np.empty((len(ns), len(zs)), dtype=object)
+        with mp.workprec(min(precs)[0] + 64):
+            ts, _ = reference_nodes(K, r, m)
+            D, re, im = K.psi_map.ints
+            b0 = mp.make_mpc((from_rational(re[1], D, mp.prec, "n"),
+                              from_rational(im[1], D, mp.prec, "n")))
+            rr = mp.mpf(float(r))
+            for jz, z in enumerate(zs):
+                zc = mpc(z) - b0
+                g = min(abs(t - zc) for t in ts)
+                size = abs(b0) + abs(zc)
+                for i, n in enumerate(ns):
+                    v = abs(mpc(values[i, jz]))
+                    total = 0
+                    for prec, e in precs:
+                        u, A = mp.ldexp(1, -prec), mp.ldexp(1, e)
+                        if 8 * u * (A + size) > g:
+                            total = None
+                            break
+                        kappa = 1 + A / g * (1 + (A + size) / g)
+                        total += (4 * u * kappa * rr ** n
+                                  + (5 * u + mp.ldexp(1, -53)) * v)
+                    out[i, jz] = total
+        return out
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=_cases())
+    def test_within_the_stated_bound(self, case):
+        """contour_values at dps and at dps + 40 differ by no more than
+        the sum of their stated bounds, wherever both are doubles."""
+        from mpmath import mp, mpc
+
+        K, ns, zs, r, m, dps = case
+        got = fb.contour_values(K, ns, zs, r, m=m, dps=dps)
+        fine = fb.contour_values(K, ns, zs, r, m=m, dps=dps + 40)
+        bound = self._value_bounds(K, ns, zs, r, m, (dps, dps + 40), fine)
+        with mp.workprec(200):
+            for (i, jz), b in np.ndenumerate(bound):
+                if b is None or not (np.isfinite(got[i, jz])
+                                     and np.isfinite(fine[i, jz])):
+                    continue
+                diff = abs(mpc(got[i, jz]) - mpc(fine[i, jz]))
+                assert diff <= b, (ns[i], zs[jz])
 
     def test_blocked_over_degrees(self, seg, monkeypatch):
         """With one k per GEMM block the sums are the same."""
