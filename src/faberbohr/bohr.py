@@ -279,8 +279,16 @@ def to_faber_basis(K: ContinuumSpec, coeffs) -> np.ndarray:
     approximation of it.  In Gaussian ints, work_k = (x_k + i y_k)/W and
     F_n = f/D_n with real leading numerator L_n > 0: with a = x_n + i y_n,
     a_n = a D_n/(W L_n) is rounded once, then W <- W L_n and the
-    numerators become work_k L_n - a f_k.
+    numerators become work_k L_n - a f_k.  A coefficient beyond double
+    range raises DomainError naming its index.
     """
+    def rounded(n, x, y, den):
+        try:
+            return complex(x / den, y / den)
+        except OverflowError as exc:
+            raise DomainError(f"Faber coefficient {n} leaves double "
+                              "range") from exc
+
     work = [_dyadic(complex(c))
             for c in np.atleast_1d(np.asarray(coeffs, dtype=complex))]
     W = math.lcm(*(d for _, _, d in work))
@@ -294,11 +302,11 @@ def to_faber_basis(K: ContinuumSpec, coeffs) -> np.ndarray:
         D, fr, fi = polys[n].ints
         L, (ar, ai) = fr[n], work.pop()
         W *= L
-        out[n] = complex(ar * D / W, ai * D / W)
+        out[n] = rounded(n, ar * D, ai * D, W)
         work = [(x * L - ar * u + ai * v, y * L - ar * v - ai * u)
                 for (x, y), u, v in zip(work, fr, fi)]
     [(x, y)] = work
-    out[0] = complex(x / W, y / W)
+    out[0] = rounded(0, x, y, W)
     return np.array(out)
 
 
@@ -401,14 +409,15 @@ def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
     The family is built in phases: every member's random data is drawn
     first, then the sups of all members are sampled and refined together
     (the inner polynomials of moebius, the polynomials and then the
-    series of scaled_poly, the series of faber_series).
+    series of scaled_poly, the series of faber_series).  The random
+    generator is made only by the families that draw, so a moebius sweep
+    does not load numpy.random.
     """
     _check_level(R, "level parameter R must exceed 1")
     if not 0.0 < family.margin < 1.0:
         raise DomainError("family margin must lie in (0, 1)")
     if family.count < 0:
         raise DomainError("family count must be nonnegative")
-    rng = np.random.default_rng(family.seed)
     target = 1.0 - family.margin / 2.0
     count = family.count
 
@@ -429,6 +438,7 @@ def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
             def inner(z, i):
                 return (z - c) / s
         else:
+            rng = np.random.default_rng(family.seed)
             a = 0.05 + 0.90 * rng.random(count)
             poly = _poly_rows(_draw_polys(rng, family))
             den = (1.0 + family.margin) * level_sups(poly)
@@ -456,7 +466,7 @@ def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
             f"moebius[{i}] a={float(ai):.6g}" for i, ai in enumerate(a)])
 
     if family.kind == "scaled_poly":
-        C = _draw_polys(rng, family)
+        C = _draw_polys(np.random.default_rng(family.seed), family)
         C = C / ((1.0 + family.margin) * level_sups(_poly_rows(C)))
         coeffs = [to_faber_basis(K, c) for c in C.T]
         return _certified(K, R, coeffs, _series_sups(K, R, coeffs),
@@ -466,7 +476,7 @@ def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
         c = target * (1.0 - family.rho) / 2.0
         decay = np.power(family.rho, np.arange(family.n_coeffs + 1))
         scale = np.power(float(R), -np.arange(family.n_coeffs + 1))
-        coeffs = []
+        rng, coeffs = np.random.default_rng(family.seed), []
         for _ in range(count):
             mags = rng.random(family.n_coeffs + 1)
             phases = np.exp(2j * np.pi * rng.random(family.n_coeffs + 1))

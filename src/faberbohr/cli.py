@@ -381,7 +381,9 @@ def _cmd_coeffs(args, K: ContinuumSpec) -> int:
 
         try:
             faber = dict(enumerate(to_faber_basis(K, monomial)))
-        except OverflowError:
+        except DomainError as exc:
+            if not isinstance(exc.__cause__, OverflowError):
+                raise
             raise DomainError(f"a Faber coefficient of {args.function!r} "
                               "leaves double range") from None
     coeffs = [complex(faber.get(k, 0.0)) for k in range(N + 1)]

@@ -35,7 +35,6 @@ from typing import ClassVar
 from ._lazy import np
 from .errors import (
     DomainError,
-    FaberBohrError,
     InsideUnitDisc,
     NonConvergent,
     PointInsideK,
@@ -76,8 +75,9 @@ class ContinuumSpec:
     the members here derive from it, with rho = b_1/c of
     psi(w) = c w + b_0 + b_1/w (1 on a segment, 0 on a disc), gamma,
     the float psi, psi' and phi, |phi| <= 1 membership, the boundary,
-    the closure psi(R w), psi_coeffs, the Faber family (one recurrence)
-    and the high-precision nodes.  F_n(psi(w)) = w^n + rho^n w^-n for
+    the closure psi(R w), psi_coeffs and the Faber family (one
+    recurrence); faber builds the high-precision contour nodes from
+    psi_map.ints.  F_n(psi(w)) = w^n + rho^n w^-n for
     n >= 1, its one Grunsky term (Pommerenke, Univalent Functions,
     1975), gives the pullback, sup_K |F_n| = 1 + |rho|^n and
     phi^n - F_n = -(rho/phi)^n.  Segments and discs keep their own
@@ -247,33 +247,6 @@ class ContinuumSpec:
 
         zc = complex(np.mean(level(_angles(m))))
         return zc, float(_row_sups(level, lambda x, i: x - zc, 1, m)[0])
-
-    def mp_nodes(self, ws):
-        """(c, psi - c, psi') at the mpmath nodes ws, in the current
-        precision, with c = b_0, the kind's centre.  Each coefficient of
-        psi_map is read exactly and rounded once to that precision, and
-        relative nodes keep their digits however far K lies from 0."""
-        if self.psi_map is None:
-            raise FaberBohrError("high-precision contour is implemented for "
-                                 "segment, disc and ellipse continua only")
-        from mpmath import mp
-        from mpmath.libmp import from_rational
-
-        D, re, im = self.psi_map.ints
-        prec, rnd = mp._prec_rounding
-        lead, c, *tail = [mp.make_mpc((from_rational(x, D, prec, rnd),
-                                       from_rational(y, D, prec, rnd)))
-                          for x, y in zip(re, im)]
-        ts, dpsi = [], []
-        for w in ws:
-            t, dt = lead * w, lead
-            if tail:
-                u = 1 / w
-                t += sum(b * u ** k for k, b in enumerate(tail, 1))
-                dt -= sum(k * b * u ** (k + 1) for k, b in enumerate(tail, 1))
-            ts.append(t)
-            dpsi.append(dt)
-        return c, ts, dpsi
 
 
 @dataclass(frozen=True)

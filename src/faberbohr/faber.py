@@ -41,6 +41,7 @@ from .continua import (
 from .errors import (
     AliasingRisk,
     DomainError,
+    FaberBohrError,
     PointInsideK,
     PointInsideLevel,
     PointOutsideLevel,
@@ -289,9 +290,10 @@ def _limb_product(blocks, B: np.ndarray, w: int) -> list:
 
 @functools.lru_cache(maxsize=8)
 def _unit_roots(m: int, prec: int) -> tuple:
-    """The roots of unity omega^j, j < m, at prec bits: as mpc, and at
-    2**P, P = prec + bits(m) + 8 guard bits, as an array of shape
-    (L, m, 2) holding limb a of the real and imaginary parts of omega^j,
+    """The roots of unity omega^j, j < m, from mp.unitroots at prec bits,
+    held at 2**P, P = prec + bits(m) + 8 guard bits: as the pair of
+    tuples of Python ints (wr, wi), the real and imaginary parts rounded
+    down, and as an array of shape (L, m, 2) holding limb a of them,
     _limb_width(2 m) bits each.  Computed once per (m, prec) and shared
     by every continuum and level; at most 8 pairs are kept."""
     from mpmath import mp
@@ -302,7 +304,40 @@ def _unit_roots(m: int, prec: int) -> tuple:
     roots = np.ascontiguousarray(
         _limbs(wr + wi, _limb_width(2 * m)).reshape(2, m, -1).T)
     roots.flags.writeable = False   # one array for every caller
-    return tuple(omega), roots
+    return (tuple(wr), tuple(wi)), roots
+
+
+def _map_nodes(ints, r: float, wr, wi, P: int) -> tuple:
+    """e and, at 2**(P - e), the nodes psi(w_j) - b_0 and weights
+    psi'(w_j) w_j at w_j = r omega^j, as pairs of object arrays of
+    Python ints, from the exact ints = (D, re, im) of
+    psi(w) = sum_s a_s w^s, s = 1, 0, ..., -M, and the roots (wr, wi)
+    at 2**P.  With r = p/q and omega^(js) = omega^(js mod m), each is
+    sum_(s != 0) a_s r^s omega^(js), times s for a weight: one Gaussian
+    int per node over Q = D q p^M, then one floor division by Q 2^e.
+    e = bits(S Q) - bits(Q) + 1 for S = sum |s| (|Re a_s| + |Im a_s|) r^s,
+    so S <= 2^e < 4 S bounds every node and weight.
+    """
+    D, re, im = ints
+    p, q = r.as_integer_ratio()
+    M, m = len(re) - 2, len(wr)
+    terms = [(s, x * p ** (M + s) * q ** (1 - s),
+              y * p ** (M + s) * q ** (1 - s))
+             for s, x, y in zip((1, *range(-1, -M - 1, -1)),
+                                re[:1] + re[2:], im[:1] + im[2:]) if x or y]
+    Q = D * q * p ** M
+    e = (sum(abs(s) * (abs(x) + abs(y)) for s, x, y in terms).bit_length()
+         - Q.bit_length() + 1)
+    j = np.arange(m)
+    Wr, Wi = np.array(wr, dtype=object), np.array(wi, dtype=object)
+    tr = ti = dr = di = 0
+    for s, x, y in terms:
+        a, b = Wr[s * j % m], Wi[s * j % m]
+        xr, xi = x * a - y * b, x * b + y * a
+        tr, ti, dr, di = tr + xr, ti + xi, dr + s * xr, di + s * xi
+    up, Q = max(-e, 0), Q << max(e, 0)
+    return e, ((tr << up) // Q, (ti << up) // Q), ((dr << up) // Q,
+                                                    (di << up) // Q)
 
 
 def _fixed_nodes(K: ContinuumSpec, r: float, m: int, dps: int):
@@ -310,26 +345,38 @@ def _fixed_nodes(K: ContinuumSpec, r: float, m: int, dps: int):
 
     Returns P, the limb array of the roots of unity at 2**P (from
     _unit_roots, which holds them apart from K), the centre c of K's
-    kind and the exponent e of the node set, and, at 2**P in the
-    coordinate (t - c)/2^e, the nodes psi(w_j) and the weights
-    psi'(w_j) w_j as pairs of object arrays of Python ints.  mp_nodes
-    gives the nodes relative to c, so no digit is lost to the distance
-    of K from 0; a point z is moved by c once.  All but P and the roots
-    are kept on K under ("fixed nodes", r, m, dps).
+    kind (b_0 of psi_map rounded once, an mpc) and _map_nodes of
+    psi_map: e and the nodes and weights at 2**P in the coordinate
+    (t - b_0)/2^e.  Relative nodes lose no digit to the distance of K
+    from 0; a point z is moved by c once.  All but P and the roots are
+    kept on K under ("fixed nodes", r, m, dps); a custom map raises
+    FaberBohrError before any store.
+
+    Bound.  mp.unitroots rounds each part of omega^j to prec bits from
+    prec + 10, within 2^-(prec+1) (1 + 2^-8) of the truth, and flooring
+    at 2**P adds under 1 <= 2^(P-prec-9) units, so each root is within
+    (1 + 2^-7) 2^(P-prec-1) sqrt(2) < 0.72 2^(P-prec) units of
+    2^P omega^j in modulus.  The map and r are exact, so a node or
+    weight sum over Q 2^e carries that error times
+    sum |s| |a_s| r^s/2^e <= 1, and its floor under 1 unit: each part of
+    every node and weight is within 3 2^(P-prec-2) units at 2^(P-e).
     """
     from mpmath import mp
+    from mpmath.libmp import from_rational
 
     m = int(m)
     P = mp.prec + m.bit_length() + _GUARD_BITS
-    omega, roots = _unit_roots(m, mp.prec)
+    (wr, wi), roots = _unit_roots(m, mp.prec)
     key = ("fixed nodes", float(r), m, dps)
     if key not in K._memo:
-        ws = [mp.mpf(repr(float(r))) * o for o in omega]
-        c, ts, dpsi = K.mp_nodes(ws)   # custom maps raise before any store
-        e = max(mp.mag(t) for t in ts)
-        K._memo[key] = (c, e) + tuple(
-            tuple(np.array(x, dtype=object) for x in _fixed(v, P - e))
-            for v in (ts, [d * w for d, w in zip(dpsi, ws)]))
+        if K.psi_map is None:
+            raise FaberBohrError("high-precision contour is implemented for "
+                                 "segment, disc and ellipse continua only")
+        D, re, im = K.psi_map.ints
+        prec, rnd = mp._prec_rounding
+        c = mp.make_mpc((from_rational(re[1], D, prec, rnd),
+                         from_rational(im[1], D, prec, rnd)))
+        K._memo[key] = (c, *_map_nodes(K.psi_map.ints, float(r), wr, wi, P))
     return (P, roots) + K._memo[key]
 
 
@@ -353,13 +400,16 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
     a high-precision route, needed when r**n overwhelms double-precision
     summation.  It works in mpmath's precision for dps decimal digits,
     prec bits, and holds every quantity as an exact Python int in fixed
-    point at 2**P, P = prec + bits(m) + 8 guard bits.  The nodes are
-    taken relative to the centre c of K's kind and scaled by 2^-e to
-    size about 1; the Cauchy weight dw/(t - z) does not change under
-    this affine map, and z - c is formed once in mpmath, so the accuracy
-    does not depend on where K lies or how large it is.  The nodes are
-    converted once and memoised on K per (r, m, dps); the roots of unity
-    once per (m, prec) for all continua (_unit_roots).  B_j(z) =
+    point at 2**P, P = prec + bits(m) + 8 guard bits.  The nodes and
+    weights are built in Python ints from the exact map psi_map.ints
+    and the integer roots of unity (_map_nodes), relative to b_0, the
+    centre c of K's kind, and scaled by 2^-e to size about 1; the Cauchy
+    weight dw/(t - z) does not change under this affine map, and z - c
+    is formed once in mpmath, so the accuracy does not depend on where
+    K lies or how large it is.  mpmath serves only the roots of unity,
+    c, z - c and the final rounding.  The nodes are built once and
+    memoised on K per (r, m, dps); the roots of unity once per
+    (m, prec) for all continua (_unit_roots).  B_j(z) =
     dw_j/(t_j - z) is formed for every point and node at once, as
     Python-int floor divisions on numpy object arrays of shape (Z, m).
     With w_j^n = r^n omega^(jn mod m), every degree needs the
@@ -373,6 +423,22 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
     libmp calls that complex(mpc(x, y) * scale) makes, on tuples, with
     no mpc object per value.  Custom maps have no high-precision route
     and raise FaberBohrError.
+
+    Accuracy of the dps route.  Let u = 2^-prec, A = 2^e, t_j the nodes
+    psi(w_j), g the least |t_j - z| and
+    kappa = 1 + (A/g)(1 + (A + |b_0| + |z - b_0|)/g).  If
+    8 u (A + |b_0| + |z - b_0|) <= g, each value is within
+    4 u kappa r^n + (5 u + 2^-53)|V| of the exact trapezoid sum V at the
+    level of the double r.  The nodes t_j and weights d_j are within
+    0.75 u A of the truth in each part (_fixed_nodes), so within 1.07 u A
+    in modulus, and rounding c and z - c and flooring moves the point by
+    at most 1.01 u (|b_0| + |z - b_0|) + 0.003 u A.  With |d_j| <= A and
+    the condition, which keeps every |t_j - z| above g/2, B_j moves by
+    at most 2.15 u (kappa - 1), and its floors by 0.003 u.  The roots of
+    unity add 0.72 u max |B_j| <= 0.72 u A/g to S_k(z)/m, so
+    S_k(z)/m = V/r^n is within 3 u kappa.  Rounding S_k(z), r^n, the
+    division by m and the product to prec bits adds at most 5 u |V|,
+    and rounding to doubles 2^-53 |V|.
     """
     ns = list(ns)
     _check_contour(r, m, dps, ns)
@@ -451,7 +517,7 @@ def _contour_mp(K: ContinuumSpec, ns, zs, r, m, dps) -> np.ndarray:
                           _limb_width(2 * m))
         # S_k(z) r^n/m, rounded as complex(mpc(x, y) * scale) rounds it
         prec, rnd = mp._prec_rounding
-        rr = mp.mpf(repr(float(r)))
+        rr = mp.mpf(float(r))
         for i, n in enumerate(ns):
             sc = mp.ldexp(rr ** n / m, -2 * P)._mpf_
             out[i] = [complex(

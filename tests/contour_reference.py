@@ -65,13 +65,13 @@ def contour_mp(K, ns, zs, r, m, dps) -> np.ndarray:
     out = np.zeros((len(ns), len(zs)), dtype=complex)
     with mp.workdps(dps):
         P, _, c, e, (tr, ti), (dr, di) = fbf._fixed_nodes(K, r, m, dps)
-        wr, wi = fbf._fixed(fbf._unit_roots(m, mp.prec)[0], P)
+        (wr, wi), _ = fbf._unit_roots(m, mp.prec)
         rows = {}
         for k in {n % m for n in ns}:
             x = [wr[j * k % m] for j in range(m)]
             y = [wi[j * k % m] for j in range(m)]
             rows[k] = (x, y, list(map(add, x, y)))
-        rr = mp.mpf(repr(float(r)))
+        rr = mp.mpf(float(r))
         scales = [mp.ldexp(rr ** n / m, -2 * P) for n in ns]
         for jz, z in enumerate(zs):
             (zr,), (zi,) = fbf._fixed([mpc(z) - c], P - e)

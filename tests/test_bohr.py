@@ -144,7 +144,11 @@ class TestToFaberBasis:
             except Exception as exc:   # noqa: BLE001 - the type is the outcome
                 return type(exc)
 
-        return run(fb.to_faber_basis), run(reference_faber_basis)
+        # a coefficient beyond double range is an OverflowError of the
+        # reference's rounding and a DomainError of the library
+        want = run(reference_faber_basis)
+        return (run(fb.to_faber_basis),
+                DomainError if want is OverflowError else want)
 
     # full-mantissa, subnormal-adjacent and wide-exponent entries, and
     # trailing zeros that the elimination strips
@@ -180,6 +184,15 @@ class TestToFaberBasis:
     def test_empty_input(self, seg):
         with pytest.raises(DomainError, match="N must be nonnegative"):
             fb.to_faber_basis(seg, [])
+
+    @pytest.mark.parametrize("K, coeffs, n", [
+        (fb.disc(0, 1000), [0] * 112 + [1], 112),   # a_112 = 1000^112
+        (fb.disc(1e300, 1), [0, 1e10], 0),          # a_0 = 1e310
+    ])
+    def test_coefficient_beyond_double_range(self, K, coeffs, n):
+        with pytest.raises(DomainError,
+                           match=f"Faber coefficient {n} leaves double range"):
+            fb.to_faber_basis(K, coeffs)
 
     def test_nan_input(self, seg):
         with pytest.raises(DomainError, match="finite"):

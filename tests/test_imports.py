@@ -142,6 +142,20 @@ print(json.dumps({"out": out, "numpy": loaded("numpy"),
             assert text.encode() == (DATA / key).read_bytes(), key
 
 
+
+@pytest.mark.parametrize("extra, draws", [([], False),
+                                          (["--sweep", "none"], True),
+                                          (["--family", "faber_series"], True)])
+def test_verify_loads_numpy_random_only_to_draw(extra, draws):
+    """The default Moebius sweep takes its parameters from a fixed grid
+    and draws nothing, so it loads no numpy.random; the random families
+    do."""
+    argv = ["verify", "--R", "5.2", "--count", "2", *extra]
+    got = _fresh(_run_cli({"run": argv}) + """
+print(json.dumps({"rc": out["run"][0], "random": "numpy.random" in sys.modules}))
+""")
+    assert got == {"rc": 0, "random": draws}
+
 # command lines for each command of the README table "What a command
 # loads"; a cell "with `X` only" holds for exactly the runs whose
 # command line contains X
