@@ -476,7 +476,8 @@ def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
         c = target * (1.0 - family.rho) / 2.0
         decay = np.power(family.rho, np.arange(family.n_coeffs + 1))
         scale = np.power(float(R), -np.arange(family.n_coeffs + 1))
-        rng, coeffs = np.random.default_rng(family.seed), []
+        rng = np.random.default_rng(family.seed)
+        coeffs = []
         for _ in range(count):
             mags = rng.random(family.n_coeffs + 1)
             phases = np.exp(2j * np.pi * rng.random(family.n_coeffs + 1))

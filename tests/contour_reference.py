@@ -16,6 +16,7 @@ GEMM on limbs.  This module keeps two independent references:
 
 from __future__ import annotations
 
+import functools
 from operator import add, mul, sub
 
 import numpy as np
@@ -47,12 +48,20 @@ def mp_nodes(K, ws):
     return c, ts, dpsi
 
 
+@functools.lru_cache(maxsize=16)
+def _unitroots(m, prec):
+    from mpmath import mp
+
+    with mp.workprec(prec):
+        return tuple(mp.unitroots(m))
+
+
 def reference_nodes(K, r, m):
     """The nodes psi(w_j) - b_0 and the weights psi'(w_j) w_j at
     w_j = r omega^j, r the double, as mpc in the current precision."""
     from mpmath import mp
 
-    ws = [mp.mpf(float(r)) * o for o in mp.unitroots(m)]
+    ws = [mp.mpf(float(r)) * o for o in _unitroots(m, mp.prec)]
     _, ts, dpsi = mp_nodes(K, ws)
     return ts, [d * w for d, w in zip(dpsi, ws)]
 

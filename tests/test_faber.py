@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import faberbohr as fb
 import faberbohr.faber as fbf
 from contour_reference import contour_mp, mp_nodes, reference_nodes
+from faberbohr.continua import EllipseSpec
 from faberbohr.errors import (
     AliasingRisk,
     DomainError,
@@ -643,9 +644,12 @@ class TestContourMp:
         lambda: fb.disc(0.3 + 0.1j, 0.7),
         lambda: fb.disc(-2.0, 1e-3),
         lambda: fb.scaled_closure(fb.segment(-0.5, 2.0), 1.3),
+        # a finite map of depth 2, which no public constructor builds yet
+        lambda: EllipseSpec(fb.LaurentTail.build(1.5, 0.25j,
+                                                 [0.5, 0.125 - 0.25j])),
     ] + [make for make, _, _ in AFFINE],
-        ids=["segment", "segment-shifted", "disc", "disc-small", "ellipse"]
-        + AFFINE_IDS)
+        ids=["segment", "segment-shifted", "disc", "disc-small", "ellipse",
+             "depth-2-map"] + AFFINE_IDS)
     def test_nodes_within_their_bound(self, make):
         """Each part of every fixed-point node and weight lies within
         3 2^(P - prec - 2) units at 2^(P - e) of the reference evaluated
