@@ -828,6 +828,27 @@ class TestContourMp:
             assert fbf._unit_roots.cache_info().currsize <= bound
         assert fbf._unit_roots.cache_info().currsize == bound
 
+    @pytest.mark.parametrize("ambient", ["workprec-20", "workdps-120"])
+    def test_ambient_precision_is_neither_read_nor_changed(self, ambient):
+        """With the roots of unity computed afresh inside a caller's
+        precision context, the values are those at mpmath's default
+        precision, and the context's precision is left as it was."""
+        from mpmath import mp
+
+        K = fb.disc(0.3 + 0.1j, 0.7)
+        zs = self._points(K)
+        fbf._unit_roots.cache_clear()
+        want = fb.contour_values(K, self.NS, zs, 2.0, m=256, dps=30)
+        fbf._unit_roots.cache_clear()
+        prec = mp.prec
+        with (mp.workprec(20) if ambient == "workprec-20"
+              else mp.workdps(120)):
+            inner = mp.prec
+            got = fb.contour_values(K, self.NS, zs, 2.0, m=256, dps=30)
+            assert mp.prec == inner
+        assert mp.prec == prec
+        assert np.array_equal(got, want)
+
     def test_custom_map_has_no_mp_route(self, custom_spec):
         with pytest.raises(FaberBohrError,
                            match="implemented for segment, disc and ellipse "
