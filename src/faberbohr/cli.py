@@ -44,7 +44,6 @@ import sys
 from ._lazy import np
 from .continua import (
     ContinuumSpec,
-    _check_level,
     custom,
     disc,
     eccentricity,
@@ -53,7 +52,7 @@ from .continua import (
     segment,
 )
 from .errors import DomainError, FaberBohrError
-from .faber import contour_values, faber_polys
+from .faber import _check_extraction, contour_values, faber_polys
 from .series import LaurentTail
 
 SCHEMA = "faberbohr/1"
@@ -370,12 +369,7 @@ def _cmd_coeffs(args, K: ContinuumSpec) -> int:
             f"unknown function kind {kind!r}; use 'faber:n', "
             "'poly:c0,c1,...' or 'const:c'")
     # the extraction radius and the m/4 rule still bound what is asked for
-    _check_level(r, "extraction radius must exceed 1")
-    if N < 0:
-        raise DomainError("N must be nonnegative")
-    if N > args.samples // 4:
-        raise DomainError(f"N={N} exceeds the anti-aliasing limit "
-                          f"m/4={args.samples // 4}")
+    _check_extraction(r, N, args.samples)
     if monomial is not None:
         from .bohr import to_faber_basis
 

@@ -214,17 +214,6 @@ def _nodes(K: ContinuumSpec, r: float, m: int):
     return K._memo[key]
 
 
-def _fixed(values, shift: int):
-    """Real and imaginary parts of mpc values times 2**shift, as two lists
-    of Python ints (rounded down)."""
-    from mpmath import mpc
-    from mpmath.libmp import to_fixed
-
-    parts = [mpc(v)._mpc_ for v in values]
-    return ([int(to_fixed(re, shift)) for re, _ in parts],
-            [int(to_fixed(im, shift)) for _, im in parts])
-
-
 def _limb_width(n: int) -> int:
     """Bits w per limb for an exact n-term product of limbs: every
     partial sum is an integer below n (2^w - 1)^2 < 2^53 in magnitude,
@@ -294,13 +283,19 @@ def _unit_roots(m: int, prec: int) -> tuple:
     held at 2**P, P = prec + bits(m) + 8 guard bits: as the pair of
     tuples of Python ints (wr, wi), the real and imaginary parts rounded
     down, and as an array of shape (L, m, 2) holding limb a of them,
-    _limb_width(2 m) bits each.  Computed once per (m, prec) and shared
-    by every continuum and level; at most 8 pairs are kept."""
+    _limb_width(2 m) bits each.  This is the one computation mpmath
+    does on the route: the binary fields of each root are floored inside
+    the workprec block, with no rounding at mpmath's ambient precision,
+    which the block restores.  Computed once per (m, prec) and shared by
+    every continuum and level; at most 8 pairs are kept."""
     from mpmath import mp
+    from mpmath.libmp import to_fixed
 
+    shift = prec + m.bit_length() + _GUARD_BITS
     with mp.workprec(prec):
-        omega = mp.unitroots(m)
-    wr, wi = _fixed(omega, prec + m.bit_length() + _GUARD_BITS)
+        omega = mp.unitroots(m)   # real roots come as mpf
+        wr = [int(to_fixed(v.real._mpf_, shift)) for v in omega]
+        wi = [int(to_fixed(v.imag._mpf_, shift)) for v in omega]
     roots = np.ascontiguousarray(
         _limbs(wr + wi, _limb_width(2 * m)).reshape(2, m, -1).T)
     roots.flags.writeable = False   # one array for every caller
@@ -341,16 +336,16 @@ def _map_nodes(ints, r: float, wr, wi, P: int) -> tuple:
 
 
 def _fixed_nodes(K: ContinuumSpec, r: float, m: int, dps: int):
-    """Fixed-point data of the high-precision route, under mp.workdps(dps).
+    """Fixed-point data of the high-precision route at dps digits.
 
-    Returns P, the limb array of the roots of unity at 2**P (from
-    _unit_roots, which holds them apart from K), the centre c of K's
-    kind (b_0 of psi_map rounded once, an mpc) and _map_nodes of
-    psi_map: e and the nodes and weights at 2**P in the coordinate
-    (t - b_0)/2^e.  Relative nodes lose no digit to the distance of K
-    from 0; a point z is moved by c once.  All but P and the roots are
-    kept on K under ("fixed nodes", r, m, dps); a custom map raises
-    FaberBohrError before any store.
+    The precision is prec = dps_to_prec(dps) bits, what mpmath gives dps
+    digits.  Returns P = prec + bits(m) + 8 guard bits, the limb array of
+    the roots of unity at 2**P (from _unit_roots, which holds them apart
+    from K) and _map_nodes of psi_map: e and the nodes and weights at
+    2**P in the coordinate (t - b_0)/2^e, b_0 the centre of K's kind.
+    Relative nodes lose no digit to the distance of K from 0.  All but P
+    and the roots are kept on K under ("fixed nodes", r, m, dps); a
+    custom map raises FaberBohrError before any store.
 
     Bound.  mp.unitroots rounds each part of omega^j to prec bits from
     prec + 10, within 2^-(prec+1) (1 + 2^-8) of the truth, and flooring
@@ -361,22 +356,17 @@ def _fixed_nodes(K: ContinuumSpec, r: float, m: int, dps: int):
     sum |s| |a_s| r^s/2^e <= 1, and its floor under 1 unit: each part of
     every node and weight is within 3 2^(P-prec-2) units at 2^(P-e).
     """
-    from mpmath import mp
-    from mpmath.libmp import from_rational
+    from mpmath.libmp import dps_to_prec
 
-    m = int(m)
-    P = mp.prec + m.bit_length() + _GUARD_BITS
-    (wr, wi), roots = _unit_roots(m, mp.prec)
+    m, prec = int(m), dps_to_prec(dps)
+    P = prec + m.bit_length() + _GUARD_BITS
+    (wr, wi), roots = _unit_roots(m, prec)
     key = ("fixed nodes", float(r), m, dps)
     if key not in K._memo:
         if K.psi_map is None:
             raise FaberBohrError("high-precision contour is implemented for "
                                  "segment, disc and ellipse continua only")
-        D, re, im = K.psi_map.ints
-        prec, rnd = mp._prec_rounding
-        c = mp.make_mpc((from_rational(re[1], D, prec, rnd),
-                         from_rational(im[1], D, prec, rnd)))
-        K._memo[key] = (c, *_map_nodes(K.psi_map.ints, float(r), wr, wi, P))
+        K._memo[key] = _map_nodes(K.psi_map.ints, float(r), wr, wi, P)
     return (P, roots) + K._memo[key]
 
 
@@ -398,47 +388,47 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
     On the float route a sum that leaves double range (r**n does from
     n = 1024 at r = 2) raises DomainError.  The optional dps switches to
     a high-precision route, needed when r**n overwhelms double-precision
-    summation.  It works in mpmath's precision for dps decimal digits,
-    prec bits, and holds every quantity as an exact Python int in fixed
-    point at 2**P, P = prec + bits(m) + 8 guard bits.  The nodes and
-    weights are built in Python ints from the exact map psi_map.ints
-    and the integer roots of unity (_map_nodes), relative to b_0, the
-    centre c of K's kind, and scaled by 2^-e to size about 1; the Cauchy
-    weight dw/(t - z) does not change under this affine map, and z - c
-    is formed once in mpmath, so the accuracy does not depend on where
-    K lies or how large it is.  mpmath serves only the roots of unity,
-    c, z - c and the final rounding.  The nodes are built once and
-    memoised on K per (r, m, dps); the roots of unity once per
-    (m, prec) for all continua (_unit_roots).  B_j(z) =
-    dw_j/(t_j - z) is formed for every point and node at once, as
-    Python-int floor divisions on numpy object arrays of shape (Z, m).
-    With w_j^n = r^n omega^(jn mod m), every degree needs the
-    Gaussian-int sums S_k(z) = sum_j omega^(jk) B_j(z), k = n mod m,
-    and all of them come from an exact float64 matrix product, one GEMM
-    per block of degrees: the ints are split into signed 16-bit limbs,
-    so every partial sum of the 2m-term limb products is an integer
-    below 2m 2^32 <= 2^53 (8-bit limbs above m = 2^20), and the limb
-    products are recombined into Python ints (_limb_product).  Each
-    S_k(z) r^n/m is then rounded to prec bits and to doubles by the
-    libmp calls that complex(mpc(x, y) * scale) makes, on tuples, with
-    no mpc object per value.  Custom maps have no high-precision route
-    and raise FaberBohrError.
+    summation.  It works at prec = dps_to_prec(dps) bits, the precision
+    mpmath gives dps digits, and holds every quantity as an exact Python
+    int in fixed point at 2**P, P = prec + bits(m) + 8 guard bits.  The
+    nodes and weights are built in Python ints from the exact map
+    psi_map.ints and the integer roots of unity (_map_nodes), relative
+    to b_0, the centre of K's kind, and scaled by 2^-e to size about 1;
+    the Cauchy weight dw/(t - z) does not change under this affine map,
+    and z - b_0 is formed exactly from z = (X + iY)/d and the exact b_0
+    and floored once, so the accuracy does not depend on where K lies or
+    how large it is.  mpmath computes only the roots of unity, once per
+    (m, prec) for all continua (_unit_roots); the nodes are built once
+    and memoised on K per (r, m, dps).  B_j(z) = dw_j/(t_j - z) is
+    formed for every point and node at once, as Python-int floor
+    divisions on numpy object arrays of shape (Z, m).  With
+    w_j^n = r^n omega^(jn mod m), every degree needs the Gaussian-int
+    sums S_k(z) = sum_j omega^(jk) B_j(z), k = n mod m, and all of them
+    come from an exact float64 matrix product, one GEMM per block of
+    degrees: the ints are split into signed 16-bit limbs, so every
+    partial sum of the 2m-term limb products is an integer below
+    2m 2^32 <= 2^53 (8-bit limbs above m = 2^20), and the limb products
+    are recombined into Python ints (_limb_product).  Each part of
+    S_k(z) r^n/(m 2^(2P)), r = p/q, is one int/int true division, which
+    Python rounds correctly; a value beyond double range raises
+    DomainError, as on the float route.  Custom maps have no
+    high-precision route and raise FaberBohrError.
 
     Accuracy of the dps route.  Let u = 2^-prec, A = 2^e, t_j the nodes
-    psi(w_j), g the least |t_j - z| and
-    kappa = 1 + (A/g)(1 + (A + |b_0| + |z - b_0|)/g).  If
-    8 u (A + |b_0| + |z - b_0|) <= g, each value is within
-    4 u kappa r^n + (5 u + 2^-53)|V| of the exact trapezoid sum V at the
-    level of the double r.  The nodes t_j and weights d_j are within
-    0.75 u A of the truth in each part (_fixed_nodes), so within 1.07 u A
-    in modulus, and rounding c and z - c and flooring moves the point by
-    at most 1.01 u (|b_0| + |z - b_0|) + 0.003 u A.  With |d_j| <= A and
-    the condition, which keeps every |t_j - z| above g/2, B_j moves by
-    at most 2.15 u (kappa - 1), and its floors by 0.003 u.  The roots of
-    unity add 0.72 u max |B_j| <= 0.72 u A/g to S_k(z)/m, so
-    S_k(z)/m = V/r^n is within 3 u kappa.  Rounding S_k(z), r^n, the
-    division by m and the product to prec bits adds at most 5 u |V|,
-    and rounding to doubles 2^-53 |V|.
+    psi(w_j), g the least |t_j - z| and kappa = 1 + (A/g)(1 + A/g).  If
+    8 u A <= g and u r^n >= 2^-1073, each value is within
+    3 u kappa r^n + 2^-53 |V| of the exact trapezoid sum V at the level
+    of the double r.  The nodes t_j and weights d_j are within 0.75 u A
+    of the truth in each part (_fixed_nodes), so within 1.07 u A in
+    modulus, and z - b_0 is exact until its floor, which moves it by
+    under sqrt(2) 2^(e-P) <= 0.003 u A.  With |d_j| <= A and the
+    condition, which keeps every computed |t_j - z| above 0.86 g, B_j
+    moves by at most 1.23 u (kappa - 1), and its floors by 0.003 u.  The
+    roots of unity add 0.72 u max |B_j| <= 0.73 u (kappa - 1) + 0.001 u
+    to S_k(z)/m, so S_k(z)/m = V/r^n is within 2 u kappa, and r^n is
+    exact.  Rounding each part once adds 2^-53 of the value, or under
+    2^-1075 below the normal range, which the second condition makes
+    smaller than u kappa r^n.
     """
     ns = list(ns)
     _check_contour(r, m, dps, ns)
@@ -494,37 +484,40 @@ def _root_sums(roots: np.ndarray, ks, U: list, V: list, w: int) -> dict:
 
 
 def _contour_mp(K: ContinuumSpec, ns, zs, r, m, dps) -> np.ndarray:
-    from mpmath import mp, mpc
-    from mpmath.libmp import from_int, mpf_mul, to_float
-
+    m, ns = int(m), [int(n) for n in ns]
     out = np.zeros((len(ns), len(zs)), dtype=complex)
-    with mp.workdps(dps):
-        P, roots, c, e, (tr, ti), (dr, di) = _fixed_nodes(K, r, m, dps)
-        # B_j(z) = dw_j/(t_j - z) = u_j + i v_j at 2**P, a row per z
-        zr, zi = (np.array(x, dtype=object)[:, None]
-                  for x in _fixed([mpc(z) - c for z in zs], P - e))
-        er, ei = tr - zr, ti - zi
-        den = er * er + ei * ei
-        hit = np.flatnonzero((den == 0).any(axis=1))
-        if len(hit):
-            raise _on_node(zs[hit[0]], r, m)
-        if not (ns and len(zs)):
-            return out
-        U = ((dr * er + di * ei) << P) // den
-        V = ((di * er - dr * ei) << P) // den
-        sums = _root_sums(roots, sorted({n % m for n in ns}),
-                          U.ravel().tolist(), V.ravel().tolist(),
-                          _limb_width(2 * m))
-        # S_k(z) r^n/m, rounded as complex(mpc(x, y) * scale) rounds it
-        prec, rnd = mp._prec_rounding
-        rr = mp.mpf(float(r))
-        for i, n in enumerate(ns):
-            sc = mp.ldexp(rr ** n / m, -2 * P)._mpf_
-            out[i] = [complex(
-                to_float(mpf_mul(from_int(x, prec, rnd), sc, prec, rnd),
-                         False, rnd),
-                to_float(mpf_mul(from_int(y, prec, rnd), sc, prec, rnd),
-                         False, rnd)) for x, y in sums[n % m]]
+    P, roots, e, (tr, ti), (dr, di) = _fixed_nodes(K, r, m, dps)
+    # z - b_0 at 2**(P - e), exact from z = (X + iY)/d and
+    # b_0 = (re_1 + i im_1)/D, then floored once
+    D, re, im = K.psi_map.ints
+    up, down = max(P - e, 0), max(e - P, 0)
+    zq = np.array([[((X * D - re[1] * d) << up) // (D * d << down),
+                     ((Y * D - im[1] * d) << up) // (D * d << down)]
+                    for X, Y, d in map(_dyadic, zs)], dtype=object)
+    # B_j(z) = dw_j/(t_j - z) = u_j + i v_j at 2**P, a row per z
+    er, ei = tr - zq[:, :1], ti - zq[:, 1:]
+    den = er * er + ei * ei
+    hit = np.flatnonzero((den == 0).any(axis=1))
+    if len(hit):
+        raise _on_node(zs[hit[0]], r, m)
+    if not (ns and len(zs)):
+        return out
+    U = ((dr * er + di * ei) << P) // den
+    V = ((di * er - dr * ei) << P) // den
+    sums = _root_sums(roots, sorted({n % m for n in ns}),
+                      U.ravel().tolist(), V.ravel().tolist(),
+                      _limb_width(2 * m))
+    # S_k(z) r^n/m with r = p/q, one correctly rounded int/int division
+    p, q = float(r).as_integer_ratio()
+    for i, n in enumerate(ns):
+        num, div = (p ** n, q ** n) if n >= 0 else (q ** -n, p ** -n)
+        div = m * div << 2 * P
+        try:
+            out[i] = [complex(x * num / div, y * num / div)
+                      for x, y in sums[n % m]]
+        except OverflowError:
+            raise DomainError(f"a value of the high-precision contour route "
+                              f"leaves double range at r={r}, n={n}") from None
     return out
 
 
@@ -631,6 +624,16 @@ class FaberSeries:
         }
 
 
+def _check_extraction(r: float, N: int, m: int) -> None:
+    """Gates of coefficient extraction from m samples: a radius r > 1
+    and 0 <= N <= m/4 (anti-aliasing rule), else DomainError."""
+    _check_level(r, "extraction radius must exceed 1")
+    if N < 0:
+        raise DomainError("N must be nonnegative")
+    if N > m // 4:
+        raise DomainError(f"N={N} exceeds the anti-aliasing limit m/4={m // 4}")
+
+
 def faber_coeffs(samples, K: ContinuumSpec, r: float, N: int,
                  fn=None, verify: bool = False) -> FaberSeries:
     """Faber coefficients from equispaced samples of f(psi(w)) on |w| = r.
@@ -643,11 +646,7 @@ def faber_coeffs(samples, K: ContinuumSpec, r: float, N: int,
     """
     samples = np.asarray(samples, dtype=complex)
     m = len(samples)
-    _check_level(r, "extraction radius must exceed 1")
-    if N < 0:
-        raise DomainError("N must be nonnegative")
-    if N > m // 4:
-        raise DomainError(f"N={N} exceeds the anti-aliasing limit m/4={m // 4}")
+    _check_extraction(r, N, m)
     bins = np.fft.fft(samples) / m
     a = bins[: N + 1] * np.float_power(r, -np.arange(N + 1))
     if not np.all(np.isfinite(a)):

@@ -10,13 +10,17 @@ GEMM on limbs.  This module keeps two independent references:
   route uses, it is what the fixed-point nodes are held to;
 * contour_mp, the route with every S_k(z) summed by three Python-int dot
   products per k and z.  It reads the same fixed-point nodes
-  (faber._fixed_nodes) and roots of unity, so both must round the same
-  integers, and the tests compare them with np.array_equal.
+  (faber._fixed_nodes) and roots of unity, forms z - b_0 exactly in
+  Fractions and floors it once, and rounds each S_k(z) r^n/m once as a
+  Fraction, so both must round the same integers, and the tests compare
+  them with np.array_equal.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+from fractions import Fraction
 from operator import add, mul, sub
 
 import numpy as np
@@ -66,38 +70,50 @@ def reference_nodes(K, r, m):
     return ts, [d * w for d, w in zip(dpsi, ws)]
 
 
+def _double(x: Fraction) -> float:
+    """x correctly rounded to a double, or inf of its sign beyond range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def contour_mp(K, ns, zs, r, m, dps) -> np.ndarray:
-    """contour_values(K, ns, zs, r, m, dps) by integer dot products."""
-    from mpmath import mp, mpc
+    """contour_values(K, ns, zs, r, m, dps) by integer dot products, with
+    inf in each part that leaves double range where the route raises."""
+    from mpmath.libmp import dps_to_prec
 
     zs = np.asarray(zs, dtype=complex).ravel()
     out = np.zeros((len(ns), len(zs)), dtype=complex)
-    with mp.workdps(dps):
-        P, _, c, e, (tr, ti), (dr, di) = fbf._fixed_nodes(K, r, m, dps)
-        (wr, wi), _ = fbf._unit_roots(m, mp.prec)
-        rows = {}
-        for k in {n % m for n in ns}:
-            x = [wr[j * k % m] for j in range(m)]
-            y = [wi[j * k % m] for j in range(m)]
-            rows[k] = (x, y, list(map(add, x, y)))
-        rr = mp.mpf(float(r))
-        scales = [mp.ldexp(rr ** n / m, -2 * P) for n in ns]
-        for jz, z in enumerate(zs):
-            (zr,), (zi,) = fbf._fixed([mpc(z) - c], P - e)
-            u, v = [], []   # B_j = dw_j/(t_j - z) = u_j + i v_j at 2**P
-            for a, b, t_re, t_im in zip(dr, di, tr, ti):
-                er, ei = t_re - zr, t_im - zi
-                den = er * er + ei * ei
-                u.append(((a * er + b * ei) << P) // den)
-                v.append(((b * er - a * ei) << P) // den)
-            # sum of (x + iy)(u + iv) in three products: k1 = (x + y)u,
-            # re = k1 - y(u + v), im = k1 + x(v - u)
-            upv, vmu = list(map(add, u, v)), list(map(sub, v, u))
-            sums = {}
-            for k, (x, y, xpy) in rows.items():
-                k1 = sum(map(mul, xpy, u))
-                sums[k] = (k1 - sum(map(mul, y, upv)),
-                           k1 + sum(map(mul, x, vmu)))
-            for i, n in enumerate(ns):
-                out[i, jz] = complex(mpc(*sums[n % m]) * scales[i])
+    P, _, e, (tr, ti), (dr, di) = fbf._fixed_nodes(K, r, m, dps)
+    (wr, wi), _ = fbf._unit_roots(m, dps_to_prec(dps))
+    D, re, im = K.psi_map.ints
+    at = Fraction(2) ** (P - e)
+    rows = {}
+    for k in {n % m for n in ns}:
+        x = [wr[j * k % m] for j in range(m)]
+        y = [wi[j * k % m] for j in range(m)]
+        rows[k] = (x, y, list(map(add, x, y)))
+    scales = [Fraction(float(r)) ** n / (m << 2 * P) for n in ns]
+    for jz, z in enumerate(zs):
+        # z - b_0 in Fractions, floored once at 2**(P - e)
+        zr = math.floor((Fraction(z.real) - Fraction(re[1], D)) * at)
+        zi = math.floor((Fraction(z.imag) - Fraction(im[1], D)) * at)
+        u, v = [], []   # B_j = dw_j/(t_j - z) = u_j + i v_j at 2**P
+        for a, b, t_re, t_im in zip(dr, di, tr, ti):
+            er, ei = t_re - zr, t_im - zi
+            den = er * er + ei * ei
+            u.append(((a * er + b * ei) << P) // den)
+            v.append(((b * er - a * ei) << P) // den)
+        # sum of (x + iy)(u + iv) in three products: k1 = (x + y)u,
+        # re = k1 - y(u + v), im = k1 + x(v - u)
+        upv, vmu = list(map(add, u, v)), list(map(sub, v, u))
+        sums = {}
+        for k, (x, y, xpy) in rows.items():
+            k1 = sum(map(mul, xpy, u))
+            sums[k] = (k1 - sum(map(mul, y, upv)), k1 + sum(map(mul, x, vmu)))
+        for i, n in enumerate(ns):
+            sr, si = sums[n % m]
+            out[i, jz] = complex(_double(sr * scales[i]),
+                                 _double(si * scales[i]))
     return out

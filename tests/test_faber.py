@@ -1,10 +1,13 @@
 """Faber polynomials: series route, contour route, coefficients, identities."""
 
+import ast
 import cmath
 import functools
 import json
 import math
 import random
+import re
+import sys
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
@@ -658,13 +661,14 @@ class TestContourMp:
         levels."""
         from mpmath import mp
 
+        from mpmath.libmp import dps_to_prec
+
         K = make()
         cases = [(m, dps) for m in (1, 2, 16, 256, 1024) for dps in (15, 30, 80)]
         for i, (m, dps) in enumerate(cases):
             r = (1.5, 2.0, 3.0, 1.3)[i % 4]
-            with mp.workdps(dps):
-                prec = mp.prec
-                P, _, _, e, (tr, ti), (dr, di) = fbf._fixed_nodes(K, r, m, dps)
+            prec = dps_to_prec(dps)
+            P, _, e, (tr, ti), (dr, di) = fbf._fixed_nodes(K, r, m, dps)
             with mp.workprec(prec + 64):
                 ts, dws = reference_nodes(K, r, m)
                 worst = max(
@@ -723,30 +727,51 @@ class TestContourMp:
                 zs.append(complex(fb.psi(K, rho * cmath.exp(1j * th))))
         return K, ns, zs, r, m, dps
 
+    @staticmethod
+    def _rows(K, ns, zs, r, m, dps):
+        """The rows of contour_values, one per degree; where the call
+        raises for leaving double range, each degree is run alone and a
+        degree that raises so has None for its row."""
+        try:
+            return list(fb.contour_values(K, ns, zs, r, m=m, dps=dps))
+        except DomainError as exc:
+            assert "double range" in str(exc)
+        rows = []
+        for n in ns:
+            try:
+                rows += list(fb.contour_values(K, [n], zs, r, m=m, dps=dps))
+            except DomainError as exc:
+                assert "double range" in str(exc)
+                rows.append(None)
+        assert any(row is None for row in rows)
+        return rows
+
     @settings(max_examples=20, deadline=None)
     @given(case=_cases())
     def test_gemm_equals_dot_products(self, case):
         """The limb GEMM rounds the same integers as the Python-int dot
-        products it replaced, so every double is the same."""
+        products it replaced, so every double is the same, and a degree
+        is refused just where the reference leaves double range."""
         K, ns, zs, r, m, dps = case
-        got = fb.contour_values(K, ns, zs, r, m=m, dps=dps)
-        assert np.array_equal(got, contour_mp(K, ns, zs, r, m, dps))
+        want = contour_mp(K, ns, zs, r, m, dps)
+        for row, ref in zip(self._rows(K, ns, zs, r, m, dps), want):
+            if row is None:
+                assert not np.isfinite(ref).all()
+            else:
+                assert np.array_equal(row, ref)
 
     @staticmethod
     def _value_bounds(K, ns, zs, r, m, dps_list, values):
         """The error bound of contour_values for each value, summed over
-        the precisions in dps_list: 4 u kappa r^n + (5 u + 2^-53) |V|,
-        u = 2^-prec, kappa = 1 + (A/g)(1 + (A + |b_0| + |z - b_0|)/g),
-        A = 2^e and g the least |t_j - z| over the nodes; None where
-        8 u (A + |b_0| + |z - b_0|) exceeds g, where no bound is claimed.
-        Evaluated in mpmath."""
+        the precisions in dps_list: 3 u kappa r^n + 2^-53 |V|,
+        u = 2^-prec, kappa = 1 + (A/g)(1 + A/g), A = 2^e and g the least
+        |t_j - z| over the nodes; None where 8 u A exceeds g, where no
+        bound is claimed.  Evaluated in mpmath."""
         from mpmath import mp, mpc
-        from mpmath.libmp import from_rational
+        from mpmath.libmp import dps_to_prec, from_rational
 
-        precs = []
-        for dps in dps_list:
-            with mp.workdps(dps):
-                precs.append((mp.prec, fbf._fixed_nodes(K, r, m, dps)[3]))
+        precs = [(dps_to_prec(dps), fbf._fixed_nodes(K, r, m, dps)[2])
+                 for dps in dps_list]
         out = np.empty((len(ns), len(zs)), dtype=object)
         with mp.workprec(min(precs)[0] + 64):
             ts, _ = reference_nodes(K, r, m)
@@ -757,18 +782,16 @@ class TestContourMp:
             for jz, z in enumerate(zs):
                 zc = mpc(z) - b0
                 g = min(abs(t - zc) for t in ts)
-                size = abs(b0) + abs(zc)
                 for i, n in enumerate(ns):
                     v = abs(mpc(values[i, jz]))
                     total = 0
                     for prec, e in precs:
                         u, A = mp.ldexp(1, -prec), mp.ldexp(1, e)
-                        if 8 * u * (A + size) > g:
+                        if 8 * u * A > g:
                             total = None
                             break
-                        kappa = 1 + A / g * (1 + (A + size) / g)
-                        total += (4 * u * kappa * rr ** n
-                                  + (5 * u + mp.ldexp(1, -53)) * v)
+                        kappa = 1 + A / g * (1 + A / g)
+                        total += 3 * u * kappa * rr ** n + mp.ldexp(1, -53) * v
                     out[i, jz] = total
         return out
 
@@ -776,20 +799,29 @@ class TestContourMp:
     @given(case=_cases())
     def test_within_the_stated_bound(self, case):
         """contour_values at dps and at dps + 40 differ by no more than
-        the sum of their stated bounds, wherever both are doubles."""
+        the sum of their stated bounds wherever both are doubles; where
+        only one refuses a degree for leaving double range, the other
+        reaches double max within that bound at some point."""
         from mpmath import mp, mpc
 
         K, ns, zs, r, m, dps = case
-        got = fb.contour_values(K, ns, zs, r, m=m, dps=dps)
-        fine = fb.contour_values(K, ns, zs, r, m=m, dps=dps + 40)
-        bound = self._value_bounds(K, ns, zs, r, m, (dps, dps + 40), fine)
+        got = self._rows(K, ns, zs, r, m, dps)
+        fine = self._rows(K, ns, zs, r, m, dps + 40)
+        values = np.array([[0j] * len(zs) if f is None and g is None
+                           else g if f is None else f
+                           for g, f in zip(got, fine)])
+        bound = self._value_bounds(K, ns, zs, r, m, (dps, dps + 40), values)
         with mp.workprec(200):
-            for (i, jz), b in np.ndenumerate(bound):
-                if b is None or not (np.isfinite(got[i, jz])
-                                     and np.isfinite(fine[i, jz])):
-                    continue
-                diff = abs(mpc(got[i, jz]) - mpc(fine[i, jz]))
-                assert diff <= b, (ns[i], zs[jz])
+            top = mp.mpf(sys.float_info.max)
+            for i, (g, f) in enumerate(zip(got, fine)):
+                if g is not None and f is not None:
+                    for jz, b in enumerate(bound[i]):
+                        if b is not None:
+                            diff = abs(mpc(g[jz]) - mpc(f[jz]))
+                            assert diff <= b, (ns[i], zs[jz])
+                elif g is not None or f is not None:
+                    assert any(b is None or abs(mpc(v)) + b >= top
+                               for v, b in zip(values[i], bound[i])), ns[i]
 
     def test_blocked_over_degrees(self, seg, monkeypatch):
         """With one k per GEMM block the sums are the same."""
@@ -849,12 +881,51 @@ class TestContourMp:
         assert mp.prec == prec
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("n, dps", [(600, 30), (557, 15)])
+    def test_value_beyond_double_range_is_refused(self, n, dps):
+        """r^n = 3.875^600 is beyond double range; at dps = 15 the value
+        for n = 557 rounds past it too.  Both came back as inf."""
+        with pytest.raises(DomainError, match="double range"):
+            fb.contour_values(fb.disc(0, 1), [n], [1.14375], 3.875, m=256,
+                              dps=dps)
+
     def test_custom_map_has_no_mp_route(self, custom_spec):
         with pytest.raises(FaberBohrError,
                            match="implemented for segment, disc and ellipse "
                                  "continua only"):
             fb.contour_values(custom_spec, [1], [0.1 + 0.1j], 2.0, m=64, dps=20)
         assert custom_spec._memo == {}
+
+
+def test_mpmath_only_computes_the_roots_of_unity():
+    """In the package mpmath computes the roots of unity (_unit_roots)
+    and names the bits of dps digits (_fixed_nodes); the rest of the
+    high-precision route is Python ints.  No mpc, precision context or
+    libmp rounding is left, nor the old converter _fixed."""
+    uses, bad = set(), []
+    for path in sorted(Path(fb.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        bad += re.findall(r"\b(?:mpc|workdps|from_rational|to_float|mpf_mul"
+                          r"|_fixed)\b", text)
+        tree = ast.parse(text)
+        owner = {}   # node -> innermost enclosing function; outer first
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            name = owner.get(id(node))
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                mods = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                        else [a.name for a in node.names])
+                if any(mod.startswith("mpmath") for mod in mods):
+                    uses |= {(name, a.name) for a in node.names}
+            elif (isinstance(node, ast.Attribute)
+                  and getattr(node.value, "id", None) == "mp"):
+                uses.add((name, "mp." + node.attr))
+    assert bad == []
+    assert uses == {("_unit_roots", "mp"), ("_unit_roots", "mp.workprec"),
+                    ("_unit_roots", "mp.unitroots"), ("_unit_roots", "to_fixed"),
+                    ("_fixed_nodes", "dps_to_prec")}
 
 
 class TestLimbProduct:
