@@ -660,7 +660,6 @@ class TestContourMp:
         256 and 1024 nodes, dps 15, 30 and 80, and dyadic and other
         levels."""
         from mpmath import mp
-
         from mpmath.libmp import dps_to_prec
 
         K = make()
