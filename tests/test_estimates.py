@@ -217,6 +217,18 @@ class TestConditionSweep:
         with pytest.raises(DomainError):
             fb.thm31_conditions(seg, 1.2, eps0=0.25)
 
+    @pytest.mark.parametrize("C", [1.5, 0.0, float("nan")])
+    def test_contraction_guard(self, seg, C):
+        """C outside (0, 1) is refused after the grid_hi power check and
+        before the power check on R."""
+        msg = "contraction constant C must lie in"
+        with pytest.raises(DomainError, match=msg):
+            fb.thm31_conditions(seg, 8.0, C=C)
+        with pytest.raises(DomainError, match=msg):
+            fb.thm31_conditions(seg, 1e20, C=C)
+        with pytest.raises(DomainError, match="sweep top grid_hi"):
+            fb.thm31_conditions(seg, 8.0, C=C, grid_hi=1e50)
+
     @staticmethod
     def _full_sweep(K, rep, m):
         """R* and the last five n = 1 anchor margins from all n <= n_max
