@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ._lazy import np
 from .continua import (
@@ -34,7 +35,7 @@ from .errors import (
     PreconditionViolated,
     WrongKind,
 )
-from .faber import FaberSeries, faber_coeffs, faber_polys
+from .faber import FaberSeries, _rounded, faber_coeffs, faber_polys
 from .series import _dyadic
 
 __all__ = [
@@ -104,16 +105,13 @@ def basis_norm(K: ContinuumSpec, n: int, up_to: int | None = None) -> float:
     return norms[n]
 
 
-def bohr_sum(f: FaberSeries, K: ContinuumSpec | None = None) -> BohrReport:
-    """Bohr sum of f over K, term by term.
+def bohr_sum(f: FaberSeries) -> BohrReport:
+    """Bohr sum of f over its continuum K = f.K, term by term.
 
     The norm of each basis polynomial is taken over K itself, not over
     the validity region; this is what makes the sum comparable to 1.
     """
-    if K is None:
-        K = f.K
-    if K != f.K:
-        raise DomainError("series was built for a different continuum")
+    K = f.K
     terms = np.array([abs(a) * basis_norm(K, n, up_to=f.N)
                       for n, a in enumerate(f.coeffs)])
     total = float(np.sum(terms))
@@ -199,8 +197,7 @@ def segment_bohr_radius(tol: float = 1e-6,
 # coefficient inequalities on the segment annulus
 
 def coeff_bound_check(f: FaberSeries, R: float | None = None,
-                      mode: str = "bohr", check_pre: bool = True,
-                      samples: int = 512) -> list:
+                      mode: str = "bohr", check_pre: bool = True) -> list:
     """Per-coefficient margins against the classical annulus bounds.
 
     mode "bohr": functions bounded by 1 in modulus; after rotating so
@@ -210,8 +207,9 @@ def coeff_bound_check(f: FaberSeries, R: float | None = None,
 
     Returns one row per index n >= 1: {"n", "coeff", "bound", "margin"}
     with margin = bound - |a_n|.  Preconditions are checked by boundary
-    sampling unless the series carries a generator certificate
-    (cert_sup), which takes precedence for the modulus condition.
+    sampling at 512 angles unless the series carries a generator
+    certificate (cert_sup), which takes precedence for the modulus
+    condition.
     """
     if f.K.kind != "segment":
         raise WrongKind("coefficient bounds are stated for segment continua")
@@ -223,7 +221,7 @@ def coeff_bound_check(f: FaberSeries, R: float | None = None,
     _check_level(R, "level parameter R must exceed 1")
 
     if check_pre:
-        _check_bound_pre(f, R, mode, samples)
+        _check_bound_pre(f, R, mode)
 
     if mode == "bohr":
         a0 = abs(f.coeffs[0])
@@ -242,13 +240,13 @@ def coeff_bound_check(f: FaberSeries, R: float | None = None,
     return rows
 
 
-def _check_bound_pre(f: FaberSeries, R: float, mode: str, samples: int):
+def _check_bound_pre(f: FaberSeries, R: float, mode: str):
     if mode == "bohr" and f.cert_sup is not None:
         if not f.cert_sup < 1.0:
             raise PreconditionViolated(
                 f"certified sup {f.cert_sup} is not below 1", value=f.cert_sup)
         return
-    th = 2.0 * np.pi * np.arange(samples) / samples
+    th = 2.0 * np.pi * np.arange(512) / 512
     w = R * np.exp(1j * th)
     vals = f.eval_w(w)
     if mode == "bohr":
@@ -282,13 +280,6 @@ def to_faber_basis(K: ContinuumSpec, coeffs) -> np.ndarray:
     numerators become work_k L_n - a f_k.  A coefficient beyond double
     range raises DomainError naming its index.
     """
-    def rounded(n, x, y, den):
-        try:
-            return complex(x / den, y / den)
-        except OverflowError as exc:
-            raise DomainError(f"Faber coefficient {n} leaves double "
-                              "range") from exc
-
     work = [_dyadic(complex(c))
             for c in np.atleast_1d(np.asarray(coeffs, dtype=complex))]
     W = math.lcm(*(d for _, _, d in work))
@@ -302,11 +293,11 @@ def to_faber_basis(K: ContinuumSpec, coeffs) -> np.ndarray:
         D, fr, fi = polys[n].ints
         L, (ar, ai) = fr[n], work.pop()
         W *= L
-        out[n] = rounded(n, ar * D, ai * D, W)
+        out[n] = _rounded(ar * D, ai * D, W, "Faber coefficient %d", n)
         work = [(x * L - ar * u + ai * v, y * L - ar * v - ai * u)
                 for (x, y), u, v in zip(work, fr, fi)]
     [(x, y)] = work
-    out[0] = rounded(0, x, y, W)
+    out[0] = _rounded(x, y, W, "Faber coefficient %d", 0)
     return np.array(out)
 
 
@@ -333,11 +324,11 @@ class BoundedFamily:
     seed: int = 0
     count: int = 24
     margin: float = 0.01
-    degree: int = 8
-    rho: float = 0.9
-    n_coeffs: int = 24
     sweep: tuple | None = None
-    samples: int = 512
+    degree: ClassVar[int] = 8
+    rho: ClassVar[float] = 0.9
+    n_coeffs: ClassVar[int] = 24
+    samples: ClassVar[int] = 512
 
     def describe(self) -> dict:
         return {
@@ -506,7 +497,7 @@ class CampaignReport:
     sums: tuple
     min_slack: float | None
     violations: tuple
-    evidence_only: bool = True
+    evidence_only: ClassVar[bool] = True
 
     @property
     def verdict(self) -> str:

@@ -110,11 +110,6 @@ class ContinuumSpec:
         """Derivative of the exterior map at infinity (real positive): 1/c."""
         return 1.0 / self.psi_coeffs[1].real
 
-    @property
-    def capacity(self) -> float:
-        """Logarithmic capacity, the reciprocal of gamma."""
-        return 1.0 / self.gamma
-
     def _psi(self, w):
         """b_0 + c (w + rho/w)."""
         c, rho = self.psi_coeffs, self.rho
@@ -595,13 +590,13 @@ def eccentricity(R: float) -> float:
     return 2.0 * R / (1.0 + R * R)
 
 
-def arc_length(K: ContinuumSpec, r: float, m: int = DEFAULT_SAMPLES) -> float:
+def arc_length(K: ContinuumSpec, r: float) -> float:
     """Arc length of {|phi| = r} by the periodic trapezoid rule.
 
     The integrand |psi'(r e^(i theta))| * r is smooth and periodic, so
-    the node count is doubled, at most 12 times, until two successive
-    values agree to relative 1e-8.  A sum beyond double range raises
-    DomainError.
+    the node count, from DEFAULT_SAMPLES, is doubled, at most 12 times,
+    until two successive values agree to relative 1e-8.  A sum beyond
+    double range raises DomainError.
     """
     _check_level(r, "level parameter must exceed 1")
 
@@ -616,6 +611,7 @@ def arc_length(K: ContinuumSpec, r: float, m: int = DEFAULT_SAMPLES) -> float:
                               "leaves double range")
         return length
 
+    m = DEFAULT_SAMPLES
     prev = value(m)
     for _ in range(12):
         m *= 2

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from ._lazy import np
 from .bohr import basis_norm
@@ -62,7 +62,6 @@ __all__ = [
     "lemma33_check",
     "thm31_conditions",
     "schwarz_bound",
-    "margins_csv",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -86,7 +85,6 @@ class EstimateContext:
     R: float
     lg_r: float
     a: complex
-    C: float
     n_max: int
     m: int
     theta_points: tuple
@@ -106,8 +104,7 @@ def _check_power(name: str, x: float, n_max: int) -> None:
 
 
 def make_context(K: ContinuumSpec, r: float, R: float, a=None,
-                 C: float = 1.0 / 6.0, n_max: int = 32,
-                 m: int = 1024) -> EstimateContext:
+                 n_max: int = 32, m: int = 1024) -> EstimateContext:
     """Build an EstimateContext, validating the turned-point construction.
 
     For each n the companion a_n = psi(e^(i pi / n) * phi(a)) satisfies
@@ -117,8 +114,6 @@ def make_context(K: ContinuumSpec, r: float, R: float, a=None,
     r, R = float(r), float(R)
     _check_level(r, "levels must satisfy 1 < r < R")
     _check_level(R, "levels must satisfy 1 < r < R", r)
-    if not 0.0 < C < 1.0:
-        raise DomainError("contraction constant C must lie in (0, 1)")
     _check_power("level R", R, n_max)
     if a is None:
         a = complex(psi(K, complex(R)))
@@ -139,7 +134,7 @@ def make_context(K: ContinuumSpec, r: float, R: float, a=None,
     if worst > _THETA_TOL:
         raise CertificationFailed(
             f"turned-point residual {worst:.3g} exceeds {_THETA_TOL}")
-    return EstimateContext(K=K, r=r, R=R, lg_r=float(lg), a=a, C=float(C),
+    return EstimateContext(K=K, r=r, R=R, lg_r=float(lg), a=a,
                            n_max=int(n_max), m=int(m),
                            theta_points=tuple(pts), theta_residual_max=worst)
 
@@ -342,23 +337,19 @@ class Thm31Report:
     tail_ratio: float
     tail_dominance_ok: bool
     theta_residual_max: float
-    note: str = "numerical sufficient-condition check"
+    note: ClassVar[str] = "numerical sufficient-condition check"
 
     def to_csv(self) -> str:
-        return margins_csv(self.rows)
-
-
-def margins_csv(rows) -> str:
-    lines = ["n,condition,lhs,rhs,margin"]
-    for row in rows:
-        lines.append("%d,%s,%.17g,%.17g,%.17g"
-                     % (row["n"], row["condition"], row["lhs"], row["rhs"],
-                        row["margin"]))
-    return "\n".join(lines) + "\n"
+        lines = ["n,condition,lhs,rhs,margin"]
+        for row in self.rows:
+            lines.append("%d,%s,%.17g,%.17g,%.17g"
+                         % (row["n"], row["condition"], row["lhs"],
+                            row["rhs"], row["margin"]))
+        return "\n".join(lines) + "\n"
 
 
 def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
-                     a=None, C: float = 1.0 / 6.0, n_max: int = 32,
+                     C: float = 1.0 / 6.0, n_max: int = 32,
                      m: int = 512, grid_hi: float = 256.0,
                      grid_points: int = 48) -> Thm31Report:
     """Evaluate the three separation conditions and sweep for a good level.
@@ -378,7 +369,9 @@ def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
     r = 1.0 + eps0
     _check_level(R, f"level R={R} must exceed the collar level {r}", r)
     _check_power("sweep top grid_hi", grid_hi, n_max)   # make_context checks R
-    ctx = make_context(K, r, R, a=a, C=C, n_max=n_max, m=m)
+    if not 0.0 < C < 1.0:
+        raise DomainError("contraction constant C must lie in (0, 1)")
+    ctx = make_context(K, r, R, n_max=n_max, m=m)
     norms = [basis_norm(K, n, up_to=n_max) for n in range(n_max + 1)]
     rows = _condition_rows(K, R, ctx.a, C, n_max, m, norms)
     all_hold = all(row["margin"] > 0.0 for row in rows)

@@ -83,7 +83,6 @@ class FaberPoly:
     n: int
     doubles: tuple
     ints: tuple = field(repr=False)
-    _cheb: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def gamma_n(self) -> complex:   # the leading coefficient, gamma**n
@@ -103,11 +102,11 @@ class FaberPoly:
         z = (X + iY)/d exactly, d a power of two; Horner's rule runs on
         the integer numerators, and the value (ar + i ai)/(D d^n) is
         rounded by int/int true division, so it equals the correctly
-        rounded value of the exact Gaussian rational.  A non-finite z
-        raises DomainError and a value beyond double range OverflowError.
+        rounded value of the exact Gaussian rational.  A non-finite z or
+        a value beyond double range raises DomainError.
         """
         ar, ai, den = _gauss_horner(*self.ints, *_dyadic(complex(z)))
-        return complex(ar / den, ai / den)
+        return _rounded(ar, ai, den, "F_%d at %s", self.n, z)
 
     def cheb_floats(self, a: float, b: float) -> np.ndarray:
         """Chebyshev-basis coefficients of self on [a, b], computed exactly.
@@ -119,28 +118,27 @@ class FaberPoly:
         g = gcd(A + B, B - A, 2S), so each step multiplies the common
         denominator by 2s: the real and imaginary numerators of ints go
         through it apart as Python ints over D (2s)^n, with no gcd, and
-        each result is rounded once by int/int true division.
+        each result is rounded once by int/int true division; one beyond
+        double range raises DomainError.
         """
-        key = (float(a), float(b))
-        if key not in self._cheb:
-            D, re, im = self.ints
-            A, B, S = _dyadic(complex(*key))
-            g = math.gcd(A + B, B - A, 2 * S)
-            M2, H, s = 2 * (A + B) // g, (B - A) // g, 2 * S // g
-            step = s.bit_length()   # 2s = 2**step
-            parts = []
-            for cs in (re, im):
-                out = [cs[-1]]
-                for e, c in enumerate(reversed(cs[:-1]), 1):
-                    low = [2 * out[0]] + out[1:]
-                    out = [M2 * x + H * (y + t) for x, y, t in
-                           zip(out + [0], out[1:] + [0, 0], [0] + low)]
-                    out[0] += c << e * step
-                parts.append(out)
-            den = D << self.n * step
-            self._cheb[key] = np.array([complex(x / den, y / den)
-                                        for x, y in zip(*parts)])
-        return self._cheb[key]
+        D, re, im = self.ints
+        A, B, S = _dyadic(complex(float(a), float(b)))
+        g = math.gcd(A + B, B - A, 2 * S)
+        M2, H, s = 2 * (A + B) // g, (B - A) // g, 2 * S // g
+        step = s.bit_length()   # 2s = 2**step
+        parts = []
+        for cs in (re, im):
+            out = [cs[-1]]
+            for e, c in enumerate(reversed(cs[:-1]), 1):
+                low = [2 * out[0]] + out[1:]
+                out = [M2 * x + H * (y + t) for x, y, t in
+                       zip(out + [0], out[1:] + [0, 0], [0] + low)]
+                out[0] += c << e * step
+            parts.append(out)
+        den = D << self.n * step
+        return np.array([_rounded(x, y, den, "a Chebyshev coefficient of "
+                                  "F_%d on [%s, %s]", self.n, a, b)
+                         for x, y in zip(*parts)])
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,6 +150,15 @@ class FaberPoly:
 
 # ---------------------------------------------------------------------------
 # construction
+
+def _rounded(x: int, y: int, den: int, what: str, *args) -> complex:
+    """(x + i y)/den rounded once by int/int true division; past double
+    range DomainError naming what % args, chained from the OverflowError."""
+    try:
+        return complex(x / den, y / den)
+    except OverflowError as exc:
+        raise DomainError(f"{what % args} leaves double range") from exc
+
 
 def _make_poly(ints) -> FaberPoly:
     """FaberPoly from an exact (D, re, im) triple, ascending; the leading
@@ -714,8 +721,9 @@ def target_identity_residual(K: ContinuumSpec, n: int, w) -> float:
     return ((nr * nr + ni * ni) / (da * dv) ** 2) ** 0.5
 
 
-def target_identity_check(K: ContinuumSpec, n: int, w, tol: float = 1e-9) -> bool:
-    return target_identity_residual(K, n, w) < tol
+def target_identity_check(K: ContinuumSpec, n: int, w) -> bool:
+    """Whether target_identity_residual is below 1e-9."""
+    return target_identity_residual(K, n, w) < 1e-9
 
 
 def norm_root(K: ContinuumSpec, L, n: int) -> float:

@@ -90,11 +90,6 @@ class TestBohrSum:
         assert rep.verdict == "Violated"
         assert not rep.holds
 
-    def test_wrong_continuum(self, seg, udisc):
-        f = fb.FaberSeries(K=seg, R=2.0, coeffs=np.array([0.5]))
-        with pytest.raises(DomainError):
-            fb.bohr_sum(f, udisc)
-
     @given(st.complex_numbers(max_magnitude=3.0, allow_nan=False,
                               allow_infinity=False))
     @settings(max_examples=60, deadline=None)

@@ -669,17 +669,22 @@ class TestSupNorm:
         # sup of |w + 1/w| on |w| = 2 is 2.5
         assert float(fb.sup_norm(p, ls)) == pytest.approx(2.5, abs=1e-6)
 
-    @pytest.mark.parametrize("K", [fb.disc(0, 5.6e102),
-                                   fb.segment(-1e103, 1e103)],
-                             ids=["disc", "segment"])
-    def test_sup_beyond_double_range_is_refused(self, K):
+    @pytest.mark.parametrize("p, K", [
+        (lambda: np.array([0.5, -1j, 2.0, 0.25 + 1j]), fb.disc(0, 5.6e102)),
+        (lambda: np.array([0.5, -1j, 2.0, 0.25 + 1j]),
+         fb.segment(-1e103, 1e103)),
+        (lambda: fb.faber_poly(fb.segment(-1.0, 1.0), 3),
+         fb.segment(1e200, 1.5e200)),
+    ], ids=["disc", "segment", "chebyshev-view"])
+    def test_sup_beyond_double_range_is_refused(self, p, K):
         """A cubic whose values on K overflow returned inf after a
-        RuntimeWarning; psi and the pullback refuse such values."""
-        p = np.array([0.5, -1j, 2.0, 0.25 + 1j])
+        RuntimeWarning; psi and the pullback refuse such values.  The
+        Chebyshev view of F_3 on a far segment raised a bare
+        OverflowError from its rounding."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="double range"):
-                fb.sup_norm(p, K)
+                fb.sup_norm(p(), K)
 
 
 _unit = st.floats(0.0, 1.0)

@@ -45,8 +45,6 @@ class TestContext:
     def test_level_ordering(self, seg):
         with pytest.raises(DomainError):
             fb.make_context(seg, 3.0, 2.0)
-        with pytest.raises(DomainError):
-            fb.make_context(seg, 2.0, 4.0, C=1.5)
 
 
 class TestRemainderBound:

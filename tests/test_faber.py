@@ -342,14 +342,21 @@ class TestIntegerKernel:
     so they must agree bit for bit with the QC reference, and raise where
     it raises."""
 
+    @staticmethod
+    def _want(p, z):
+        """The QC reference outcome of p(z), where a value beyond double
+        range is refused as DomainError."""
+        want = _outcome(lambda: qc_horner(exact(p),
+                                          QC.of(complex(z))).to_complex())
+        return DomainError if want is OverflowError else want
+
     @pytest.mark.parametrize("name", list(KERNEL_CONTINUA))
     def test_eval_exact_matches_reference(self, name):
         K = _kernel_continuum(name)
         polys = fb.faber_polys(K, KERNEL_N)
         for z in KERNEL_POINTS + _on_k(K):
             for p in (polys[n] for n in KERNEL_NS):
-                want = _outcome(lambda: qc_horner(exact(p),
-                                                  QC.of(complex(z))).to_complex())
+                want = self._want(p, z)
                 assert _outcome(lambda: p.eval_exact(z)) == want, (p.n, z)
 
     @given(st.sampled_from(list(KERNEL_CONTINUA)),
@@ -358,14 +365,15 @@ class TestIntegerKernel:
     @settings(max_examples=100, deadline=None)
     def test_eval_exact_property(self, name, n, z):
         p = fb.faber_poly(_kernel_continuum(name), n)
-        want = _outcome(lambda: qc_horner(exact(p),
-                                          QC.of(complex(z))).to_complex())
-        assert _outcome(lambda: p.eval_exact(z)) == want
+        assert _outcome(lambda: p.eval_exact(z)) == self._want(p, z)
 
     def test_overflow_raises(self):
+        """A value beyond double range raised a bare OverflowError from the
+        int/int rounding; it is refused, chained from that error."""
         p = fb.faber_poly(_readme_map(), 3)
-        with pytest.raises(OverflowError):
+        with pytest.raises(DomainError, match="double range") as info:
             p.eval_exact(1e300)
+        assert isinstance(info.value.__cause__, OverflowError)
 
     @pytest.mark.parametrize("name", list(KERNEL_CONTINUA))
     @pytest.mark.parametrize("z", [complex(math.inf, 0.0),
@@ -1070,6 +1078,13 @@ class TestIdentitiesAndNorms:
     def test_norm_root_rejects_interior(self, seg):
         with pytest.raises(PointInsideK):
             fb.norm_root(seg, [0.2], 3)
+
+    def test_norm_root_beyond_double_range_is_refused(self, seg):
+        """F_5(1e300) is past the largest double; the exact value raised
+        a bare OverflowError."""
+        with pytest.raises(DomainError, match="double range") as info:
+            fb.norm_root(seg, [1e300], 5)
+        assert isinstance(info.value.__cause__, OverflowError)
 
     def test_json_shapes(self, seg):
         p = fb.faber_poly(seg, 2)

@@ -2,7 +2,9 @@
 route the tests compare to."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -346,3 +348,51 @@ def test_exports_resolve(module):
     stale export behind."""
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("module", list(fb._EXPORTS))
+def test_exports_agree_with_the_package(module):
+    """A module's __all__ is its entry in the package table, and the
+    errors entry names exactly the classes errors defines, so no name
+    is exported by one and missing from the other."""
+    mod = importlib.import_module(f"faberbohr.{module}")
+    if module == "errors":
+        names = [name for name, obj in vars(mod).items()
+                 if isinstance(obj, type) and obj.__module__ == mod.__name__]
+    else:
+        names = mod.__all__
+    assert sorted(names) == sorted(fb._EXPORTS[module])
+
+
+# parameters of the public functions and fields of the dataclasses that
+# once took options no caller set; a name added here is a new option
+_SIGNATURES = {
+    "bohr_sum": ("f",),
+    "coeff_bound_check": ("f", "R", "mode", "check_pre"),
+    "make_context": ("K", "r", "R", "a", "n_max", "m"),
+    "thm31_conditions": ("K", "R", "eps0", "C", "n_max", "m", "grid_hi",
+                         "grid_points"),
+    "target_identity_check": ("K", "n", "w"),
+    "arc_length": ("K", "r"),
+}
+_FIELDS = {
+    "BoundedFamily": ("kind", "seed", "count", "margin", "sweep"),
+    "CampaignReport": ("K", "R", "family", "count", "sums", "min_slack",
+                       "violations"),
+    "Thm31Report": ("K", "R", "eps0", "C", "n_max", "a", "rows", "all_hold",
+                    "r_star", "grid", "anchor_margin_tail", "tail_ratio",
+                    "tail_dominance_ok", "theta_residual_max"),
+    "EstimateContext": ("K", "r", "R", "lg_r", "a", "n_max", "m",
+                        "theta_points", "theta_residual_max"),
+    "FaberPoly": ("n", "doubles", "ints"),
+}
+
+
+def test_signatures_take_no_unused_option():
+    got = {name: tuple(inspect.signature(getattr(fb, name)).parameters)
+           for name in _SIGNATURES}
+    got_fields = {name: tuple(f.name for f in
+                              dataclasses.fields(getattr(fb, name)))
+                  for name in _FIELDS}
+    assert (got, got_fields) == (_SIGNATURES, _FIELDS)
+    assert not hasattr(fb.ContinuumSpec, "capacity")
