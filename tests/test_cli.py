@@ -107,6 +107,15 @@ class TestLevelsetCommand:
         want = (2.0 * np.exp(1j * th) + np.exp(-1j * th) / 2.0) / 2.0
         assert np.max(np.abs(pts - want)) < 1e-9
 
+    @pytest.mark.parametrize("output", ["text", "json", "csv"])
+    def test_golden_stdout(self, capsys, output):
+        # angles, points, arc length and eccentricity, to the bit
+        rc, out, _ = run(capsys, "--continuum", "segment:-0.5,2", "--output",
+                         output, "levelset", "--R", "2.5", "--m", "16")
+        assert rc == 0
+        assert out.encode() == (
+            DATA / f"levelset_segment_dyadic.{output}").read_bytes()
+
 
 class TestBohrRadiusCommand:
     def test_json_payload(self, capsys):
@@ -195,6 +204,21 @@ class TestVerifyCommand:
         assert got == rc
         assert out.encode() == (DATA / f"verify_{name}.json").read_bytes()
 
+    @pytest.mark.parametrize("output", ["text", "csv"])
+    def test_golden_text_and_csv(self, capsys, output):
+        # the sums of every member and the violation lines
+        rc, out, _ = run(capsys, "--continuum", "disc:0,0,1", "--output",
+                         output, "verify", "--R", "2.5", "--count", "6")
+        assert rc == 4
+        assert out.encode() == (DATA / f"verify_disc_unit.{output}").read_bytes()
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_golden_empty(self, capsys, output):
+        # a campaign with no members: null max_sum and min_slack, a bare header
+        rc, out, _ = run(capsys, "--output", output, "verify", "--count", "0")
+        assert rc == 0
+        assert out.encode() == (DATA / f"verify_empty.{output}").read_bytes()
+
 
 class TestEstimatesCommand:
     def test_json_payload(self, capsys):
@@ -230,6 +254,15 @@ class TestEstimatesCommand:
                          "--R", "8")
         assert rc == 0
         assert out.encode() == (DATA / "estimates_custom_readme.json").read_bytes()
+
+    @pytest.mark.parametrize("output", ["text", "csv"])
+    def test_golden_text_and_csv(self, capsys, output):
+        # every margin row and the text summary of the sweep
+        rc, out, _ = run(capsys, "--continuum", "segment:-1,1", "--output",
+                         output, "estimates", "--R", "8", "--n-max", "6")
+        assert rc == 0
+        assert out.encode() == (
+            DATA / f"estimates_segment_short.{output}").read_bytes()
 
 
 class TestCoeffsCommand:
@@ -271,6 +304,15 @@ class TestCoeffsCommand:
             want = list(want[: N + 1]) + [0j] * (N + 1 - len(want))
             got = self.coeffs(capsys, *at, f"poly:{c}", "--n-coeffs", str(N))
             assert [_bits(z) for z in got] == [_bits(z) for z in want]
+
+    @pytest.mark.parametrize("output", ["text", "json", "csv"])
+    def test_golden_stdout(self, capsys, output):
+        # to_faber_basis of a complex quadratic on [-0.5, 2], to the bit
+        rc, out, _ = run(capsys, "--continuum", "segment:-0.5,2", "--output",
+                         output, "coeffs", "--function", "poly:1,2j,0.5")
+        assert rc == 0
+        assert out.encode() == (
+            DATA / f"coeffs_poly_segment_dyadic.{output}").read_bytes()
 
     def test_no_overflow_at_large_radius(self, capsys):
         # F_40 at |w| = 1e10 leaves double range: the sampled route
