@@ -330,15 +330,6 @@ class BoundedFamily:
     n_coeffs: ClassVar[int] = 24
     samples: ClassVar[int] = 512
 
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind, "seed": self.seed, "count": self.count,
-            "margin": self.margin, "degree": self.degree, "rho": self.rho,
-            "n_coeffs": self.n_coeffs,
-            "sweep": list(self.sweep) if self.sweep is not None else None,
-            "samples": self.samples,
-        }
-
 
 def _poly_rows(C):
     """Row values for _row_sups: the polynomial in column i of C."""
@@ -502,20 +493,6 @@ class CampaignReport:
     @property
     def verdict(self) -> str:
         return "violation-found" if self.violations else "no-violation-found"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "faberbohr/1",
-            "continuum": self.K.describe(),
-            "R": self.R,
-            "family": self.family.describe(),
-            "count": self.count,
-            "min_slack": self.min_slack,
-            "max_sum": max(self.sums) if self.sums else None,
-            "verdict": self.verdict,
-            "evidence_only": self.evidence_only,
-            "violations": list(self.violations),
-        }
 
 
 def bohr_verify(K: ContinuumSpec, R: float,

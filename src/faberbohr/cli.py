@@ -22,7 +22,9 @@ Exit codes: 0 success, 2 bad arguments or input, 3 contour mismatch,
 ``| head``).
 
 All output for a fixed command line (including ``--seed``) is
-byte-identical between runs.
+byte-identical between runs.  This module is the only writer of JSON
+and CSV: library results are plain data, _jprint adds the schema field
+and _csv prints every table.
 
 A command imports only what it runs: ``bohr`` and ``estimates`` are
 imported inside their commands, and numpy is loaded on first use (see
@@ -44,6 +46,7 @@ import sys
 from ._lazy import np
 from .continua import (
     ContinuumSpec,
+    _angles,
     custom,
     disc,
     eccentricity,
@@ -157,7 +160,12 @@ def _ctext(z) -> str:
 
 
 def _jprint(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps({"schema": SCHEMA, **payload}, indent=2, sort_keys=True))
+
+
+def _csv(header: str, fmt: str, rows) -> None:
+    """The header line, then fmt % row for each row, one line each."""
+    print("\n".join([header, *(fmt % row for row in rows)]))
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +189,18 @@ def _cmd_faber(args, K: ContinuumSpec) -> int:
             status = 3
 
     if args.output == "json":
-        payload = {"schema": SCHEMA, "continuum": K.describe(),
-                   "n_max": args.n_max,
-                   "polynomials": [p.to_json_dict() for p in polys]}
+        payload = {"continuum": K.describe(), "n_max": args.n_max,
+                   "polynomials": [
+                       {"n": p.n, "gamma": _pair(p.doubles[-1]),
+                        "coeffs": [_pair(c) for c in p.doubles]}
+                       for p in polys]}
         if check is not None:
             payload["contour_check"] = check
         _jprint(payload)
     elif args.output == "csv":
-        lines = ["n,k,re,im"]
-        for p in polys:
-            for k, c in enumerate(p.doubles):
-                lines.append("%d,%d,%.17g,%.17g" % (p.n, k, c.real, c.imag))
-        print("\n".join(lines))
+        _csv("n,k,re,im", "%d,%d,%.17g,%.17g",
+             ((p.n, k, c.real, c.imag)
+              for p in polys for k, c in enumerate(p.doubles)))
     else:
         print(f"Faber polynomials of {K.describe()}, ascending coefficients")
         for p in polys:
@@ -209,14 +217,15 @@ def _cmd_faber(args, K: ContinuumSpec) -> int:
 def _cmd_levelset(args, K: ContinuumSpec) -> int:
     ls = level_boundary(K, args.R, args.m)
     if args.output == "json":
-        payload = {"schema": SCHEMA, "continuum": K.describe(), "R": ls.R,
+        payload = {"continuum": K.describe(), "R": ls.R,
                    "m": ls.m, "arc_length": float(ls.arc_length),
                    "points": [_pair(z) for z in ls.points]}
         if K.kind == "segment":
             payload["eccentricity"] = eccentricity(args.R)
         _jprint(payload)
     elif args.output == "csv":
-        print(ls.to_csv(), end="")
+        _csv("theta,re,im", "%.17g,%.17g,%.17g",
+             ((t, z.real, z.imag) for t, z in zip(_angles(ls.m), ls.points)))
     else:
         print("level curve of %s at R=%.6g: %d points, arc length %.6g"
               % (K.describe(), ls.R, ls.m, ls.arc_length))
@@ -235,7 +244,6 @@ def _cmd_bohr_radius(args) -> int:
     res = segment_bohr_radius(args.tol)
     if args.output == "json":
         _jprint({
-            "schema": SCHEMA,
             "radius": res.radius,
             "eccentricity": res.eccentricity,
             "iterations": res.iterations,
@@ -247,9 +255,8 @@ def _cmd_bohr_radius(args) -> int:
             },
         })
     elif args.output == "csv":
-        print("radius,eccentricity,iterations,tol")
-        print("%.17g,%.17g,%d,%.17g"
-              % (res.radius, res.eccentricity, res.iterations, res.tol))
+        _csv("radius,eccentricity,iterations,tol", "%.17g,%.17g,%d,%.17g",
+             [(res.radius, res.eccentricity, res.iterations, res.tol)])
     else:
         print("sufficient Bohr level for a segment: R0 = %.6g "
               "(ellipse eccentricity %.6g)" % (res.radius, res.eccentricity))
@@ -271,12 +278,21 @@ def _cmd_verify(args, K: ContinuumSpec) -> int:
                            margin=args.margin, sweep=sweep)
     report = bohr_verify(K, args.R, family)
     if args.output == "json":
-        _jprint(report.to_json_dict())
+        _jprint({
+            "continuum": K.describe(),
+            "R": report.R,
+            "family": {key: getattr(family, key) for key in (
+                "kind", "seed", "count", "margin", "sweep", "degree", "rho",
+                "n_coeffs", "samples")},
+            "count": report.count,
+            "min_slack": report.min_slack,
+            "max_sum": max(report.sums) if report.sums else None,
+            "verdict": report.verdict,
+            "evidence_only": report.evidence_only,
+            "violations": list(report.violations),
+        })
     elif args.output == "csv":
-        lines = ["index,sum"]
-        for i, s in enumerate(report.sums):
-            lines.append("%d,%.17g" % (i, s))
-        print("\n".join(lines))
+        _csv("index,sum", "%d,%.17g", enumerate(report.sums))
     else:
         print("campaign on %s at R=%.6g: family=%s count=%d margin=%.6g"
               % (K.describe(), args.R, args.family, args.count, args.margin))
@@ -299,7 +315,6 @@ def _cmd_estimates(args, K: ContinuumSpec) -> int:
                            m=args.samples)
     if args.output == "json":
         _jprint({
-            "schema": SCHEMA,
             "continuum": K.describe(),
             "R": rep.R,
             "eps0": rep.eps0,
@@ -316,7 +331,9 @@ def _cmd_estimates(args, K: ContinuumSpec) -> int:
             "rows": list(rep.rows),
         })
     elif args.output == "csv":
-        print(rep.to_csv(), end="")
+        _csv("n,condition,lhs,rhs,margin", "%d,%s,%.17g,%.17g,%.17g",
+             ((row["n"], row["condition"], row["lhs"], row["rhs"],
+               row["margin"]) for row in rep.rows))
     else:
         print("separation conditions for %s at R=%.6g (eps0=%.6g, C=%.6g, "
               "n<=%d): %s" % (K.describe(), rep.R, rep.eps0, rep.C, rep.n_max,
@@ -384,14 +401,12 @@ def _cmd_coeffs(args, K: ContinuumSpec) -> int:
     if not all(map(cmath.isfinite, coeffs)):
         raise DomainError(f"function {args.function!r} is not finite")
     if args.output == "json":
-        _jprint({"schema": SCHEMA, "continuum": K.describe(), "r": r,
+        _jprint({"continuum": K.describe(), "r": r,
                  "n_coeffs": args.n_coeffs,
                  "coeffs": [_pair(c) for c in coeffs]})
     elif args.output == "csv":
-        lines = ["n,re,im"]
-        for n, c in enumerate(coeffs):
-            lines.append("%d,%.17g,%.17g" % (n, c.real, c.imag))
-        print("\n".join(lines))
+        _csv("n,re,im", "%d,%.17g,%.17g",
+             ((n, c.real, c.imag) for n, c in enumerate(coeffs)))
     else:
         print("Faber coefficients of %s on %s (extraction radius %.6g)"
               % (args.function, K.describe(), r))

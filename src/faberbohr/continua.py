@@ -556,15 +556,6 @@ class LevelSet:
     m: int
     arc_length: float
 
-    def thetas(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.m) / self.m
-
-    def to_csv(self) -> str:
-        lines = ["theta,re,im"]
-        for t, p in zip(self.thetas(), self.points):
-            lines.append(f"{t:.17g},{p.real:.17g},{p.imag:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def level_boundary(K: ContinuumSpec, R: float, m: int = DEFAULT_SAMPLES) -> LevelSet:
     """Sample the level curve at m equispaced angles of the circle |w| = R."""

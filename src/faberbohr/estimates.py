@@ -339,14 +339,6 @@ class Thm31Report:
     theta_residual_max: float
     note: ClassVar[str] = "numerical sufficient-condition check"
 
-    def to_csv(self) -> str:
-        lines = ["n,condition,lhs,rhs,margin"]
-        for row in self.rows:
-            lines.append("%d,%s,%.17g,%.17g,%.17g"
-                         % (row["n"], row["condition"], row["lhs"],
-                            row["rhs"], row["margin"]))
-        return "\n".join(lines) + "\n"
-
 
 def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
                      C: float = 1.0 / 6.0, n_max: int = 32,
@@ -364,6 +356,9 @@ def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
     eps0 = float(eps0)
     if not eps0 > 0.0:
         raise DomainError("collar parameter eps0 must be positive")
+    if 1.0 + eps0 == 1.0:
+        raise DomainError(f"collar parameter eps0={eps0:g} is too small: "
+                          "the collar level 1 + eps0 rounds to 1")
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     r = 1.0 + eps0

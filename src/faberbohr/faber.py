@@ -84,10 +84,6 @@ class FaberPoly:
     doubles: tuple
     ints: tuple = field(repr=False)
 
-    @property
-    def gamma_n(self) -> complex:   # the leading coefficient, gamma**n
-        return self.doubles[-1]
-
     @functools.cached_property
     def coeffs(self) -> np.ndarray:
         return np.array(self.doubles, dtype=complex)
@@ -119,9 +115,16 @@ class FaberPoly:
         denominator by 2s: the real and imaginary numerators of ints go
         through it apart as Python ints over D (2s)^n, with no gcd, and
         each result is rounded once by int/int true division; one beyond
-        double range raises DomainError.
+        double range raises DomainError.  Since T_j(+-1) = +-1,
+        (n + 1) max |Re c_j| >= |Re p(+-1)|, and so for Im: p/(n + 1) at
+        b and at a, exact and rounded first, refuses such a view before
+        the O(n^2) pass.
         """
         D, re, im = self.ints
+        what = "a Chebyshev coefficient of F_%d on [%s, %s]"
+        for end in (b, a):
+            x, y, den = _gauss_horner(D, re, im, *_dyadic(complex(float(end))))
+            _rounded(x, y, den * (self.n + 1), what, self.n, a, b)
         A, B, S = _dyadic(complex(float(a), float(b)))
         g = math.gcd(A + B, B - A, 2 * S)
         M2, H, s = 2 * (A + B) // g, (B - A) // g, 2 * S // g
@@ -136,16 +139,8 @@ class FaberPoly:
                 out[0] += c << e * step
             parts.append(out)
         den = D << self.n * step
-        return np.array([_rounded(x, y, den, "a Chebyshev coefficient of "
-                                  "F_%d on [%s, %s]", self.n, a, b)
+        return np.array([_rounded(x, y, den, what, self.n, a, b)
                          for x, y in zip(*parts)])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "gamma": [self.gamma_n.real, self.gamma_n.imag],
-            "coeffs": [[c.real, c.imag] for c in self.doubles],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -623,12 +618,6 @@ class FaberSeries:
     def scaled(self, factor: complex) -> "FaberSeries":
         cert = None if self.cert_sup is None else self.cert_sup * abs(factor)
         return FaberSeries(self.K, self.R, self.coeffs * factor, cert, self.label)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "R": self.R,
-            "coeffs": [[c.real, c.imag] for c in self.coeffs],
-        }
 
 
 def _check_extraction(r: float, N: int, m: int) -> None:

@@ -1,6 +1,7 @@
 """Coefficient sums, the sufficient segment level, bounded families."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import faberbohr as fb
+from faberbohr.cli import main as cli_main
 from faberbohr.errors import DomainError, PreconditionViolated, WrongKind
 from series_reference import to_faber_basis as reference_faber_basis
 from test_faber import KERNEL_CONTINUA, _bits, _kernel_continuum
@@ -321,19 +323,23 @@ class TestCampaigns:
         assert len(bad.violations) >= 1
         assert bad.violations[0]["sum"] > 1.0
 
-    def test_empty_campaign(self, seg):
+    def test_empty_campaign(self, seg, capsys):
         fam = fb.BoundedFamily(kind="moebius", count=0)
         rep = fb.bohr_verify(seg, 3.0, fam)
         assert rep.count == 0
         assert rep.min_slack is None
         assert rep.verdict == "no-violation-found"
-        d = rep.to_json_dict()
+        # the same campaign as the verify command writes it
+        assert cli_main(["verify", "--count", "0", "--output", "json"]) == 0
+        d = json.loads(capsys.readouterr().out)
         assert d["schema"] == "faberbohr/1"
         assert d["max_sum"] is None
 
-    def test_report_shape(self, udisc):
-        fam = fb.BoundedFamily(kind="faber_series", seed=3, count=4)
-        d = fb.bohr_verify(udisc, 2.0, fam).to_json_dict()
+    def test_report_shape(self, capsys):
+        assert cli_main(["--continuum", "disc:0,0,1", "verify", "--R", "2",
+                         "--family", "faber_series", "--seed", "3",
+                         "--count", "4", "--output", "json"]) == 0
+        d = json.loads(capsys.readouterr().out)
         assert d["evidence_only"] is True
         assert d["family"]["kind"] == "faber_series"
         assert d["count"] == 4

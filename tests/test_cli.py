@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -236,6 +237,13 @@ class TestEstimatesCommand:
         assert rc == 0
         assert out.split("\n")[0] == "n,condition,lhs,rhs,margin"
 
+    def test_eps0_below_double_spacing(self, capsys):
+        # 1 + 1e-20 rounds to 1: the refusal names eps0, not a level r
+        rc, out, err = run(capsys, "estimates", "--eps0", "1e-20")
+        assert (rc, out) == (2, "")
+        assert err == ("error: collar parameter eps0=1e-20 is too small: "
+                       "the collar level 1 + eps0 rounds to 1\n")
+
     @pytest.mark.parametrize("name, continuum", [
         ("segment_canonical", "segment:-1,1"),
         ("disc_unit", "disc:0,0,1"),
@@ -469,3 +477,17 @@ class TestFailureModes:
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
         assert err == b""
+
+
+def test_one_output_writer_in_src():
+    """cli is the one module that writes JSON and CSV: no other module
+    imports json or names the schema, and no module defines a
+    to_json_dict or to_csv method, so library results are plain data."""
+    bad = []
+    for path in sorted(Path(fb.__file__).parent.glob("*.py")):
+        for i, line in enumerate(path.read_text().splitlines(), 1):
+            if (re.search(r"\bdef (to_json_dict|to_csv)\b", line)
+                    or path.name != "cli.py" and re.search(
+                        r"^\s*(import|from) json\b|faberbohr/1", line)):
+                bad.append(f"{path.name}:{i}: {line.strip()}")
+    assert bad == []

@@ -3,6 +3,7 @@
 import cmath
 import gc
 import math
+import time
 import warnings
 import weakref
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import faberbohr as fb
+from faberbohr.cli import main as cli_main
 from faberbohr.continua import _row_sups, _sampled_distance
 from faberbohr.errors import (
     DomainError,
@@ -446,11 +448,14 @@ class TestLevelGeometry:
         with pytest.raises(DomainError, match="double range"):
             fb.dist_to_level(fb.disc(0.0, 10.0), 0.0, 1e308)
 
-    def test_level_boundary_roundtrip_and_csv(self, seg):
+    def test_level_boundary_roundtrip_and_csv(self, seg, capsys):
         ls = fb.level_boundary(seg, 2.0, 8)
         assert len(ls.points) == 8
         assert np.max(np.abs(np.abs(fb.phi(seg, ls.points)) - 2.0)) < 1e-9
-        csv = ls.to_csv()
+        # the same level set as the levelset command writes it
+        assert cli_main(["levelset", "--R", "2", "--m", "8",
+                         "--output", "csv"]) == 0
+        csv = capsys.readouterr().out
         lines = csv.strip().split("\n")
         assert lines[0] == "theta,re,im"
         assert len(lines) == 9
@@ -675,16 +680,24 @@ class TestSupNorm:
          fb.segment(-1e103, 1e103)),
         (lambda: fb.faber_poly(fb.segment(-1.0, 1.0), 3),
          fb.segment(1e200, 1.5e200)),
-    ], ids=["disc", "segment", "chebyshev-view"])
+        (lambda: fb.faber_poly(fb.segment(-1.0, 1.0), 300),
+         fb.segment(1e200, 1.5e200)),
+    ], ids=["disc", "segment", "chebyshev-view", "chebyshev-view-300"])
     def test_sup_beyond_double_range_is_refused(self, p, K):
         """A cubic whose values on K overflow returned inf after a
         RuntimeWarning; psi and the pullback refuse such values.  The
         Chebyshev view of F_3 on a far segment raised a bare
-        OverflowError from its rounding."""
+        OverflowError from its rounding, and that of F_300 took 10 s to
+        refuse, after the whole exact Chebyshev pass."""
+        p = p()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="double range"):
-                fb.sup_norm(p(), K)
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match="double range") as exc:
+                fb.sup_norm(p, K)
+            assert time.perf_counter() - start < 2.0
+        if hasattr(p, "cheb_floats"):
+            assert isinstance(exc.value.__cause__, OverflowError)
 
 
 _unit = st.floats(0.0, 1.0)

@@ -7,6 +7,7 @@ import pytest
 
 import faberbohr as fb
 from faberbohr import estimates
+from faberbohr.cli import main as cli_main
 from faberbohr.errors import (
     DomainError,
     GridExhausted,
@@ -205,15 +206,26 @@ class TestConditionSweep:
         with pytest.raises(GridExhausted):
             fb.thm31_conditions(udisc, 4.0, eps0=0.25, C=1e-9, n_max=4)
 
-    def test_csv_layout(self, seg):
-        rep = fb.thm31_conditions(seg, 8.0, eps0=0.25, n_max=4)
-        lines = rep.to_csv().strip().split("\n")
+    def test_csv_layout(self, capsys):
+        # the margin table of [-1, 1] at R = 8 as the estimates command
+        # writes it
+        assert cli_main(["estimates", "--R", "8", "--n-max", "4",
+                         "--output", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "n,condition,lhs,rhs,margin"
         assert len(lines) == 1 + 3 * 4
 
     def test_collar_guard(self, seg):
         with pytest.raises(DomainError):
             fb.thm31_conditions(seg, 1.2, eps0=0.25)
+
+    @pytest.mark.parametrize("C", [1.0 / 6.0, 1.5])
+    def test_collar_below_double_spacing(self, seg, C):
+        """An eps0 with 1 + eps0 == 1.0 is refused at the eps0 gate, by
+        name and before the check on C; it reached make_context as the
+        level r = 1.0 and was refused as "levels must satisfy 1 < r < R"."""
+        with pytest.raises(DomainError, match="eps0=1e-20 .* rounds to 1"):
+            fb.thm31_conditions(seg, 8.0, eps0=1e-20, C=C)
 
     @pytest.mark.parametrize("C", [1.5, 0.0, float("nan")])
     def test_contraction_guard(self, seg, C):

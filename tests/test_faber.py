@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import faberbohr as fb
 import faberbohr.faber as fbf
+from faberbohr.cli import main as cli_main
 from contour_reference import contour_mp, mp_nodes, reference_nodes
 from faberbohr.continua import EllipseSpec
 from faberbohr.errors import (
@@ -1086,12 +1087,9 @@ class TestIdentitiesAndNorms:
             fb.norm_root(seg, [1e300], 5)
         assert isinstance(info.value.__cause__, OverflowError)
 
-    def test_json_shapes(self, seg):
-        p = fb.faber_poly(seg, 2)
-        d = p.to_json_dict()
+    def test_json_shapes(self, capsys):
+        # F_2 on [-1, 1] as the faber command writes it
+        assert cli_main(["faber", "--n-max", "2", "--output", "json"]) == 0
+        d = json.loads(capsys.readouterr().out)["polynomials"][2]
         assert d["n"] == 2
         assert d["coeffs"] == [[-2.0, 0.0], [0.0, 0.0], [4.0, 0.0]]
-        f = fb.FaberSeries(K=seg, R=3.0, coeffs=np.array([0.5, 0.25]))
-        fd = f.to_json_dict()
-        assert fd["R"] == 3.0
-        assert fd["coeffs"] == [[0.5, 0.0], [0.25, 0.0]]
