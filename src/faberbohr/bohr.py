@@ -24,6 +24,7 @@ from .continua import (
     DEFAULT_SAMPLES,
     ContinuumSpec,
     _check_level,
+    _polyval,
     _row_sups,
     eccentricity,
     psi,
@@ -333,8 +334,7 @@ class BoundedFamily:
 
 def _poly_rows(C):
     """Row values for _row_sups: the polynomial in column i of C."""
-    return lambda z, i: np.polynomial.polynomial.polyval(z, C[:, i],
-                                                         tensor=False)
+    return lambda z, i: _polyval(C[:, i], z)
 
 
 def _draw_polys(rng, family: BoundedFamily) -> np.ndarray:
@@ -404,8 +404,13 @@ def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
     count = family.count
 
     def level_sups(values):
-        return _row_sups(lambda t: psi(K, R * np.exp(1j * t)), values, count,
-                         _CERT_SAMPLES)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sups = _row_sups(lambda t: psi(K, R * np.exp(1j * t)), values,
+                             count, _CERT_SAMPLES)
+        if not np.isfinite(sups).all():
+            raise DomainError(f"{family.kind} members leave double range on "
+                              f"the level R={R:g}", param="R")
+        return sups
 
     if family.kind == "moebius":
         if family.sweep is not None:

@@ -550,7 +550,9 @@ def main(argv=None) -> int:
         sys.stdout.flush()   # a closed pipe shows here, not at exit
         return status
     except FaberBohrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        param = getattr(exc, "param", None)
+        flag = f"--{param.replace('_', '-')}: " if param else ""
+        print(f"error: {flag}{exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader went away: the interpreter's last flush goes nowhere

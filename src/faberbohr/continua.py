@@ -209,7 +209,7 @@ class ContinuumSpec:
                 C = np.zeros((len(polys), len(ns)), dtype=complex)
                 for i, n in enumerate(ns):
                     C[: n + 1, i] = polys[n].coeffs
-                V = np.polynomial.polynomial.polyval(psi(self, w), C)
+                V = _polyval(C[:, :, None], psi(self, w))
             else:
                 V = w[None, :] ** ns.astype(float)[:, None]
                 if self.rho:
@@ -295,7 +295,7 @@ class SegmentSpec(ContinuumSpec):
     def _boundary_path(self, p):
         if hasattr(p, "cheb_floats"):
             cheb = p.cheb_floats(self.a, self.b)
-            return lambda t: np.polynomial.chebyshev.chebval(np.cos(t), cheb)
+            return lambda t: _polyval(cheb, np.cos(t), chebyshev=True)
         mid, half = self.psi_coeffs[0].real, 0.5 * (self.b - self.a)
         return lambda t: _eval_on_values(p, mid + half * np.cos(t))
 
@@ -452,15 +452,18 @@ def _check_points(zs) -> np.ndarray:
 # exterior map and inverse
 
 def phi(K: ContinuumSpec, z):
-    """Exterior map value(s); raises DomainError on a non-finite point
-    and PointInsideK on points of K."""
+    """Exterior map value(s); raises DomainError on a non-finite point or
+    value and PointInsideK on points of K."""
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     for zz in _check_points(arr):
         if contains(K, zz):
             raise PointInsideK(f"point {zz} lies on {K.describe()}")
-    w = K._phi(arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = K._phi(arr)
+    if not np.isfinite(w).all():
+        raise DomainError(f"phi on {K.describe()} leaves double range")
     return complex(w[0]) if scalar else w
 
 
@@ -722,10 +725,27 @@ class SupNorm(float):
         return obj
 
 
+def _polyval(c, x, chebyshev: bool = False):
+    """sum_k c[k] x^k, or sum_k c[k] T_k(x) with chebyshev, c[k]
+    broadcast against x: the steps of numpy.polynomial's polyval
+    (Horner's rule) and chebval (Clenshaw's recurrence) in their order,
+    so every value is theirs to the bit."""
+    if not chebyshev:
+        acc = c[-1] + x * 0
+        for a in c[-2::-1]:
+            acc = a + acc * x
+        return acc
+    if len(c) < 3:
+        return c[0] + (c[1] if len(c) == 2 else 0) * x
+    x2, c0, c1 = 2 * x, c[-2], c[-1]
+    for a in c[-3::-1]:
+        c0, c1 = a - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
 def _eval_on_values(p, z: np.ndarray) -> np.ndarray:
     """p at z, for a FaberPoly or an ascending coefficient array."""
-    coeffs = np.asarray(getattr(p, "coeffs", p), dtype=complex)
-    return np.polynomial.polynomial.polyval(z, coeffs)
+    return _polyval(np.asarray(getattr(p, "coeffs", p), dtype=complex), z)
 
 
 def sup_norm(p, S, m: int = DEFAULT_SAMPLES) -> SupNorm:

@@ -6,7 +6,15 @@ class FaberBohrError(Exception):
 
 
 class DomainError(FaberBohrError, ValueError):
-    """An argument lies outside the mathematical domain of the operation."""
+    """An argument lies outside the mathematical domain of the operation.
+
+    param, when given, names the argument at fault, so that a front end
+    can name its own flag for it.
+    """
+
+    def __init__(self, message, param=None):
+        super().__init__(message)
+        self.param = param
 
 
 class PointInsideK(FaberBohrError):

@@ -117,12 +117,17 @@ def make_context(K: ContinuumSpec, r: float, R: float, a=None,
     _check_power("level R", R, n_max)
     if a is None:
         a = complex(psi(K, complex(R)))
+        try:
+            phi_a = phi(K, a)
+        except DomainError:
+            raise DomainError(f"phi at the anchor psi(R) = {a} leaves double "
+                              f"range at R={R:g}", param="R") from None
     else:
         a = complex(a)
-        if abs(abs(phi(K, a)) - R) > 1e-9 * max(1.0, R):
+        phi_a = phi(K, a)
+        if abs(abs(phi_a) - R) > 1e-9 * max(1.0, R):
             raise NotOnLevel(f"anchor {a} is not on the level curve at R={R}")
     lg = arc_length(K, r)
-    phi_a = phi(K, a)
     pts = []
     worst = 0.0
     for n in range(1, n_max + 1):
@@ -382,6 +387,11 @@ def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
         if r_star is not None and i < tail_from:
             continue
         a_g = complex(psi(K, Rg * cmath.exp(1j * theta_a)))
+        if contains(K, a_g):
+            raise DomainError(
+                f"collar parameter eps0={eps0:g} is too small: the sweep "
+                f"level {Rg:.17g} meets K in double precision at the anchor "
+                "angle", param="eps0")
         rows_g = _condition_rows(K, float(Rg), a_g, C,
                                  n_max if r_star is None else 1, m, norms)
         if i >= tail_from:

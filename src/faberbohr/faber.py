@@ -32,6 +32,7 @@ from .continua import (
     _check_contour,
     _check_level,
     _check_points,
+    _polyval,
     contains,
     green,
     phi,
@@ -89,8 +90,7 @@ class FaberPoly:
         return np.array(self.doubles, dtype=complex)
 
     def __call__(self, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
-                                                self.coeffs)
+        return _polyval(self.coeffs, np.asarray(z, dtype=complex))
 
     def eval_exact(self, z) -> complex:
         """F_n(z) computed exactly and rounded once to the nearest doubles.
@@ -279,25 +279,123 @@ def _limb_product(blocks, B: np.ndarray, w: int) -> list:
             for i, t in enumerate(D[-1].tolist())]
 
 
+def _pi_fixed(W: int) -> int:
+    """pi 2^W within 2 units, by Machin's formula
+    pi/4 = 4 arctan(1/5) - arctan(1/239) summed at W + g bits,
+    g = bits(W) + 5: the two series have under 0.28 (W + g) + 2 terms,
+    each within 3 units there, and so has the tail, so
+    16 arctan(1/5) - 4 arctan(1/239) errs by under 12 (W + g) + 100 <
+    2^g units, and the final shift adds under 1."""
+    g = W.bit_length() + 5
+
+    def arctan_inv(x):   # arctan(1/x) at 2^(W + g)
+        t, s, k = (1 << W + g) // x, 0, 1
+        while t:
+            s += -(t // k) if k & 2 else t // k
+            t //= x * x
+            k += 2
+        return s
+
+    return (16 * arctan_inv(5) - 4 * arctan_inv(239)) >> g
+
+
+def _cos_sin(a: int, W: int) -> tuple:
+    """cos and sin of a/2^W at 2^W by their Taylor series, each term
+    floored from the last, t_j = t_(j-1) |a|/(j 2^W), until one is 0.
+    For |a/2^W| <= 2.1 and a within 3 units of its angle, each part is
+    within 2^8 W units of the truth."""
+    t = c = 1 << W
+    s, j, neg, a = 0, 1, a < 0, abs(a)
+    while t:
+        t = t * a // (j << W)
+        if j & 1:
+            s += -t if j & 2 else t
+        else:
+            c += -t if j & 2 else t
+        j += 1
+    return c, -s if neg else s
+
+
+def _round_bits(x: int, p: int) -> int:
+    """x rounded to p significant bits, to nearest with ties to even."""
+    sh = abs(x).bit_length() - p
+    if sh <= 0:
+        return x
+    q, rem = divmod(abs(x), 1 << sh)
+    half = 1 << sh - 1
+    q += rem > half or (rem == half and q & 1)
+    return q << sh if x > 0 else -(q << sh)
+
+
+# guard bits of the first pass of _root_parts, doubled on each retry
+_ZIV_GUARD = 64
+
+
+def _root_parts(m: int, prec: int, P: int, guard: int):
+    """(wr, wi), the parts of omega^k, k < m, at 2**P as mp.unitroots(m)
+    defines them at prec bits, floored; None where guard bits do not
+    decide a rounding.
+
+    mp.unitroots works at p = prec + 10 bits: it rounds x = 2k/m to
+    nearest at p bits, x~, takes cos and sin of pi x~ to nearest at p
+    bits and rounds those to nearest at prec; a multiple x~ of 1/2 gives
+    1, i, -1 or -i exactly.  Its own p-bit cos and sin are not always
+    correctly rounded: where one is a unit off and the second rounding
+    meets a tie, its part is a unit at prec bits from the correctly
+    rounded one given here (3 parts of 4.6 million compared).
+
+    Here, at 2^W, W = P + bits(m) + guard: x~ comes from one floor
+    division and a sticky bit; pi from _pi_fixed; omega^k from k steps
+    of omega = _cos_sin(2 pi/m), each product floored, and e^(i pi x~)
+    is omega^k e^(i pi (x~ - 2k/m)).
+    Each part is then within E = 2^(bits(m) + bits(W) + 10) units of
+    the truth: 2^8 W from _cos_sin in omega, times fewer than m + 1
+    steps and floors (Brent & Zimmermann, Modern Computer Arithmetic,
+    ch. 4).  Where the p-bit roundings of v - E and v + E differ, the
+    error margin cannot decide the rounding and None is returned (Ziv's
+    test; cos(pi x~) is irrational, so more guard bits decide it).
+    """
+    p = prec + 10
+    S = p + m.bit_length() + 2          # 2k/m at 2^-S, p + 2 bits or more
+    W = P + m.bit_length() + guard
+    E = 1 << m.bit_length() + W.bit_length() + 10
+    pi = _pi_fixed(W)
+    c1, s1 = _cos_sin(2 * pi // m, W) if m > 2 else (0, 0)
+    x, y = 1 << W, 0                    # omega^k at 2^W
+    wr, wi = [], []
+    for k in range(m):
+        q, rem = divmod(2 * k << S, m)
+        X = _round_bits(q | (rem > 0), p)   # x~ = X/2^S
+        if not (X << 1) & ((1 << S) - 1):
+            vr, vi = ((1, 0), (0, 1), (-1, 0), (0, -1))[X >> S - 1 & 3]
+            wr.append(vr << P)
+            wi.append(vi << P)
+        else:
+            ce, se = _cos_sin(pi * (X * m - (2 * k << S)) // (m << S), W)
+            for v, out in (((x * ce - y * se) >> W, wr),
+                           ((x * se + y * ce) >> W, wi)):
+                lo = _round_bits(v - E, p)
+                if lo != _round_bits(v + E, p):
+                    return None
+                out.append(_round_bits(lo, prec) >> W - P)
+        x, y = (x * c1 - y * s1) >> W, (x * s1 + y * c1) >> W
+    return wr, wi
+
+
 @functools.lru_cache(maxsize=8)
 def _unit_roots(m: int, prec: int) -> tuple:
-    """The roots of unity omega^j, j < m, from mp.unitroots at prec bits,
-    held at 2**P, P = prec + bits(m) + 8 guard bits: as the pair of
-    tuples of Python ints (wr, wi), the real and imaginary parts rounded
-    down, and as an array of shape (L, m, 2) holding limb a of them,
-    _limb_width(2 m) bits each.  This is the one computation mpmath
-    does on the route: the binary fields of each root are floored inside
-    the workprec block, with no rounding at mpmath's ambient precision,
-    which the block restores.  Computed once per (m, prec) and shared by
-    every continuum and level; at most 8 pairs are kept."""
-    from mpmath import mp
-    from mpmath.libmp import to_fixed
-
-    shift = prec + m.bit_length() + _GUARD_BITS
-    with mp.workprec(prec):
-        omega = mp.unitroots(m)   # real roots come as mpf
-        wr = [int(to_fixed(v.real._mpf_, shift)) for v in omega]
-        wi = [int(to_fixed(v.imag._mpf_, shift)) for v in omega]
+    """The roots of unity omega^j, j < m, as mp.unitroots(m) defines
+    them at prec bits, held at 2**P, P = prec + bits(m) + 8 guard bits: as
+    the pair of tuples of Python ints (wr, wi), the real and imaginary
+    parts rounded down, and as an array of shape (L, m, 2) holding limb
+    a of them, _limb_width(2 m) bits each.  They are built in Python
+    ints (_root_parts), with the guard bits doubled until every rounding
+    is decided.  Computed once per (m, prec) and shared by every
+    continuum and level; at most 8 pairs are kept."""
+    P, guard = prec + m.bit_length() + _GUARD_BITS, _ZIV_GUARD
+    while (parts := _root_parts(m, prec, P, guard)) is None:
+        guard *= 2
+    wr, wi = parts
     roots = np.ascontiguousarray(
         _limbs(wr + wi, _limb_width(2 * m)).reshape(2, m, -1).T)
     roots.flags.writeable = False   # one array for every caller
@@ -340,27 +438,29 @@ def _map_nodes(ints, r: float, wr, wi, P: int) -> tuple:
 def _fixed_nodes(K: ContinuumSpec, r: float, m: int, dps: int):
     """Fixed-point data of the high-precision route at dps digits.
 
-    The precision is prec = dps_to_prec(dps) bits, what mpmath gives dps
-    digits.  Returns P = prec + bits(m) + 8 guard bits, the limb array of
-    the roots of unity at 2**P (from _unit_roots, which holds them apart
-    from K) and _map_nodes of psi_map: e and the nodes and weights at
-    2**P in the coordinate (t - b_0)/2^e, b_0 the centre of K's kind.
-    Relative nodes lose no digit to the distance of K from 0.  All but P
-    and the roots are kept on K under ("fixed nodes", r, m, dps); a
-    custom map raises FaberBohrError before any store.
+    The precision is prec = max(1, round((dps + 1) log2(10))) bits, what
+    mpmath gives dps digits.  Returns P = prec + bits(m) + 8 guard bits,
+    the limb array of the roots of unity at 2**P (from _unit_roots,
+    which holds them apart from K) and _map_nodes of psi_map: e and the
+    nodes and weights at 2**P in the coordinate (t - b_0)/2^e, b_0 the
+    centre of K's kind.  Relative nodes lose no digit to the distance of
+    K from 0.  All but P and the roots are kept on K under
+    ("fixed nodes", r, m, dps); a custom map raises FaberBohrError
+    before any store.
 
-    Bound.  mp.unitroots rounds each part of omega^j to prec bits from
-    prec + 10, within 2^-(prec+1) (1 + 2^-8) of the truth, and flooring
-    at 2**P adds under 1 <= 2^(P-prec-9) units, so each root is within
-    (1 + 2^-7) 2^(P-prec-1) sqrt(2) < 0.72 2^(P-prec) units of
-    2^P omega^j in modulus.  The map and r are exact, so a node or
-    weight sum over Q 2^e carries that error times
+    Bound.  _unit_roots takes each root at the angle pi x~, x~ = 2j/m
+    rounded to prec + 10 bits, so within pi 2^-(prec+10) of omega^j in
+    modulus; it rounds each part to prec + 10 bits and then to prec,
+    within 2^-(prec+1) (1 + 2^-10), and flooring at 2**P adds under
+    1 <= 2^(P-prec-9) units, so each root is within
+    (sqrt(2) (1/2 + 2^-10 + 2^-9) + pi 2^-10) 2^(P-prec) <
+    0.72 2^(P-prec) units of 2^P omega^j in modulus.  The map and r are
+    exact, so a node or weight sum over Q 2^e carries that error times
     sum |s| |a_s| r^s/2^e <= 1, and its floor under 1 unit: each part of
     every node and weight is within 3 2^(P-prec-2) units at 2^(P-e).
     """
-    from mpmath.libmp import dps_to_prec
-
-    m, prec = int(m), dps_to_prec(dps)
+    m = int(m)
+    prec = max(1, round((dps + 1) * 3.3219280948873626))
     P = prec + m.bit_length() + _GUARD_BITS
     (wr, wi), roots = _unit_roots(m, prec)
     key = ("fixed nodes", float(r), m, dps)
@@ -390,18 +490,19 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
     On the float route a sum that leaves double range (r**n does from
     n = 1024 at r = 2) raises DomainError.  The optional dps switches to
     a high-precision route, needed when r**n overwhelms double-precision
-    summation.  It works at prec = dps_to_prec(dps) bits, the precision
-    mpmath gives dps digits, and holds every quantity as an exact Python
-    int in fixed point at 2**P, P = prec + bits(m) + 8 guard bits.  The
-    nodes and weights are built in Python ints from the exact map
-    psi_map.ints and the integer roots of unity (_map_nodes), relative
+    summation.  It works at prec = round((dps + 1) log2(10)) bits, the
+    precision mpmath gives dps digits, and holds every quantity as an
+    exact Python int in fixed point at 2**P, P = prec + bits(m) + 8 guard
+    bits.  The nodes and weights are built in Python ints from the exact
+    map psi_map.ints and the integer roots of unity (_map_nodes), relative
     to b_0, the centre of K's kind, and scaled by 2^-e to size about 1;
     the Cauchy weight dw/(t - z) does not change under this affine map,
     and z - b_0 is formed exactly from z = (X + iY)/d and the exact b_0
     and floored once, so the accuracy does not depend on where K lies or
-    how large it is.  mpmath computes only the roots of unity, once per
-    (m, prec) for all continua (_unit_roots); the nodes are built once
-    and memoised on K per (r, m, dps).  B_j(z) = dw_j/(t_j - z) is
+    how large it is.  The roots of unity are those of mp.unitroots at
+    prec bits, built in Python ints once per (m, prec) for all continua
+    (_unit_roots), with no mpmath import; the nodes are built once and
+    memoised on K per (r, m, dps).  B_j(z) = dw_j/(t_j - z) is
     formed for every point and node at once, as Python-int floor
     divisions on numpy object arrays of shape (Z, m).  With
     w_j^n = r^n omega^(jn mod m), every degree needs the Gaussian-int
@@ -638,7 +739,7 @@ def faber_coeffs(samples, K: ContinuumSpec, r: float, N: int,
     the constant term needs no scaling.  N may not exceed a quarter of
     the sample count (anti-aliasing rule).  When verify is set, fn must
     be the sampled function itself and the reconstruction is checked at
-    16 interior points.
+    16 fixed interior points, within 1e-6.
     """
     samples = np.asarray(samples, dtype=complex)
     m = len(samples)
@@ -657,9 +758,10 @@ def faber_coeffs(samples, K: ContinuumSpec, r: float, N: int,
     if verify:
         if fn is None:
             raise DomainError("verification requires the sampled function")
-        rng = np.random.default_rng(0)
-        radii = 1.0 + (min(r, 0.95 * r + 0.05) - 1.0) * rng.random(16)
-        angles = 2.0 * np.pi * rng.random(16)
+        # stratified radii, turned by the golden angle from one to the next
+        k = np.arange(16)
+        radii = 1.0 + (min(r, 0.95 * r + 0.05) - 1.0) * (k + 0.5) / 16
+        angles = 2.0 * np.pi * (k * 0.6180339887498949 % 1.0)
         zpts = psi(K, np.maximum(radii, 1.0 + 1e-6) * np.exp(1j * angles))
         rec = series.eval_z(zpts)
         ref = np.asarray([fn(z) for z in zpts], dtype=complex)

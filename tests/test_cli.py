@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -458,6 +459,36 @@ class TestFailureModes:
                          "faber")
         assert rc == 2
         assert "nonexistent" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("--continuum", f"custom:@{DATA / 'readme_map.json'}", "verify",
+          "--R", "1e300", "--count", "64", "--family", "scaled_poly"), "--R"),
+        (("--continuum", "segment:1e-300,2e-300", "estimates", "--R", "1e300",
+          "--eps0", "2", "--n-max", "1"), "--R"),
+        *[(("--continuum", "segment:-1,1", "estimates", "--eps0", eps0,
+            "--n-max", "4"), "--eps0")
+          for eps0 in ("1e-15", "1e-12", "1e-10", "1e-8")],
+    ], ids=["verify-scaled-poly-R", "estimates-anchor-R", "eps0-1e-15",
+            "eps0-1e-12", "eps0-1e-10", "eps0-1e-8"])
+    def test_refusal_names_the_flag(self, capsys, argv, flag):
+        """The first two printed numpy RuntimeWarnings (from polyval and
+        from the division by NaN sups, and from u * u in phi) before an
+        error line that named no flag; the verify run ended in "cannot
+        represent nan exactly".  An eps0 from 1e-15 to 1e-8 put the first
+        sweep level onto the segment and was refused as "point (1+0j)
+        lies on segment", a point the caller never gave.  Each exits 2
+        with one error line that names the flag, and no warning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run(capsys, *argv)
+        assert [str(w.message) for w in caught] == []
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
+
+    def test_eps0_one_in_a_million_still_runs(self, capsys):
+        rc, out, _ = run(capsys, "--continuum", "segment:-1,1", "estimates",
+                         "--eps0", "1e-6", "--n-max", "4")
+        assert rc == 0 and "all hold" in out
 
     def test_closed_pipe_ends_quietly(self):
         """A reader that stops early (`| head -1`) is not bad input: the

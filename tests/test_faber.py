@@ -843,11 +843,9 @@ class TestContourMp:
         """Three levels on two continua at one (m, dps) compute the roots
         of unity once, and a second dps once more; each continuum keeps
         only its fixed-point nodes."""
-        from mpmath import mp
-
-        calls, unitroots = [], mp.unitroots
-        monkeypatch.setattr(mp, "unitroots",
-                            lambda m: calls.append(m) or unitroots(m))
+        calls, built = [], fbf._root_parts
+        monkeypatch.setattr(fbf, "_root_parts",
+                            lambda m, *args: calls.append(m) or built(m, *args))
         fbf._unit_roots.cache_clear()
         Ks = (fb.segment(-1.0, 1.0), fb.disc(0.2j, 0.5))
         for dps in (30, 30, 40):
@@ -905,35 +903,118 @@ class TestContourMp:
         assert custom_spec._memo == {}
 
 
-def test_mpmath_only_computes_the_roots_of_unity():
-    """In the package mpmath computes the roots of unity (_unit_roots)
-    and names the bits of dps digits (_fixed_nodes); the rest of the
-    high-precision route is Python ints.  No mpc, precision context or
-    libmp rounding is left, nor the old converter _fixed."""
+def _mp_unit_roots(m: int, prec: int) -> tuple:
+    """The parts of mp.unitroots(m) at prec bits, floored at
+    2**(prec + bits(m) + 8) by to_fixed inside the workprec block."""
+    from mpmath import mp
+    from mpmath.libmp import to_fixed
+
+    shift = prec + m.bit_length() + 8
+    with mp.workprec(prec):
+        omega = mp.unitroots(m)   # real roots come as mpf
+        return (tuple(int(to_fixed(v.real._mpf_, shift)) for v in omega),
+                tuple(int(to_fixed(v.imag._mpf_, shift)) for v in omega))
+
+
+def _root_part_roundings(m: int, j: int, prec: int, part: int) -> tuple:
+    """Part (0 real, 1 imaginary) of root j as mp.unitroots defines it:
+    x~ = 2j/m to nearest at p = prec + 10 bits, the part of e^(i pi x~)
+    from 2 p + 64 bits to nearest at p, then at prec, floored at
+    2**(prec + bits(m) + 8).  Returns that, the p-bit value and the one
+    mpmath's own expjpi gives at p bits."""
+    from mpmath import mp
+    from mpmath.libmp import (from_int, mpf_div, normalize, round_nearest,
+                              to_fixed)
+
+    p = prec + 10
+    xt = mpf_div(from_int(2 * j), from_int(m), p, round_nearest)
+    with mp.workprec(2 * p + 64):
+        fine = normalize(*(mp.sinpi if part else mp.cospi)(mp.mpf(xt))._mpf_,
+                         p, round_nearest)
+    with mp.workprec(p):
+        own = mp.expjpi(mp.mpf(xt))
+    own = (own.imag if part else own.real)._mpf_
+    return (int(to_fixed(normalize(*fine, prec, round_nearest),
+                         prec + m.bit_length() + 8)), fine, own)
+
+
+class TestUnitRoots:
+    """faber._unit_roots, built in Python ints, against mpmath."""
+
+    @pytest.mark.parametrize("prec", [53, 103, 136, 169, 340])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 12, 64, 256, 1000, 1024])
+    def test_equals_mpmath(self, m, prec):
+        """Every part is the one mp.unitroots gives, floored alike.  It
+        rounds 2j/m to prec + 10 bits first and each part twice: at
+        prec 53, m = 12 and m = 1000, roots rounded once from the exact
+        angle 2 pi j/m differ from it in some parts."""
+        (wr, wi), roots = fbf._unit_roots(m, prec)
+        assert (wr, wi) == _mp_unit_roots(m, prec)
+        assert roots.shape[1:] == (m, 2)
+
+    @staticmethod
+    def _check_against_mpmath(m, prec):
+        """Every part is mp.unitroots', or mpmath's own p-bit cos or sin
+        of pi x~ is not the correctly rounded one and the part is the
+        correctly rounded one; returns the parts of the second kind."""
+        got, want = fbf._unit_roots.__wrapped__(m, prec)[0], _mp_unit_roots(m,
+                                                                             prec)
+        off = [(part, j) for part in (0, 1) for j in range(m)
+               if got[part][j] != want[part][j]]
+        for part, j in off:
+            exact, fine, own = _root_part_roundings(m, j, prec, part)
+            assert got[part][j] == exact and own != fine, (m, prec, j, part)
+        return off
+
+    @settings(max_examples=8, deadline=None)
+    @given(m=st.integers(1, 4096), prec=st.integers(7, 400))
+    def test_equals_mpmath_where_it_rounds_correctly(self, m, prec):
+        self._check_against_mpmath(m, prec)
+
+    @pytest.mark.parametrize("m, prec, j", [(1023, 163, 123), (2042, 181, 160),
+                                            (1950, 83, 1217)])
+    def test_where_mpmath_misrounds(self, m, prec, j):
+        """Here mpmath's p-bit sin or cos of pi x~ is a unit from the
+        correctly rounded value, and the second rounding, at a tie, moves
+        its part by a unit at prec bits; the part of _unit_roots is the
+        correctly rounded one.  Three parts of 4.6 million compared."""
+        assert [j] == sorted({k for _, k in self._check_against_mpmath(m, prec)})
+
+    @pytest.mark.parametrize("m, prec", [(7, 53), (1000, 103)])
+    def test_undecided_roundings_are_retried(self, m, prec, monkeypatch):
+        """With one guard bit the error margin cannot decide roundings;
+        the guard bits are doubled until it can, with the same roots."""
+        calls, built = [], fbf._root_parts
+        monkeypatch.setattr(fbf, "_ZIV_GUARD", 1)
+        monkeypatch.setattr(fbf, "_root_parts",
+                            lambda *args: calls.append(args[3]) or built(*args))
+        got = fbf._unit_roots.__wrapped__(m, prec)[0]
+        assert calls[:2] == [1, 2] and calls == [2 ** i
+                                                  for i in range(len(calls))]
+        assert got == _mp_unit_roots(m, prec)
+
+
+def test_src_has_no_mpmath():
+    """The high-precision route is Python ints throughout: no module of
+    the package imports mpmath or reads an mp attribute, and no mpc,
+    precision context or libmp rounding is left, nor the old converter
+    _fixed."""
     uses, bad = set(), []
     for path in sorted(Path(fb.__file__).parent.glob("*.py")):
         text = path.read_text()
         bad += re.findall(r"\b(?:mpc|workdps|from_rational|to_float|mpf_mul"
                           r"|_fixed)\b", text)
-        tree = ast.parse(text)
-        owner = {}   # node -> innermost enclosing function; outer first
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef):
-                owner.update((id(node), fn.name) for node in ast.walk(fn))
-        for node in ast.walk(tree):
-            name = owner.get(id(node))
+        for node in ast.walk(ast.parse(text)):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 mods = ([node.module or ""] if isinstance(node, ast.ImportFrom)
                         else [a.name for a in node.names])
-                if any(mod.startswith("mpmath") for mod in mods):
-                    uses |= {(name, a.name) for a in node.names}
+                uses |= {(path.name, mod) for mod in mods
+                         if mod.startswith("mpmath")}
             elif (isinstance(node, ast.Attribute)
                   and getattr(node.value, "id", None) == "mp"):
-                uses.add((name, "mp." + node.attr))
+                uses.add((path.name, "mp." + node.attr))
     assert bad == []
-    assert uses == {("_unit_roots", "mp"), ("_unit_roots", "mp.workprec"),
-                    ("_unit_roots", "mp.unitroots"), ("_unit_roots", "to_fixed"),
-                    ("_fixed_nodes", "dps_to_prec")}
+    assert uses == set()
 
 
 class TestLimbProduct:

@@ -156,6 +156,72 @@ print(json.dumps({"rc": out["run"][0], "random": "numpy.random" in sys.modules})
 """)
     assert got == {"rc": 0, "random": draws}
 
+
+_NEVER_LOADED = ("mpmath", "numpy.random", "numpy.polynomial")
+
+
+def test_session_calls_leave_mpmath_random_and_polynomial_unloaded():
+    """One pass of the library calls of a long-lived session: both
+    contour routes, the dps route at 30 digits, faber_coeffs with
+    verify, FaberPoly.__call__, make_context with the three bounds and
+    norm_root.  None loads mpmath, numpy.random or numpy.polynomial."""
+    got = _fresh(f"""
+import cmath
+import numpy as np
+import faberbohr as fb
+
+seg, dsc = fb.segment(-0.7, 1.9), fb.disc(0.3 - 0.2j, 1.2)
+ns = list(range(25))
+checks = []
+for K in (seg, dsc):
+    zs = fb.psi(K, 1.2 * np.exp(1j * np.array([0.4, 2.5, 4.0])))
+    exact = np.array([[fb.faber_poly(K, n).eval_exact(z) for z in zs]
+                      for n in ns])
+    flt = fb.contour_values(K, ns, zs, 2.0, m=1024)
+    mp = [fb.contour_values(K, ns, zs, r, m=256, dps=30) for r in (1.5, 3.0)]
+    checks += [float(np.max(np.abs(flt - exact))) < 1e-7,
+               float(np.max(np.abs(mp[0] - mp[1]))) < 1e-8,
+               bool(np.allclose(fb.faber_poly(K, 7)(zs), exact[7]))]
+w0 = 5.0 * cmath.exp(0.7j)
+p = complex(fb.psi(seg, w0))
+w = 2.0 * np.exp(2j * np.pi * np.arange(256) / 256)
+fb.faber_coeffs(1.0 / (fb.psi(seg, w) - p), seg, 2.0, 24,
+                fn=lambda z: 1.0 / (z - p), verify=True)
+ctx = fb.make_context(seg, 1.5, 4.0, n_max=24)
+for n in (3, 9, 17):
+    fb.en_bound(ctx, n, fb.psi(seg, 1.7 * cmath.exp(1j * n)))
+    fb.fn_bounds(ctx, n, fb.psi(seg, 4.0 * cmath.exp(2j * n)))
+    fb.fk_bound(ctx, n, 0.1)
+fb.norm_root(seg, list(fb.psi(seg, np.array([1.5, 2.0j, -2.5]))), 40)
+print(json.dumps({{"checks": checks,
+                  "loaded": [n for n in {_NEVER_LOADED!r} if n in sys.modules]}}))
+""")
+    assert got == {"checks": [True] * 6, "loaded": []}
+
+
+def test_no_command_loads_mpmath_or_numpy_polynomial():
+    """Every command, the contour check, each campaign family and a
+    custom map's estimates run without mpmath and numpy.polynomial;
+    numpy.random comes in only with a family that draws."""
+    readme = f"custom:@{DATA / 'readme_map.json'}"
+    runs = {f"{command}.{i}": argv for command, argvs in _TABLE_RUNS.items()
+            for i, argv in enumerate(argvs)}
+    runs["custom-estimates"] = ["--continuum", readme, "estimates", "--R", "8",
+                                "--n-max", "4"]
+    runs["custom-verify"] = ["--continuum", readme, "verify", "--R", "3",
+                             "--count", "3"]
+    draws = {family: ["verify", "--R", "5.2", "--count", "3", "--family",
+                      family] for family in ("scaled_poly", "faber_series")}
+    report = f"""
+print(json.dumps({{"rc": {{k: v[0] for k, v in out.items()}},
+                  "loaded": [n for n in {_NEVER_LOADED!r} if n in sys.modules]}}))
+"""
+    assert _fresh(_run_cli(runs) + report) == {"rc": dict.fromkeys(runs, 0),
+                                               "loaded": []}
+    assert _fresh(_run_cli(draws) + report) == {
+        "rc": dict.fromkeys(draws, 0), "loaded": ["numpy.random"]}
+
+
 # command lines for each command of the README table "What a command
 # loads"; a cell "with `X` only" holds for exactly the runs whose
 # command line contains X
