@@ -56,6 +56,27 @@ class TestFaberCommand:
         assert lines[0] == "n,k,re,im"
         assert len(lines) == 1 + 1 + 2
 
+    def test_depth_zero_custom_map(self, capsys, tmp_path):
+        """A custom map with an empty tail, phi(z) = gamma z + gamma0, is
+        the disc of radius 1/gamma: its Faber polynomials are the powers
+        of phi, and the contour route agrees with them."""
+        path = tmp_path / "linear.json"
+        path.write_text('{"gamma": 2.0, "gamma0": [0.5, -0.25], "tail": []}')
+        rc, out, _ = run(capsys, "--continuum", f"custom:@{path}", "--output",
+                         "json", "faber", "--n-max", "3", "--check-contour")
+        assert rc == 0
+        data = json.loads(out)
+        assert data["polynomials"][2]["coeffs"] == [
+            [0.1875, -0.25], [2.0, -1.0], [4.0, 0.0]]
+        assert data["contour_check"]["max_mismatch"] < 1e-12
+        K = parse_continuum(f"custom:@{path}")
+        z = np.array([1.0 + 1.0j, -3.0, 2.0j])
+        assert np.array_equal(fb.phi(K, z), 2.0 * z + (0.5 - 0.25j))
+        w = fb.phi(K, z)
+        assert np.array_equal(fb.psi(K, w), z)
+        assert np.array_equal(fb.psi_prime(K, w), np.full(3, 0.5 + 0j))
+        assert fb.contains(K, 0.0) and not fb.contains(K, 0.5)
+
     @pytest.mark.parametrize("output", ["text", "json", "csv"])
     @pytest.mark.parametrize("name, continuum", [
         ("segment_canonical", "segment:-1,1"),
@@ -522,3 +543,4 @@ def test_one_output_writer_in_src():
                         r"^\s*(import|from) json\b|faberbohr/1", line)):
                 bad.append(f"{path.name}:{i}: {line.strip()}")
     assert bad == []
+
