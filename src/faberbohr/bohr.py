@@ -16,6 +16,7 @@ sum |a_n| * sup_K |F_n|.  This module answers three questions about it:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -30,6 +31,7 @@ from .continua import (
     psi,
 )
 from .errors import (
+    AliasingRisk,
     CertificationFailed,
     DomainError,
     NonConvergent,
@@ -73,7 +75,6 @@ class BohrReport:
 
     sum: float
     terms: np.ndarray
-    slack: float
     verdict: str
     K: ContinuumSpec
     R: float
@@ -118,7 +119,7 @@ def bohr_sum(f: FaberSeries) -> BohrReport:
     total = float(np.sum(terms))
     if not math.isfinite(total):
         raise DomainError(f"Bohr sum {total} is not finite")
-    return BohrReport(sum=total, terms=terms, slack=1.0 - total,
+    return BohrReport(sum=total, terms=terms,
                       verdict="Holds" if total < 1.0 else "Violated",
                       K=K, R=f.R)
 
@@ -206,11 +207,11 @@ def coeff_bound_check(f: FaberSeries, R: float | None = None,
     mode "caratheodory": functions of positive real part; |a_n| <=
     2 re(a_0)/(R^n - R^-n), no rotation.
 
-    Returns one row per index n >= 1: {"n", "coeff", "bound", "margin"}
-    with margin = bound - |a_n|.  Preconditions are checked by boundary
-    sampling at 512 angles unless the series carries a generator
-    certificate (cert_sup), which takes precedence for the modulus
-    condition.
+    Returns one row per index n >= 1, the tuple (n, |a_n|, bound,
+    margin) with margin = bound - |a_n|.  Preconditions are checked by
+    boundary sampling at 512 angles unless the series carries a
+    generator certificate (cert_sup), which takes precedence for the
+    modulus condition.
     """
     if f.K.kind != "segment":
         raise WrongKind("coefficient bounds are stated for segment continua")
@@ -233,11 +234,9 @@ def coeff_bound_check(f: FaberSeries, R: float | None = None,
 
     rows = []
     for n in range(1, f.N + 1):
-        denom = R ** n - R ** (-n)
-        bound = numer / denom
+        bound = numer / (R ** n - R ** (-n))
         coeff = abs(f.coeffs[n])
-        rows.append({"n": n, "coeff": coeff, "bound": bound,
-                     "margin": bound - coeff})
+        rows.append((n, coeff, bound, bound - coeff))
     return rows
 
 
@@ -438,17 +437,20 @@ def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
             return (a[i] - u) / (1.0 - a[i] * u)
 
         # members scaled to a sup of at most target, their coefficients
-        # read on the circle r_ext = sqrt(R), which goes through psi once
+        # read on the circle r_ext = sqrt(R), which goes through psi once;
+        # they are cut at n_coeffs by design, so AliasingRisk is moot here
         sups = level_sups(fn).tolist()
         m = max(family.samples, 4 * family.n_coeffs)
         r_ext = math.sqrt(R)
         z_ext = psi(K, r_ext * np.exp(2j * np.pi * np.arange(m) / m))
         coeffs, certs = [], []
-        for i, sup in enumerate(sups):
-            factor = 1.0 if sup <= target else target / sup
-            series = faber_coeffs(fn(z_ext, i), K, r_ext, family.n_coeffs)
-            coeffs.append(series.coeffs * factor)
-            certs.append(sup * factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AliasingRisk)
+            for i, sup in enumerate(sups):
+                factor = 1.0 if sup <= target else target / sup
+                series = faber_coeffs(fn(z_ext, i), K, r_ext, family.n_coeffs)
+                coeffs.append(series.coeffs * factor)
+                certs.append(sup * factor)
         return _certified(K, R, coeffs, certs, [
             f"moebius[{i}] a={float(ai):.6g}" for i, ai in enumerate(a)])
 
@@ -482,8 +484,9 @@ def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
 class CampaignReport:
     """Outcome of a Bohr-sum sweep over one generated family.
 
-    A listed violation disproves the sum-below-1 property at this level;
-    an empty list is evidence only, which is what evidence_only records.
+    sums are the members' Bohr sums; violations are the (index, member)
+    pairs whose sum is not below 1.  One disproves the sum-below-1
+    property at this level; none is evidence only (evidence_only).
     """
 
     K: ContinuumSpec
@@ -504,19 +507,10 @@ def bohr_verify(K: ContinuumSpec, R: float,
                 family: BoundedFamily) -> CampaignReport:
     """Bohr sums over a generated family, collecting any violations."""
     members = gen_bounded(K, R, family)
-    sums = []
-    violations = []
-    for i, f in enumerate(members):
-        rep = bohr_sum(f)
-        sums.append(rep.sum)
-        if not rep.holds:
-            violations.append({
-                "index": i,
-                "sum": rep.sum,
-                "label": f.label,
-                "coeffs": [[c.real, c.imag] for c in f.coeffs],
-            })
+    sums = tuple(bohr_sum(f).sum for f in members)
+    violations = tuple((i, f) for i, f in enumerate(members)
+                       if not sums[i] < 1.0)
     min_slack = (1.0 - max(sums)) if sums else None
     return CampaignReport(K=K, R=float(R), family=family, count=len(members),
-                          sums=tuple(sums), min_slack=min_slack,
-                          violations=tuple(violations))
+                          sums=sums, min_slack=min_slack,
+                          violations=violations)

@@ -23,8 +23,9 @@ Exit codes: 0 success, 2 bad arguments or input, 3 contour mismatch,
 
 All output for a fixed command line (including ``--seed``) is
 byte-identical between runs.  This module is the only writer of JSON
-and CSV: library results are plain data, _jprint adds the schema field
-and _csv prints every table.
+and CSV, and the only one that names an output key: library results
+are plain data (tuples, dataclasses) that each command turns into
+records, _jprint adds the schema field and _csv prints every table.
 
 A command imports only what it runs: ``bohr`` and ``estimates`` are
 imported inside their commands, and numpy is loaded on first use (see
@@ -60,6 +61,7 @@ from .series import LaurentTail
 
 SCHEMA = "faberbohr/1"
 _CONTOUR_GATE = 1e-7
+_ROW_KEYS = ("n", "condition", "lhs", "rhs", "margin")   # estimates rows
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +291,10 @@ def _cmd_verify(args, K: ContinuumSpec) -> int:
             "max_sum": max(report.sums) if report.sums else None,
             "verdict": report.verdict,
             "evidence_only": report.evidence_only,
-            "violations": list(report.violations),
+            "violations": [
+                {"index": i, "sum": report.sums[i], "label": f.label,
+                 "coeffs": [_pair(c) for c in f.coeffs]}
+                for i, f in report.violations],
         })
     elif args.output == "csv":
         _csv("index,sum", "%d,%.17g", enumerate(report.sums))
@@ -302,9 +307,8 @@ def _cmd_verify(args, K: ContinuumSpec) -> int:
         print("verdict: %s (%d violation(s); members bounded by "
               "construction, sums are evidence about the campaign only)"
               % (report.verdict, len(report.violations)))
-        for v in report.violations:
-            print("  member %d (%s): sum %.6g"
-                  % (v["index"], v["label"], v["sum"]))
+        for i, f in report.violations:
+            print("  member %d (%s): sum %.6g" % (i, f.label, report.sums[i]))
     return 4 if report.violations else 0
 
 
@@ -328,21 +332,18 @@ def _cmd_estimates(args, K: ContinuumSpec) -> int:
             "theta_residual_max": rep.theta_residual_max,
             "anchor_margin_tail": list(rep.anchor_margin_tail),
             "note": rep.note,
-            "rows": list(rep.rows),
+            "rows": [dict(zip(_ROW_KEYS, row)) for row in rep.rows],
         })
     elif args.output == "csv":
-        _csv("n,condition,lhs,rhs,margin", "%d,%s,%.17g,%.17g,%.17g",
-             ((row["n"], row["condition"], row["lhs"], row["rhs"],
-               row["margin"]) for row in rep.rows))
+        _csv(",".join(_ROW_KEYS), "%d,%s,%.17g,%.17g,%.17g", rep.rows)
     else:
         print("separation conditions for %s at R=%.6g (eps0=%.6g, C=%.6g, "
               "n<=%d): %s" % (K.describe(), rep.R, rep.eps0, rep.C, rep.n_max,
                               "all hold" if rep.all_hold else "NOT all hold"))
         worst = {}
-        for row in rep.rows:
-            name = row["condition"]
-            if name not in worst or row["margin"] < worst[name]:
-                worst[name] = row["margin"]
+        for _, name, _, _, margin in rep.rows:
+            if name not in worst or margin < worst[name]:
+                worst[name] = margin
         for name in sorted(worst):
             print("  min margin %s: %.6g" % (name, worst[name]))
         print("first grid level with every margin positive: R* = %.6g"

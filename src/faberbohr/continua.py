@@ -337,21 +337,21 @@ class CustomSpec(ContinuumSpec):
         return c[0], c[1], np.array(c[2:], dtype=complex)
 
     def _phi(self, z):
+        """lead z + c0 + sum_k t_k z^-k, the tail by Horner in u = 1/z."""
         lead, c0, tail = self._complex
+        if not len(tail):
+            return lead * z + c0
         with np.errstate(divide="ignore", invalid="ignore"):
             u = 1.0 / z
-            acc = np.zeros_like(z)
-            for g in tail[::-1]:
-                acc = (acc + g) * u
-            return lead * z + c0 + acc
+            return lead * z + c0 + _polyval(tail, u) * u
 
     def _phi_deriv(self, z):
         lead, _, tail = self._complex
+        if not len(tail):
+            return np.full_like(z, lead)
         u = 1.0 / z
-        acc = np.zeros_like(z)
-        for k in range(len(tail), 0, -1):
-            acc = (acc - k * tail[k - 1]) * u
-        return lead + acc * u
+        slopes = [-k * t for k, t in enumerate(tail, 1)]
+        return lead + _polyval(slopes, u) * u * u
 
     def _psi(self, w):
         """Newton's method for phi(z) = w from z = (w - c0)/lead.

@@ -291,13 +291,13 @@ def lemma33_check(phi_norms_K, phi_shift_norms, eps, C: float) -> bool:
 # ---------------------------------------------------------------------------
 # the sufficient-condition sweep
 
-_CONDITIONS = ("compact_sup", "anchor_bound", "separation")
 _ANCHOR_TAIL = 5      # grid levels whose n = 1 anchor margin is reported
 
 
 def _condition_rows(K: ContinuumSpec, R: float, a: complex, C: float,
                     n_max: int, m: int, norms) -> list:
-    """Rows (n, condition, lhs, rhs, margin) at one level; lhs <= rhs is good."""
+    """Tuples (n, condition, lhs, rhs, margin), margin = rhs - lhs, at one
+    level: three conditions per n; lhs <= rhs is good."""
     ns = np.arange(1, n_max + 1)
     V = K.pullback(ns, R * np.exp(1j * _angles(m)))
     Fa = _fn_at(K, ns, a)
@@ -312,8 +312,7 @@ def _condition_rows(K: ContinuumSpec, R: float, a: complex, C: float,
             ("separation", 1.5 * R ** n, S_n),
         )
         for name, lhs, rhs in triples:
-            rows.append({"n": n, "condition": name, "lhs": float(lhs),
-                         "rhs": float(rhs), "margin": float(rhs - lhs)})
+            rows.append((n, name, float(lhs), float(rhs), float(rhs - lhs)))
     return rows
 
 
@@ -321,11 +320,12 @@ def _condition_rows(K: ContinuumSpec, R: float, a: complex, C: float,
 class Thm31Report:
     """Separation conditions at one level plus a sweep for the first good one.
 
-    r_star is the smallest grid level at which every margin is positive
-    for all n up to n_max; an empirical threshold, labeled as such in
-    note, not a certified constant.  anchor_margin_tail records the
-    n = 1 anchor_bound margins over the last five grid points (their
-    growth is reported, not asserted).
+    rows is the margin table at R, the (n, condition, lhs, rhs, margin)
+    tuples of _condition_rows.  r_star is the smallest grid level at
+    which every margin is positive for all n up to n_max; an empirical
+    threshold, labeled as such in note, not a certified constant.
+    anchor_margin_tail records the n = 1 anchor_bound margins over the
+    last five grid points (their growth is reported, not asserted).
     """
 
     K: ContinuumSpec
@@ -374,7 +374,7 @@ def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
     ctx = make_context(K, r, R, n_max=n_max, m=m)
     norms = [basis_norm(K, n, up_to=n_max) for n in range(n_max + 1)]
     rows = _condition_rows(K, R, ctx.a, C, n_max, m, norms)
-    all_hold = all(row["margin"] > 0.0 for row in rows)
+    all_hold = all(margin > 0.0 for *_, margin in rows)
 
     theta_a = cmath.phase(phi(K, ctx.a))
     grid = np.geomspace(1.0 + 2.0 * eps0, grid_hi, grid_points)
@@ -396,9 +396,9 @@ def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
                                  n_max if r_star is None else 1, m, norms)
         if i >= tail_from:
             anchor_tail.append(next(
-                row["margin"] for row in rows_g
-                if row["n"] == 1 and row["condition"] == "anchor_bound"))
-        if r_star is None and all(row["margin"] > 0.0 for row in rows_g):
+                margin for n, name, _, _, margin in rows_g
+                if n == 1 and name == "anchor_bound"))
+        if r_star is None and all(margin > 0.0 for *_, margin in rows_g):
             r_star = float(Rg)
     if r_star is None:
         raise GridExhausted(

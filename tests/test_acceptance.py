@@ -141,8 +141,8 @@ def test_criterion_07_coefficient_bounds():
                                **extra)
         for f in fb.gen_bounded(SEG, R, fam):
             total += 1
-            for row in fb.coeff_bound_check(f, mode="bohr"):
-                worst = min(worst, row["margin"])
+            for *_, margin in fb.coeff_bound_check(f, mode="bohr"):
+                worst = min(worst, margin)
     ok = total == 200 and worst >= -1e-9
     _crit(7, ok, f"coefficient bounds over {total} bounded functions: "
                  f"worst margin {worst:.3g}")

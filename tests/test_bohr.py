@@ -201,13 +201,14 @@ class TestCoeffBounds:
         fam = fb.BoundedFamily(kind="moebius", seed=11, count=8, margin=0.02)
         for f in fb.gen_bounded(seg, 3.0, fam):
             rows = fb.coeff_bound_check(f, mode="bohr")
-            assert min(row["margin"] for row in rows) > -1e-9
+            assert min(margin for *_, margin in rows) > -1e-9
 
     def test_caratheodory_mode(self, seg):
         f = fb.FaberSeries(K=seg, R=2.0, coeffs=np.array([0.3, 0.1]))
         rows = fb.coeff_bound_check(f, mode="caratheodory")
-        assert rows[0]["bound"] == pytest.approx(0.6 / 1.5, abs=1e-12)
-        assert rows[0]["margin"] > 0
+        _, _, bound, margin = rows[0]
+        assert bound == pytest.approx(0.6 / 1.5, abs=1e-12)
+        assert margin > 0
 
     def test_negative_control(self, seg):
         """Inflating one coefficient past its bound must show up."""
@@ -218,7 +219,8 @@ class TestCoeffBounds:
         coeffs[3] = 1.5 * bound3
         f = fb.FaberSeries(K=seg, R=R, coeffs=coeffs)
         rows = fb.coeff_bound_check(f, check_pre=False)
-        assert rows[2]["margin"] < 0
+        *_, margin = rows[2]
+        assert margin < 0
 
     def test_precondition_positive_control(self, seg):
         f = fb.FaberSeries(K=seg, R=2.0, coeffs=np.array([0.0, 3.0]))
@@ -321,7 +323,8 @@ class TestCampaigns:
         bad = fb.bohr_verify(udisc, 2.5, fam)
         assert bad.verdict == "violation-found"
         assert len(bad.violations) >= 1
-        assert bad.violations[0]["sum"] > 1.0
+        index, _ = bad.violations[0]
+        assert bad.sums[index] > 1.0
 
     def test_empty_campaign(self, seg, capsys):
         fam = fb.BoundedFamily(kind="moebius", count=0)

@@ -1,5 +1,6 @@
 """Command line behaviour: payload shapes, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import re
@@ -234,6 +235,21 @@ class TestVerifyCommand:
                          output, "verify", "--R", "2.5", "--count", "6")
         assert rc == 4
         assert out.encode() == (DATA / f"verify_disc_unit.{output}").read_bytes()
+
+    @pytest.mark.parametrize("continuum, R", [
+        ("segment:-1,1", "1.5"), ("disc:0,0,1", "1.3"),
+        (f"custom:@{DATA / 'readme_map.json'}", "1.3")])
+    def test_low_level_writes_nothing_to_stderr(self, capsys, continuum, R):
+        """Near K the moebius members are cut at n_coeffs Faber terms by
+        design (their sums under-estimate), so no AliasingRisk warning,
+        whose advice no flag can follow, reaches stderr."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, _, err = run(capsys, "--continuum", continuum, "verify",
+                             "--R", R, "--count", "12")
+        assert rc == 4
+        assert [str(w.message) for w in caught] == []
+        assert err == ""
 
     @pytest.mark.parametrize("output", ["json", "csv"])
     def test_golden_empty(self, capsys, output):
@@ -544,3 +560,33 @@ def test_one_output_writer_in_src():
                 bad.append(f"{path.name}:{i}: {line.strip()}")
     assert bad == []
 
+
+def _dicts_in(value, path="result"):
+    """Paths of the dicts held in value, through dataclass fields,
+    tuples and lists."""
+    if isinstance(value, dict):
+        return [path]
+    if dataclasses.is_dataclass(value):
+        items = [(f".{f.name}", getattr(value, f.name))
+                 for f in dataclasses.fields(value)]
+    elif isinstance(value, (tuple, list)):
+        items = [(f"[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return []
+    return [p for key, v in items for p in _dicts_in(v, path + key)]
+
+
+def test_library_results_hold_no_dict():
+    """Library results are plain data: cli alone names an output key,
+    so no verify campaign (with violations), separation table or
+    coefficient-bound row holds a dict."""
+    seg, udisc = fb.segment(-1.0, 1.0), fb.disc(0j, 1.0)
+    fam = fb.BoundedFamily(kind="moebius", count=6, sweep=(0.8, 0.99))
+    campaign = fb.bohr_verify(udisc, 2.5, fam)
+    assert campaign.violations
+    f = fb.gen_bounded(seg, 3.0, fam)[0]
+    results = {"bohr_verify": campaign,
+               "thm31_conditions": fb.thm31_conditions(seg, 8.0, n_max=4),
+               "coeff_bound_check": fb.coeff_bound_check(f)}
+    assert {name: _dicts_in(r) for name, r in results.items()} == {
+        name: [] for name in results}

@@ -189,10 +189,10 @@ class TestConditionSweep:
         assert rep.tail_dominance_ok
         assert rep.theta_residual_max <= 1e-9
         assert len(rep.anchor_margin_tail) == 5
-        names = {row["condition"] for row in rep.rows}
+        names = {name for _, name, *_ in rep.rows}
         assert names == {"compact_sup", "anchor_bound", "separation"}
-        for row in rep.rows:
-            assert row["margin"] == pytest.approx(row["rhs"] - row["lhs"])
+        for _, _, lhs, rhs, margin in rep.rows:
+            assert margin == pytest.approx(rhs - lhs)
 
     def test_disc_holds_everywhere(self, udisc):
         # for the unit disc the binding condition is ||F_1|| = 1 <= C S_1
@@ -251,9 +251,9 @@ class TestConditionSweep:
             a_g = complex(fb.psi(K, Rg * cmath.exp(1j * theta_a)))
             rows = estimates._condition_rows(K, Rg, a_g, rep.C, rep.n_max,
                                              m, norms)
-            tail.append(next(row["margin"] for row in rows if row["n"] == 1
-                             and row["condition"] == "anchor_bound"))
-            if r_star is None and all(row["margin"] > 0.0 for row in rows):
+            tail.append(next(margin for n, name, _, _, margin in rows
+                             if n == 1 and name == "anchor_bound"))
+            if r_star is None and all(margin > 0.0 for *_, margin in rows):
                 r_star = Rg
         return r_star, tuple(tail[-5:])
 
