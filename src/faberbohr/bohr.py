@@ -234,7 +234,8 @@ def coeff_bound_check(f: FaberSeries, R: float | None = None,
 
     rows = []
     for n in range(1, f.N + 1):
-        bound = numer / (R ** n - R ** (-n))
+        denom = R ** n - R ** (-n)
+        bound = numer / denom
         coeff = abs(f.coeffs[n])
         rows.append((n, coeff, bound, bound - coeff))
     return rows

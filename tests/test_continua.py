@@ -335,6 +335,25 @@ class TestFiniteMapFloats:
         with np.errstate(all="ignore"):   # u * u of far points overflows
             assert K._phi(zs).tobytes() == ph.tobytes()
 
+    @pytest.mark.parametrize("tail", [(), (0.5, 0.0, 0.125),
+                                      (0.2 + 0.1j, -0.05, 0.01j, 0.003)],
+                             ids=["depth-0", "depth-3", "depth-4"])
+    def test_custom_map_is_the_written_loop(self, rng, tail):
+        """phi and phi' of a custom map lead z + c0 + sum t_k z^-k, bit
+        for bit, against the loops acc = (acc + t_k)/z and acc = (acc -
+        k t_k)/z over k = M, ..., 1 written out here, at any depth."""
+        K = fb.custom(fb.LaurentTail.build(2.0, 0.1 - 0.2j, tail))
+        lead, c0, t = K._complex
+        z = ((rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
+             * np.exp(rng.uniform(-3.0, 3.0, 2000)))
+        u = 1.0 / z
+        acc, dacc = np.zeros_like(z), np.zeros_like(z)
+        for k in range(len(t), 0, -1):
+            acc = (acc + t[k - 1]) * u
+            dacc = (dacc - k * t[k - 1]) * u
+        assert K._phi(z).tobytes() == (lead * z + c0 + acc).tobytes()
+        assert K._phi_deriv(z).tobytes() == (lead + dacc * u).tobytes()
+
 
 class TestLevelGeometry:
     def test_eccentricity_values(self):
