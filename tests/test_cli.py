@@ -77,6 +77,9 @@ class TestFaberCommand:
         assert np.array_equal(fb.psi(K, w), z)
         assert np.array_equal(fb.psi_prime(K, w), np.full(3, 0.5 + 0j))
         assert fb.contains(K, 0.0) and not fb.contains(K, 0.5)
+        # psi(gamma0) is 0, where the Newton step divides by phi'(0) = gamma
+        K = fb.custom(fb.LaurentTail.build(2.0, 3.0, []))
+        assert fb.psi(K, 3.0) == 0
 
     @pytest.mark.parametrize("output", ["text", "json", "csv"])
     @pytest.mark.parametrize("name, continuum", [
