@@ -25,6 +25,7 @@ from .continua import (
     DEFAULT_SAMPLES,
     ContinuumSpec,
     _check_level,
+    _circle,
     _polyval,
     _row_sups,
     eccentricity,
@@ -247,8 +248,7 @@ def _check_bound_pre(f: FaberSeries, R: float, mode: str):
             raise PreconditionViolated(
                 f"certified sup {f.cert_sup} is not below 1", value=f.cert_sup)
         return
-    th = 2.0 * np.pi * np.arange(512) / 512
-    w = R * np.exp(1j * th)
+    w = _circle(R, 512)
     vals = f.eval_w(w)
     if mode == "bohr":
         j = int(np.argmax(np.abs(vals)))
@@ -443,7 +443,7 @@ def gen_bounded(K: ContinuumSpec, R: float, family: BoundedFamily) -> list:
         sups = level_sups(fn).tolist()
         m = max(family.samples, 4 * family.n_coeffs)
         r_ext = math.sqrt(R)
-        z_ext = psi(K, r_ext * np.exp(2j * np.pi * np.arange(m) / m))
+        z_ext = psi(K, _circle(r_ext, m))
         coeffs, certs = [], []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AliasingRisk)

@@ -48,6 +48,7 @@ from ._lazy import np
 from .continua import (
     ContinuumSpec,
     _angles,
+    _circle,
     custom,
     disc,
     eccentricity,
@@ -180,8 +181,7 @@ def _cmd_faber(args, K: ContinuumSpec) -> int:
     if args.check_contour:
         n_chk = min(args.n_max, 16)
         ns = list(range(n_chk + 1))
-        th = 2.0 * np.pi * np.arange(8) / 8.0
-        zs = np.asarray(psi(K, 1.2 * np.exp(1j * th)))
+        zs = np.asarray(psi(K, _circle(1.2, 8)))
         mat = contour_values(K, ns, zs, 1.5, m=args.samples)
         exact = np.array([[polys[n].eval_exact(z) for z in zs] for n in ns])
         mism = float(np.max(np.abs(mat - exact)))

@@ -565,8 +565,7 @@ def level_boundary(K: ContinuumSpec, R: float, m: int = DEFAULT_SAMPLES) -> Leve
     _check_level(R, "level parameter R must exceed 1")
     if m < 8:
         raise DomainError("need at least 8 boundary samples")
-    w = R * np.exp(2j * np.pi * np.arange(m) / m)
-    pts = psi(K, w)
+    pts = psi(K, _circle(R, m))
     back = np.abs(phi(K, pts))
     if np.max(np.abs(back - R)) > 1e-9 * R:
         raise NonConvergent("level curve points failed the roundtrip check")
@@ -595,10 +594,8 @@ def arc_length(K: ContinuumSpec, r: float) -> float:
     _check_level(r, "level parameter must exceed 1")
 
     def value(mm: int) -> float:
-        th = 2.0 * np.pi * np.arange(mm) / mm
-        w = r * np.exp(1j * th)
         with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.sum(np.abs(psi_prime(K, w)) * r))
+            total = float(np.sum(np.abs(psi_prime(K, _circle(r, mm))) * r))
         length = total * 2.0 * np.pi / mm
         if not math.isfinite(length):
             raise DomainError(f"the arc length at r={r} of {K.describe()} "
@@ -641,6 +638,11 @@ def _golden_extremum(f, lo, hi, sign: float) -> np.ndarray:
 
 def _angles(m: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(m) / m
+
+
+def _circle(r: float, m: int) -> np.ndarray:
+    """The m points r e^(i theta) at the angles theta of _angles(m)."""
+    return r * np.exp(1j * _angles(m))
 
 
 def dist_to_level(K: ContinuumSpec, z, r: float, m: int = DEFAULT_SAMPLES) -> float:

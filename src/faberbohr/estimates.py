@@ -29,8 +29,8 @@ from ._lazy import np
 from .bohr import basis_norm
 from .continua import (
     ContinuumSpec,
-    _angles,
     _check_level,
+    _circle,
     arc_length,
     contains,
     dist_to_level,
@@ -261,7 +261,7 @@ def ineq11_check(ctx: EstimateContext, n: int) -> Ineq11:
     a_n = ctx.theta_points[n - 1]
     Fa = _fn_at(ctx.K, [n], ctx.a)[0]
     lhs = abs(_fn_at(ctx.K, [n], a_n)[0] - Fa)
-    vals = ctx.K.pullback([n], ctx.R * np.exp(1j * _angles(ctx.m)))[0]
+    vals = ctx.K.pullback([n], _circle(ctx.R, ctx.m))[0]
     boundary_sup = float(np.max(np.abs(vals - Fa)))
     rhs = 1.5 * ctx.R ** n
     return Ineq11(lhs=lhs, rhs=rhs, holds=bool(boundary_sup >= rhs),
@@ -299,7 +299,7 @@ def _condition_rows(K: ContinuumSpec, R: float, a: complex, C: float,
     """Tuples (n, condition, lhs, rhs, margin), margin = rhs - lhs, at one
     level: three conditions per n; lhs <= rhs is good."""
     ns = np.arange(1, n_max + 1)
-    V = K.pullback(ns, R * np.exp(1j * _angles(m)))
+    V = K.pullback(ns, _circle(R, m))
     Fa = _fn_at(K, ns, a)
     S = np.max(np.abs(V - Fa[:, None]), axis=1)
     rows = []

@@ -30,6 +30,7 @@ from ._lazy import np
 from .continua import (
     ContinuumSpec,
     _check_contour,
+    _circle,
     _check_level,
     _check_points,
     _polyval,
@@ -211,7 +212,7 @@ def _nodes(K: ContinuumSpec, r: float, m: int):
     """(w, psi(w), psi'(w) w) at w_j = r omega^j, memoised on K."""
     key = ("nodes", float(r), int(m))
     if key not in K._memo:
-        w = r * np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+        w = _circle(r, m)
         K._memo[key] = (w, psi(K, w), psi_prime(K, w) * w)
     return K._memo[key]
 
@@ -316,86 +317,31 @@ def _cos_sin(a: int, W: int) -> tuple:
     return c, -s if neg else s
 
 
-def _round_bits(x: int, p: int) -> int:
-    """x rounded to p significant bits, to nearest with ties to even."""
-    sh = abs(x).bit_length() - p
-    if sh <= 0:
-        return x
-    q, rem = divmod(abs(x), 1 << sh)
-    half = 1 << sh - 1
-    q += rem > half or (rem == half and q & 1)
-    return q << sh if x > 0 else -(q << sh)
-
-
-# guard bits of the first pass of _root_parts, doubled on each retry
-_ZIV_GUARD = 64
-
-
-def _root_parts(m: int, prec: int, P: int, guard: int):
-    """(wr, wi), the parts of omega^k, k < m, at 2**P as mp.unitroots(m)
-    defines them at prec bits, floored; None where guard bits do not
-    decide a rounding.
-
-    mp.unitroots works at p = prec + 10 bits: it rounds x = 2k/m to
-    nearest at p bits, x~, takes cos and sin of pi x~ to nearest at p
-    bits and rounds those to nearest at prec; a multiple x~ of 1/2 gives
-    1, i, -1 or -i exactly.  Its own p-bit cos and sin are not always
-    correctly rounded: where one is a unit off and the second rounding
-    meets a tie, its part is a unit at prec bits from the correctly
-    rounded one given here (3 parts of 4.6 million compared).
-
-    Here, at 2^W, W = P + bits(m) + guard: x~ comes from one floor
-    division and a sticky bit; pi from _pi_fixed; omega^k from k steps
-    of omega = _cos_sin(2 pi/m), each product floored, and e^(i pi x~)
-    is omega^k e^(i pi (x~ - 2k/m)).
-    Each part is then within E = 2^(bits(m) + bits(W) + 10) units of
-    the truth: 2^8 W from _cos_sin in omega, times fewer than m + 1
-    steps and floors (Brent & Zimmermann, Modern Computer Arithmetic,
-    ch. 4).  Where the p-bit roundings of v - E and v + E differ, the
-    error margin cannot decide the rounding and None is returned (Ziv's
-    test; cos(pi x~) is irrational, so more guard bits decide it).
-    """
-    p = prec + 10
-    S = p + m.bit_length() + 2          # 2k/m at 2^-S, p + 2 bits or more
-    W = P + m.bit_length() + guard
-    E = 1 << m.bit_length() + W.bit_length() + 10
-    pi = _pi_fixed(W)
-    c1, s1 = _cos_sin(2 * pi // m, W) if m > 2 else (0, 0)
-    x, y = 1 << W, 0                    # omega^k at 2^W
-    wr, wi = [], []
-    for k in range(m):
-        q, rem = divmod(2 * k << S, m)
-        X = _round_bits(q | (rem > 0), p)   # x~ = X/2^S
-        if not (X << 1) & ((1 << S) - 1):
-            vr, vi = ((1, 0), (0, 1), (-1, 0), (0, -1))[X >> S - 1 & 3]
-            wr.append(vr << P)
-            wi.append(vi << P)
-        else:
-            ce, se = _cos_sin(pi * (X * m - (2 * k << S)) // (m << S), W)
-            for v, out in (((x * ce - y * se) >> W, wr),
-                           ((x * se + y * ce) >> W, wi)):
-                lo = _round_bits(v - E, p)
-                if lo != _round_bits(v + E, p):
-                    return None
-                out.append(_round_bits(lo, prec) >> W - P)
-        x, y = (x * c1 - y * s1) >> W, (x * s1 + y * c1) >> W
-    return wr, wi
-
-
 @functools.lru_cache(maxsize=8)
 def _unit_roots(m: int, prec: int) -> tuple:
-    """The roots of unity omega^j, j < m, as mp.unitroots(m) defines
-    them at prec bits, held at 2**P, P = prec + bits(m) + 8 guard bits: as
-    the pair of tuples of Python ints (wr, wi), the real and imaginary
-    parts rounded down, and as an array of shape (L, m, 2) holding limb
-    a of them, _limb_width(2 m) bits each.  They are built in Python
-    ints (_root_parts), with the guard bits doubled until every rounding
-    is decided.  Computed once per (m, prec) and shared by every
-    continuum and level; at most 8 pairs are kept."""
-    P, guard = prec + m.bit_length() + _GUARD_BITS, _ZIV_GUARD
-    while (parts := _root_parts(m, prec, P, guard)) is None:
-        guard *= 2
-    wr, wi = parts
+    """The roots of unity omega^j, j < m, at 2**P, P = prec + bits(m) + 8
+    guard bits: as the pair of tuples of Python ints (wr, wi), the real
+    and imaginary parts, and as an array of shape (L, m, 2) holding limb
+    a of them, _limb_width(2 m) bits each.  Computed once per (m, prec)
+    and shared by every continuum and level; at most 8 pairs are kept.
+
+    At 2^W, W - P >= bits(m) + bits(W) + 12, omega is
+    _cos_sin(2 _pi_fixed(W) // m), its angle within 3 units, or the
+    exact -1 for m <= 2 (_cos_sin holds up to angle 2.1), and omega^j
+    comes from j floored products.  Each step multiplies by omega, whose
+    parts are within 2^8 W units (_cos_sin), and floors, so after fewer
+    than m steps each part is within 2^(bits(m) + bits(W) + 10) units of
+    the truth (Brent & Zimmermann, Modern Computer Arithmetic, ch. 4),
+    under 1/4 unit at 2^P, and its floor at 2^P within 1.25 units."""
+    P = prec + m.bit_length() + _GUARD_BITS
+    W = P + m.bit_length() + 12
+    W += W.bit_length() + 1   # the new W is below twice the old
+    c, s = _cos_sin(2 * _pi_fixed(W) // m, W) if m > 2 else (-1 << W, 0)
+    x, y, wr, wi = 1 << W, 0, [], []
+    for _ in range(m):
+        wr.append(x >> W - P)
+        wi.append(y >> W - P)
+        x, y = (x * c - y * s) >> W, (x * s + y * c) >> W
     roots = np.ascontiguousarray(
         _limbs(wr + wi, _limb_width(2 * m)).reshape(2, m, -1).T)
     roots.flags.writeable = False   # one array for every caller
@@ -448,16 +394,13 @@ def _fixed_nodes(K: ContinuumSpec, r: float, m: int, dps: int):
     ("fixed nodes", r, m, dps); a custom map raises FaberBohrError
     before any store.
 
-    Bound.  _unit_roots takes each root at the angle pi x~, x~ = 2j/m
-    rounded to prec + 10 bits, so within pi 2^-(prec+10) of omega^j in
-    modulus; it rounds each part to prec + 10 bits and then to prec,
-    within 2^-(prec+1) (1 + 2^-10), and flooring at 2**P adds under
-    1 <= 2^(P-prec-9) units, so each root is within
-    (sqrt(2) (1/2 + 2^-10 + 2^-9) + pi 2^-10) 2^(P-prec) <
-    0.72 2^(P-prec) units of 2^P omega^j in modulus.  The map and r are
-    exact, so a node or weight sum over Q 2^e carries that error times
-    sum |s| |a_s| r^s/2^e <= 1, and its floor under 1 unit: each part of
-    every node and weight is within 3 2^(P-prec-2) units at 2^(P-e).
+    Bound.  Each part of each root from _unit_roots is within 1.25
+    units at 2**P, so each root within 1.77 units of 2^P omega^j in
+    modulus, and P - prec >= 9 makes that under 0.0035 2^(P-prec).  The
+    map and r are exact, so a node or weight sum over Q 2^e carries that
+    error times sum |s| |a_s| r^s/2^e <= 1, and its floor under 1 unit
+    <= 2^(P-prec-9): each part of every node and weight is within
+    3 2^(P-prec-2) units at 2^(P-e), with room to spare.
     """
     m = int(m)
     prec = max(1, round((dps + 1) * 3.3219280948873626))
@@ -499,10 +442,10 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
     the Cauchy weight dw/(t - z) does not change under this affine map,
     and z - b_0 is formed exactly from z = (X + iY)/d and the exact b_0
     and floored once, so the accuracy does not depend on where K lies or
-    how large it is.  The roots of unity are those of mp.unitroots at
-    prec bits, built in Python ints once per (m, prec) for all continua
-    (_unit_roots), with no mpmath import; the nodes are built once and
-    memoised on K per (r, m, dps).  B_j(z) = dw_j/(t_j - z) is
+    how large it is.  The roots of unity are built in Python ints, each
+    part within 1.25 units at 2**P, once per (m, prec) for all continua
+    (_unit_roots); the nodes are built once and memoised on K per
+    (r, m, dps).  B_j(z) = dw_j/(t_j - z) is
     formed for every point and node at once, as Python-int floor
     divisions on numpy object arrays of shape (Z, m).  With
     w_j^n = r^n omega^(jn mod m), every degree needs the Gaussian-int
@@ -514,8 +457,11 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
     are recombined into Python ints (_limb_product).  Each part of
     S_k(z) r^n/(m 2^(2P)), r = p/q, is one int/int true division, which
     Python rounds correctly; a value beyond double range raises
-    DomainError, as on the float route.  Custom maps have no
-    high-precision route and raise FaberBohrError.
+    DomainError, as on the float route, and so does a degree whose
+    error bound 3 u kappa r^n below passes double max at some point
+    where the bound is claimed, naming double range and asking for a
+    larger dps.  Custom maps have no high-precision route and raise
+    FaberBohrError.
 
     Accuracy of the dps route.  Let u = 2^-prec, A = 2^e, t_j the nodes
     psi(w_j), g the least |t_j - z| and kappa = 1 + (A/g)(1 + A/g).  If
@@ -527,11 +473,12 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
     under sqrt(2) 2^(e-P) <= 0.003 u A.  With |d_j| <= A and the
     condition, which keeps every computed |t_j - z| above 0.86 g, B_j
     moves by at most 1.23 u (kappa - 1), and its floors by 0.003 u.  The
-    roots of unity add 0.72 u max |B_j| <= 0.73 u (kappa - 1) + 0.001 u
-    to S_k(z)/m, so S_k(z)/m = V/r^n is within 2 u kappa, and r^n is
-    exact.  Rounding each part once adds 2^-53 of the value, or under
-    2^-1075 below the normal range, which the second condition makes
-    smaller than u kappa r^n.
+    roots of unity, within 0.0035 u in modulus (_fixed_nodes), add
+    0.0035 u max |B_j| <= 0.004 u (kappa - 1) + 0.001 u to S_k(z)/m, so
+    S_k(z)/m = V/r^n is within 2 u kappa, and r^n is exact.  Rounding
+    each part once adds 2^-53 of the value, or under 2^-1075 below the
+    normal range, which the second condition makes smaller than
+    u kappa r^n.
     """
     ns = list(ns)
     _check_contour(r, m, dps, ns)
@@ -605,6 +552,17 @@ def _contour_mp(K: ContinuumSpec, ns, zs, r, m, dps) -> np.ndarray:
         raise _on_node(zs[hit[0]], r, m)
     if not (ns and len(zs)):
         return out
+    # the stated bound 3 u kappa r^n, claimed where 8 u A <= g, must stay
+    # below double max < 2^1024; in log2, A/g = 2^a from the least den of
+    # each point, kappa = 1 + 2^a + 2^2a grows with a and r^n with n
+    prec = P - m.bit_length() - _GUARD_BITS
+    a = max((x for x in (P - math.log2(d) / 2 for d in den.min(axis=1))
+             if x <= prec - 3), default=None)
+    if a is not None and (math.log2(3) - prec + max(ns) * math.log2(r)
+                          + np.logaddexp2.reduce([0, a, 2 * a]) > 1024):
+        raise DomainError(f"the error bound of the high-precision contour "
+                          f"route leaves double range at r={r}, n={max(ns)}; "
+                          f"raise dps")
     U = ((dr * er + di * ei) << P) // den
     V = ((di * er - dr * ei) << P) // den
     sums = _root_sums(roots, sorted({n % m for n in ns}),

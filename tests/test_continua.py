@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import faberbohr as fb
 from faberbohr.cli import main as cli_main
-from faberbohr.continua import _row_sups, _sampled_distance
+from faberbohr.continua import _angles, _row_sups, _sampled_distance
 from faberbohr.errors import (
     DomainError,
     InsideUnitDisc,
@@ -479,6 +479,13 @@ class TestLevelGeometry:
         assert lines[0] == "theta,re,im"
         assert len(lines) == 9
         assert csv.endswith("\n")
+
+    @pytest.mark.parametrize("m", [100, 360, 1000])
+    def test_level_boundary_is_psi_of_the_printed_angles(self, seg, m):
+        """Each point is psi at the theta levelset prints beside it, also
+        where m is not a power of two and other angle grids round apart."""
+        got = fb.level_boundary(seg, 2.0, m).points
+        assert np.array_equal(got, fb.psi(seg, 2.0 * np.exp(1j * _angles(m))))
 
     def test_level_boundary_rejects_tiny_m(self, seg):
         with pytest.raises(DomainError):

@@ -843,16 +843,16 @@ class TestContourMp:
         """Three levels on two continua at one (m, dps) compute the roots
         of unity once, and a second dps once more; each continuum keeps
         only its fixed-point nodes."""
-        calls, built = [], fbf._root_parts
-        monkeypatch.setattr(fbf, "_root_parts",
-                            lambda m, *args: calls.append(m) or built(m, *args))
+        calls, built = [], fbf._cos_sin
+        monkeypatch.setattr(fbf, "_cos_sin",
+                            lambda *args: calls.append(args) or built(*args))
         fbf._unit_roots.cache_clear()
         Ks = (fb.segment(-1.0, 1.0), fb.disc(0.2j, 0.5))
         for dps in (30, 30, 40):
             for K in Ks:
                 for r in (1.5, 2.0, 3.0):
                     fb.contour_values(K, [0, 5], [0.1j], r, m=32, dps=dps)
-        assert calls == [32, 32]
+        assert len(calls) == 2
         for K in Ks:
             assert sorted(K._memo) == sorted(
                 ("fixed nodes", r, 32, dps)
@@ -895,6 +895,21 @@ class TestContourMp:
             fb.contour_values(fb.disc(0, 1), [n], [1.14375], 3.875, m=256,
                               dps=dps)
 
+    @pytest.mark.parametrize("n, dps, refused",
+                             [(556, 15, True), (540, 15, False),
+                              (556, 55, False)])
+    def test_value_swamped_by_its_bound_is_refused(self, n, dps, refused):
+        """At dps = 15, 3 u kappa r^n passes double max by n = 556, where
+        the route returned 3.4e307 against a true value of 5.8e303; such
+        a degree is refused, and n = 540, or dps = 55, still gives one."""
+        call = functools.partial(fb.contour_values, fb.disc(0, 1), [n],
+                                 [1.14375], 3.875, m=256, dps=dps)
+        if refused:
+            with pytest.raises(DomainError, match="double range.*raise dps"):
+                call()
+        else:
+            assert np.isfinite(call()).all()
+
     def test_custom_map_has_no_mp_route(self, custom_spec):
         with pytest.raises(FaberBohrError,
                            match="implemented for segment, disc and ellipse "
@@ -903,95 +918,43 @@ class TestContourMp:
         assert custom_spec._memo == {}
 
 
-def _mp_unit_roots(m: int, prec: int) -> tuple:
-    """The parts of mp.unitroots(m) at prec bits, floored at
-    2**(prec + bits(m) + 8) by to_fixed inside the workprec block."""
+def _check_unit_roots(m: int, prec: int) -> None:
+    """Every part of _unit_roots(m, prec) lies within 2 units at 2**P,
+    P = prec + bits(m) + 8, of mp.unitroots(m) taken at P + 64 bits."""
     from mpmath import mp
-    from mpmath.libmp import to_fixed
 
-    shift = prec + m.bit_length() + 8
-    with mp.workprec(prec):
-        omega = mp.unitroots(m)   # real roots come as mpf
-        return (tuple(int(to_fixed(v.real._mpf_, shift)) for v in omega),
-                tuple(int(to_fixed(v.imag._mpf_, shift)) for v in omega))
-
-
-def _root_part_roundings(m: int, j: int, prec: int, part: int) -> tuple:
-    """Part (0 real, 1 imaginary) of root j as mp.unitroots defines it:
-    x~ = 2j/m to nearest at p = prec + 10 bits, the part of e^(i pi x~)
-    from 2 p + 64 bits to nearest at p, then at prec, floored at
-    2**(prec + bits(m) + 8).  Returns that, the p-bit value and the one
-    mpmath's own expjpi gives at p bits."""
-    from mpmath import mp
-    from mpmath.libmp import (from_int, mpf_div, normalize, round_nearest,
-                              to_fixed)
-
-    p = prec + 10
-    xt = mpf_div(from_int(2 * j), from_int(m), p, round_nearest)
-    with mp.workprec(2 * p + 64):
-        fine = normalize(*(mp.sinpi if part else mp.cospi)(mp.mpf(xt))._mpf_,
-                         p, round_nearest)
-    with mp.workprec(p):
-        own = mp.expjpi(mp.mpf(xt))
-    own = (own.imag if part else own.real)._mpf_
-    return (int(to_fixed(normalize(*fine, prec, round_nearest),
-                         prec + m.bit_length() + 8)), fine, own)
+    P = prec + m.bit_length() + 8
+    (wr, wi), roots = fbf._unit_roots.__wrapped__(m, prec)
+    assert roots.shape[1:] == (m, 2) and not roots.flags.writeable
+    with mp.workprec(P + 64):
+        for j, omega in enumerate(mp.unitroots(m)):
+            for got, part in ((wr[j], omega.real), (wi[j], omega.imag)):
+                assert abs(got - mp.ldexp(part, P)) <= 2, (m, prec, j)
 
 
 class TestUnitRoots:
-    """faber._unit_roots, built in Python ints, against mpmath."""
+    """faber._unit_roots, built in Python ints, equals mpmath's roots of
+    unity to within 2 units at 2**P in every part (_check_unit_roots);
+    _unit_roots states 1.25."""
 
     @pytest.mark.parametrize("prec", [53, 103, 136, 169, 340])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 12, 64, 256, 1000, 1024])
     def test_equals_mpmath(self, m, prec):
-        """Every part is the one mp.unitroots gives, floored alike.  It
-        rounds 2j/m to prec + 10 bits first and each part twice: at
-        prec 53, m = 12 and m = 1000, roots rounded once from the exact
-        angle 2 pi j/m differ from it in some parts."""
-        (wr, wi), roots = fbf._unit_roots(m, prec)
-        assert (wr, wi) == _mp_unit_roots(m, prec)
-        assert roots.shape[1:] == (m, 2)
-
-    @staticmethod
-    def _check_against_mpmath(m, prec):
-        """Every part is mp.unitroots', or mpmath's own p-bit cos or sin
-        of pi x~ is not the correctly rounded one and the part is the
-        correctly rounded one; returns the parts of the second kind."""
-        got, want = fbf._unit_roots.__wrapped__(m, prec)[0], _mp_unit_roots(m,
-                                                                             prec)
-        off = [(part, j) for part in (0, 1) for j in range(m)
-               if got[part][j] != want[part][j]]
-        for part, j in off:
-            exact, fine, own = _root_part_roundings(m, j, prec, part)
-            assert got[part][j] == exact and own != fine, (m, prec, j, part)
-        return off
+        _check_unit_roots(m, prec)
 
     @settings(max_examples=8, deadline=None)
     @given(m=st.integers(1, 4096), prec=st.integers(7, 400))
     def test_equals_mpmath_where_it_rounds_correctly(self, m, prec):
-        self._check_against_mpmath(m, prec)
+        """Any m and prec: mp.unitroots at P + 64 bits is far within a
+        unit at 2**P of the exact roots, whatever its own roundings."""
+        _check_unit_roots(m, prec)
 
     @pytest.mark.parametrize("m, prec, j", [(1023, 163, 123), (2042, 181, 160),
                                             (1950, 83, 1217)])
     def test_where_mpmath_misrounds(self, m, prec, j):
-        """Here mpmath's p-bit sin or cos of pi x~ is a unit from the
-        correctly rounded value, and the second rounding, at a tie, moves
-        its part by a unit at prec bits; the part of _unit_roots is the
-        correctly rounded one.  Three parts of 4.6 million compared."""
-        assert [j] == sorted({k for _, k in self._check_against_mpmath(m, prec)})
-
-    @pytest.mark.parametrize("m, prec", [(7, 53), (1000, 103)])
-    def test_undecided_roundings_are_retried(self, m, prec, monkeypatch):
-        """With one guard bit the error margin cannot decide roundings;
-        the guard bits are doubled until it can, with the same roots."""
-        calls, built = [], fbf._root_parts
-        monkeypatch.setattr(fbf, "_ZIV_GUARD", 1)
-        monkeypatch.setattr(fbf, "_root_parts",
-                            lambda *args: calls.append(args[3]) or built(*args))
-        got = fbf._unit_roots.__wrapped__(m, prec)[0]
-        assert calls[:2] == [1, 2] and calls == [2 ** i
-                                                  for i in range(len(calls))]
-        assert got == _mp_unit_roots(m, prec)
+        """At prec bits, mp.unitroots(m) misrounds a part of root j by a
+        unit; every root here, j's too, still meets the 2-unit check."""
+        _check_unit_roots(m, prec)
 
 
 def test_src_has_no_mpmath():
@@ -1015,6 +978,21 @@ def test_src_has_no_mpmath():
                 uses.add((path.name, "mp." + node.attr))
     assert bad == []
     assert uses == set()
+
+
+def test_src_has_one_circle_grid():
+    """Every equispaced angle grid of the package is continua._angles:
+    np.pi * np.arange( appears in no other line of src, so a point and
+    the theta printed beside it come from one grid."""
+    where = []
+    for path in sorted(Path(fb.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        spans = [(f.lineno, f.end_lineno) for f in ast.walk(ast.parse(text))
+                 if isinstance(f, ast.FunctionDef) and f.name == "_angles"]
+        for i, line in enumerate(text.splitlines(), 1):
+            if "np.pi * np.arange(" in line:
+                where.append((path.name, any(a <= i <= b for a, b in spans)))
+    assert where == [("continua.py", True)]
 
 
 class TestLimbProduct:
