@@ -31,8 +31,7 @@ A command imports only what it runs: ``bohr`` and ``estimates`` are
 imported inside their commands, and numpy is loaded on first use (see
 ``_lazy``), so ``faber`` without ``--check-contour``, ``bohr-radius``
 and ``coeffs`` of ``faber:n`` or ``const:c`` run on Python ints and
-floats alone.  Each subparser gets its flags only when its command is
-the one that runs (``_Subcommands``).
+floats alone.
 """
 
 from __future__ import annotations
@@ -498,37 +497,17 @@ _SUBCOMMANDS = (
 )
 
 
-class _Subcommands(argparse._SubParsersAction):
-    """Subparsers whose flags are added when their command is chosen.
-
-    Every subcommand is listed (for the top-level help and the choice
-    check), but only the one that runs gets its arguments: a command
-    line pays for one subparser's flags, not six.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.pending = {}
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        add = self.pending.pop(values[0], None)
-        if add is not None:
-            sub = self._name_parser_map[values[0]]
-            _add_common(sub, top=False)
-            add(sub)
-        super().__call__(parser, namespace, values, option_string)
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="faberbohr",
         description="Faber polynomials, Green level sets and Bohr-type "
                     "coefficient sums for planar continua.")
     _add_common(p, top=True)
-    sub = p.add_subparsers(dest="cmd", required=True, action=_Subcommands)
+    sub = p.add_subparsers(dest="cmd", required=True)
     for name, text, add in _SUBCOMMANDS:
-        sub.add_parser(name, help=text)
-        sub.pending[name] = add
+        s = sub.add_parser(name, help=text)
+        _add_common(s, top=False)
+        add(s)
     return p
 
 

@@ -92,8 +92,10 @@ class ContinuumSpec:
 
     @cached_property
     def _memo(self) -> dict:
-        """Data derived from this continuum, kept in its __dict__ (not a
-        field) so that it is freed with it."""
+        """Data derived from this continuum that grows with degree, the
+        Faber family ("faber") and the sampled norms ("norms"), kept in
+        its __dict__ (not a field) so that it is freed with it.  Data of
+        a level, such as contour nodes, is not kept here."""
         return {}
 
     @cached_property
@@ -122,12 +124,18 @@ class ContinuumSpec:
 
     def _phi(self, z):
         """(z - b_0)/c, or the larger root u +- sqrt(u^2 - rho) of
-        w + rho/w = 2u, u = (z - b_0)/(2c)."""
+        w + rho/w = 2u, u = (z - b_0)/(2c); where u^2 overflows, though
+        w, about 2u, need not, s = u sqrt(1 - rho/u/u)."""
         c, rho = self.psi_coeffs, self.rho
         if not rho:
             return (z - c[0]) / c[1]
         u = (z - c[0]) / (2.0 * c[1])
-        s = np.sqrt(u * u - rho)
+        with np.errstate(over="ignore", invalid="ignore"):
+            uu = u * u
+            s = np.sqrt(uu - rho)
+        far = ~np.isfinite(uu)
+        if far.any():
+            s[far] = u[far] * np.sqrt(1.0 - rho / u[far] / u[far])
         w1, w2 = u + s, u - s
         return np.where(np.abs(w1) >= np.abs(w2), w1, w2)
 

@@ -208,15 +208,6 @@ _GUARD_BITS = 8
 _BLOCK = 1 << 14
 
 
-def _nodes(K: ContinuumSpec, r: float, m: int):
-    """(w, psi(w), psi'(w) w) at w_j = r omega^j, memoised on K."""
-    key = ("nodes", float(r), int(m))
-    if key not in K._memo:
-        w = _circle(r, m)
-        K._memo[key] = (w, psi(K, w), psi_prime(K, w) * w)
-    return K._memo[key]
-
-
 def _limb_width(n: int) -> int:
     """Bits w per limb for an exact n-term product of limbs: every
     partial sum is an integer below n (2^w - 1)^2 < 2^53 in magnitude,
@@ -348,20 +339,25 @@ def _unit_roots(m: int, prec: int) -> tuple:
     return (tuple(wr), tuple(wi)), roots
 
 
-def _map_nodes(ints, r: float, wr, wi, P: int) -> tuple:
+@functools.lru_cache(maxsize=8)
+def _map_nodes(ints, r: float, m: int, prec: int) -> tuple:
     """e and, at 2**(P - e), the nodes psi(w_j) - b_0 and weights
-    psi'(w_j) w_j at w_j = r omega^j, as pairs of object arrays of
-    Python ints, from the exact ints = (D, re, im) of
+    psi'(w_j) w_j at w_j = r omega^j, as pairs of read-only object arrays
+    of Python ints, from the exact ints = (D, re, im) of
     psi(w) = sum_s a_s w^s, s = 1, 0, ..., -M, and the roots (wr, wi)
-    at 2**P.  With r = p/q and omega^(js) = omega^(js mod m), each is
+    of _unit_roots(m, prec) at 2**P, P = prec + bits(m) + 8.  With
+    r = p/q and omega^(js) = omega^(js mod m), each is
     sum_(s != 0) a_s r^s omega^(js), times s for a weight: one Gaussian
     int per node over Q = D q p^M, then one floor division by Q 2^e.
     e = bits(S Q) - bits(Q) + 1 for S = sum |s| (|Re a_s| + |Im a_s|) r^s,
-    so S <= 2^e < 4 S bounds every node and weight.
+    so S <= 2^e < 4 S bounds every node and weight.  Keyed by the exact
+    map, not by a continuum, so equal maps share one entry and no
+    continuum is kept alive; at most 8 are kept.
     """
     D, re, im = ints
+    (wr, wi), _ = _unit_roots(m, prec)
     p, q = r.as_integer_ratio()
-    M, m = len(re) - 2, len(wr)
+    M = len(re) - 2
     terms = [(s, x * p ** (M + s) * q ** (1 - s),
               y * p ** (M + s) * q ** (1 - s))
              for s, x, y in zip((1, *range(-1, -M - 1, -1)),
@@ -377,8 +373,10 @@ def _map_nodes(ints, r: float, wr, wi, P: int) -> tuple:
         xr, xi = x * a - y * b, x * b + y * a
         tr, ti, dr, di = tr + xr, ti + xi, dr + s * xr, di + s * xi
     up, Q = max(-e, 0), Q << max(e, 0)
-    return e, ((tr << up) // Q, (ti << up) // Q), ((dr << up) // Q,
-                                                    (di << up) // Q)
+    parts = [(v << up) // Q for v in (tr, ti, dr, di)]
+    for v in parts:
+        v.flags.writeable = False   # shared by every equal map
+    return e, tuple(parts[:2]), tuple(parts[2:])
 
 
 def _fixed_nodes(K: ContinuumSpec, r: float, m: int, dps: int):
@@ -386,13 +384,13 @@ def _fixed_nodes(K: ContinuumSpec, r: float, m: int, dps: int):
 
     The precision is prec = max(1, round((dps + 1) log2(10))) bits, what
     mpmath gives dps digits.  Returns P = prec + bits(m) + 8 guard bits,
-    the limb array of the roots of unity at 2**P (from _unit_roots,
-    which holds them apart from K) and _map_nodes of psi_map: e and the
-    nodes and weights at 2**P in the coordinate (t - b_0)/2^e, b_0 the
-    centre of K's kind.  Relative nodes lose no digit to the distance of
-    K from 0.  All but P and the roots are kept on K under
-    ("fixed nodes", r, m, dps); a custom map raises FaberBohrError
-    before any store.
+    the limb array of the roots of unity at 2**P (_unit_roots) and
+    _map_nodes of psi_map: e and the nodes and weights at 2**P in the
+    coordinate (t - b_0)/2^e, b_0 the centre of K's kind.  Relative
+    nodes lose no digit to the distance of K from 0.  Nothing is kept
+    on K: both come from caches keyed by (m, prec) and by the exact
+    map, level and precision, shared by every continuum.  A custom map
+    raises FaberBohrError before either is built.
 
     Bound.  Each part of each root from _unit_roots is within 1.25
     units at 2**P, so each root within 1.77 units of 2^P omega^j in
@@ -402,17 +400,13 @@ def _fixed_nodes(K: ContinuumSpec, r: float, m: int, dps: int):
     <= 2^(P-prec-9): each part of every node and weight is within
     3 2^(P-prec-2) units at 2^(P-e), with room to spare.
     """
+    if K.psi_map is None:
+        raise FaberBohrError("high-precision contour is implemented for "
+                             "segment, disc and ellipse continua only")
     m = int(m)
     prec = max(1, round((dps + 1) * 3.3219280948873626))
-    P = prec + m.bit_length() + _GUARD_BITS
-    (wr, wi), roots = _unit_roots(m, prec)
-    key = ("fixed nodes", float(r), m, dps)
-    if key not in K._memo:
-        if K.psi_map is None:
-            raise FaberBohrError("high-precision contour is implemented for "
-                                 "segment, disc and ellipse continua only")
-        K._memo[key] = _map_nodes(K.psi_map.ints, float(r), wr, wi, P)
-    return (P, roots) + K._memo[key]
+    return ((prec + m.bit_length() + _GUARD_BITS, _unit_roots(m, prec)[1])
+            + _map_nodes(K.psi_map.ints, float(r), m, prec))
 
 
 def _on_node(z, r, m) -> DomainError:
@@ -444,8 +438,9 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
     and floored once, so the accuracy does not depend on where K lies or
     how large it is.  The roots of unity are built in Python ints, each
     part within 1.25 units at 2**P, once per (m, prec) for all continua
-    (_unit_roots); the nodes are built once and memoised on K per
-    (r, m, dps).  B_j(z) = dw_j/(t_j - z) is
+    (_unit_roots); the nodes are built from them once per exact map,
+    level and precision, and the last 8 such sets are kept for every
+    continuum with that map (_map_nodes).  B_j(z) = dw_j/(t_j - z) is
     formed for every point and node at once, as Python-int floor
     divisions on numpy object arrays of shape (Z, m).  With
     w_j^n = r^n omega^(jn mod m), every degree needs the Gaussian-int
@@ -485,7 +480,8 @@ def contour_values(K: ContinuumSpec, ns, zs, r: float, m: int = 1024,
     zs = _check_points(zs)
     if dps is not None:
         return _contour_mp(K, ns, zs, r, m, dps)
-    w, t, dw = _nodes(K, r, m)
+    w = _circle(r, m)
+    t, dw = psi(K, w), psi_prime(K, w) * w
     diff = t[:, None] - zs[None, :]
     hit = np.flatnonzero(~diff.all(axis=0))
     if len(hit):

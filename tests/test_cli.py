@@ -1,5 +1,6 @@
 """Command line behaviour: payload shapes, exit codes, determinism."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -504,7 +505,7 @@ class TestFailureModes:
         (("--continuum", f"custom:@{DATA / 'readme_map.json'}", "verify",
           "--R", "1e300", "--count", "64", "--family", "scaled_poly"), "--R"),
         (("--continuum", "segment:1e-300,2e-300", "estimates", "--R", "1e300",
-          "--eps0", "2", "--n-max", "1"), "--R"),
+          "--eps0", "2", "--n-max", "1"), "--eps0"),
         *[(("--continuum", "segment:-1,1", "estimates", "--eps0", eps0,
             "--n-max", "4"), "--eps0")
           for eps0 in ("1e-15", "1e-12", "1e-10", "1e-8")],
@@ -517,13 +518,27 @@ class TestFailureModes:
         represent nan exactly".  An eps0 from 1e-15 to 1e-8 put the first
         sweep level onto the segment and was refused as "point (1+0j)
         lies on segment", a point the caller never gave.  Each exits 2
-        with one error line that names the flag, and no warning."""
+        with one error line that names the flag, and no warning.  Since
+        phi takes far points without squaring them, the second passes
+        its anchor and is refused at the sweep level 5, which meets K in
+        double precision."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc, out, err = run(capsys, *argv)
         assert [str(w.message) for w in caught] == []
         assert (rc, out) == (2, "")
         assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
+
+    def test_estimates_at_a_far_level(self, capsys):
+        """phi at the anchor psi(1e200) = 5e199 of [-1, 1] squared a
+        number past 1e154 and was refused as leaving double range."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run(capsys, "--continuum", "segment:-1,1",
+                               "estimates", "--R", "1e200", "--n-max", "1")
+        assert [str(w.message) for w in caught] == []
+        assert (rc, err) == (0, "")
+        assert out
 
     def test_eps0_one_in_a_million_still_runs(self, capsys):
         rc, out, _ = run(capsys, "--continuum", "segment:-1,1", "estimates",
@@ -561,6 +576,30 @@ def test_one_output_writer_in_src():
                     or path.name != "cli.py" and re.search(
                         r"^\s*(import|from) json\b|faberbohr/1", line)):
                 bad.append(f"{path.name}:{i}: {line.strip()}")
+    assert bad == []
+
+
+def test_memo_keys_in_src():
+    """A continuum keeps only data that grows with degree: every key that
+    src/ looks up, stores or tests in a _memo is the string "faber" or
+    "norms", so no level, precision or point keys an entry on K."""
+    bad = []
+    for path in sorted(Path(fb.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Subscript):
+                owner, keys = node.value, [node.slice]
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)):
+                owner, keys = node.func.value, node.args[:1]
+            elif isinstance(node, ast.Compare):
+                owner, keys = node.comparators[-1], [node.left]
+            else:
+                continue
+            if (isinstance(owner, ast.Attribute) and owner.attr == "_memo"
+                    and not all(isinstance(k, ast.Constant)
+                                and k.value in ("faber", "norms")
+                                for k in keys)):
+                bad.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert bad == []
 
 

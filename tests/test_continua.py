@@ -143,6 +143,44 @@ class TestExteriorCoordinate:
             with pytest.raises(DomainError, match="finite"):
                 fb.green(K, arg)
 
+    @pytest.mark.filterwarnings("error")
+    def test_phi_of_far_points(self, seg):
+        """u * u overflows for |u| above ~1e154, although w, about 2u,
+        does not: phi(segment(-1, 1), 1e155) was refused as leaving
+        double range, and 1e160 counted as a point of the closure of
+        [-1, 1] at level 2, after a RuntimeWarning, so phi called it a
+        point of K.  Such points get w = u (1 + sqrt(1 - rho/u/u))."""
+        assert fb.phi(seg, 1e155) == 2e155
+        assert fb.phi(seg, -1e300) == -2e300
+        assert fb.phi(seg, 1e170j) == 2e170j
+        tiny = fb.segment(1e-300, 2e-300)
+        assert fb.phi(tiny, 0.25) == pytest.approx(1e300, rel=1e-15)
+        closure = fb.scaled_closure(seg, 2.0)
+        assert not fb.contains(closure, 1e160)
+        assert fb.phi(closure, 1e160) == 1e160
+        z = np.array([1e160, (1 + 1j) * 1e200, 3.0 - 1e250j])
+        assert np.array_equal(fb.phi(closure, z), z)
+        with pytest.raises(DomainError, match="double range"):
+            fb.phi(seg, 1e308)
+
+    @pytest.mark.parametrize("make", [
+        lambda: fb.segment(-1.0, 1.0),
+        lambda: fb.segment(-0.5, 2.0),
+        lambda: fb.scaled_closure(fb.segment(0.1, 0.7), 1.5),
+    ], ids=["segment", "segment-shifted", "ellipse"])
+    def test_phi_of_ordinary_points_is_unchanged(self, make):
+        """Where u * u is finite, phi is the larger root u +- sqrt(u^2 -
+        rho), u = (z - b_0)/(2 c), bit for bit."""
+        K = make()
+        rs = np.array([1.001, 1.3, 2.0, 10.0, 1e8, 1e100, 1e150])
+        z = fb.psi(K, (rs[:, None] * np.exp(
+            2j * np.pi * np.arange(37) / 37)).ravel())
+        c, rho = K.psi_coeffs, K.rho
+        u = (z - c[0]) / (2.0 * c[1])
+        s = np.sqrt(u * u - rho)
+        want = np.where(np.abs(u + s) >= np.abs(u - s), u + s, u - s)
+        assert np.array_equal(fb.phi(K, z), want)
+
     def test_green_is_log_modulus(self, seg, custom_spec):
         for K in (seg, custom_spec):
             z = fb.psi(K, 2.0 * np.exp(0.7j))

@@ -586,19 +586,16 @@ class TestContourMp:
         lambda: fb.segment(-0.5, 2.0),
         lambda: fb.disc(0.3 + 0.1j, 0.7),
     ], ids=["segment", "segment-shifted", "disc"])
-    def test_matches_accumulation_loop(self, make, r, monkeypatch):
+    def test_matches_accumulation_loop(self, make, r):
         K = make()
         zs = self._points(K)
         ref = _contour_mp_accumulated(K, self.NS, zs, r, 256, 30)
         got = fb.contour_values(K, self.NS, zs, r, m=256, dps=30)
         assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
-        calls = []
-        built = fbf._map_nodes
-        monkeypatch.setattr(fbf, "_map_nodes",
-                            lambda *args: calls.append(args) or built(*args))
+        misses = fbf._map_nodes.cache_info().misses
         again = fb.contour_values(K, self.NS, zs, r, m=256, dps=30)
         assert np.array_equal(again, got)
-        assert calls == []
+        assert fbf._map_nodes.cache_info().misses == misses
 
     @pytest.mark.parametrize("make", [
         lambda: fb.segment(0.1, 0.7),
@@ -841,22 +838,41 @@ class TestContourMp:
 
     def test_unit_roots_once_per_m_and_precision(self, monkeypatch):
         """Three levels on two continua at one (m, dps) compute the roots
-        of unity once, and a second dps once more; each continuum keeps
-        only its fixed-point nodes."""
+        of unity once, and a second dps once more; the nodes are built
+        once per map, level and dps, and no continuum keeps them."""
         calls, built = [], fbf._cos_sin
         monkeypatch.setattr(fbf, "_cos_sin",
                             lambda *args: calls.append(args) or built(*args))
         fbf._unit_roots.cache_clear()
+        fbf._map_nodes.cache_clear()
         Ks = (fb.segment(-1.0, 1.0), fb.disc(0.2j, 0.5))
         for dps in (30, 30, 40):
             for K in Ks:
                 for r in (1.5, 2.0, 3.0):
                     fb.contour_values(K, [0, 5], [0.1j], r, m=32, dps=dps)
         assert len(calls) == 2
+        assert fbf._map_nodes.cache_info().misses == 12
         for K in Ks:
-            assert sorted(K._memo) == sorted(
-                ("fixed nodes", r, 32, dps)
-                for r in (1.5, 2.0, 3.0) for dps in (30, 40))
+            assert K._memo == {}
+
+    def test_no_level_data_is_kept(self, seg):
+        """Twenty levels on both routes leave no contour data on K, and
+        at most 8 node sets in the shared cache: every level once stayed
+        on K for good, two entries a level."""
+        for r in 1.5 + 0.125 * np.arange(20):
+            fb.contour_values(seg, [0, 3], [0.1j], r, m=16, dps=15)
+            fb.contour_values(seg, [0, 3], [0.1j], r, m=64)
+        assert set(seg._memo) <= {"faber", "norms"}
+        assert fbf._map_nodes.cache_info().currsize <= 8
+
+    def test_shared_nodes_are_read_only(self):
+        """Equal maps share one node set, so no caller may write to it."""
+        one, two = fb.segment(-1.0, 1.0), fb.segment(-1.0, 1.0)
+        _, _, _, nodes, weights = fbf._fixed_nodes(one, 2.0, 16, 15)
+        assert fbf._fixed_nodes(two, 2.0, 16, 15)[3] is nodes
+        for part in nodes + weights:
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0
 
     def test_unit_roots_memo_is_bounded(self, seg):
         fbf._unit_roots.cache_clear()
@@ -876,8 +892,10 @@ class TestContourMp:
         K = fb.disc(0.3 + 0.1j, 0.7)
         zs = self._points(K)
         fbf._unit_roots.cache_clear()
+        fbf._map_nodes.cache_clear()
         want = fb.contour_values(K, self.NS, zs, 2.0, m=256, dps=30)
         fbf._unit_roots.cache_clear()
+        fbf._map_nodes.cache_clear()
         prec = mp.prec
         with (mp.workprec(20) if ambient == "workprec-20"
               else mp.workdps(120)):
