@@ -20,13 +20,16 @@ sys.modules from the start, as a module whose body runs on its first
 attribute access (``_lazy``), so code that looks them up there finds
 them; each name of ``__all__`` is read from its module on first access
 (PEP 562).  numpy, too, is loaded on first use.
+
+``_EXPORTS`` is the only list of public names; each module reads its
+``__all__`` from it, and the lazy lookup finds a name's module in it.
 """
 
 from . import _lazy
 
 __version__ = "0.1.0"
 
-# the public names, by the module that defines them
+# the public names by module, set before any module body can run
 _EXPORTS = {
     "series": ("LaurentTail",),
     "continua": (

@@ -20,6 +20,7 @@ import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
+from . import _EXPORTS
 from ._lazy import np
 from .continua import (
     DEFAULT_SAMPLES,
@@ -42,22 +43,7 @@ from .errors import (
 from .faber import FaberSeries, _rounded, faber_coeffs, faber_polys
 from .series import _dyadic
 
-__all__ = [
-    "KAPTANOGLU_SADIK_RADIUS",
-    "KAPTANOGLU_SADIK_ECCENTRICITY",
-    "BohrReport",
-    "BohrRadiusResult",
-    "BoundedFamily",
-    "CampaignReport",
-    "basis_norm",
-    "bohr_sum",
-    "phi_of_R",
-    "segment_bohr_radius",
-    "coeff_bound_check",
-    "to_faber_basis",
-    "gen_bounded",
-    "bohr_verify",
-]
+__all__ = _EXPORTS["bohr"]
 
 # Comparison values from the literature on elliptic regions
 # (Kaptanoglu and Sadik); reported in summaries, never computed here.

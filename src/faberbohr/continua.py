@@ -32,6 +32,7 @@ from functools import cached_property
 from itertools import islice
 from typing import ClassVar
 
+from . import _EXPORTS
 from ._lazy import np
 from .errors import (
     DomainError,
@@ -42,25 +43,7 @@ from .errors import (
 )
 from .series import LaurentTail, _dyadic, _fraction, _polys_from_tail
 
-__all__ = [
-    "ContinuumSpec",
-    "LevelSet",
-    "SupNorm",
-    "disc",
-    "segment",
-    "custom",
-    "contains",
-    "phi",
-    "psi",
-    "psi_prime",
-    "green",
-    "level_boundary",
-    "eccentricity",
-    "arc_length",
-    "dist_to_level",
-    "sup_norm",
-    "scaled_closure",
-]
+__all__ = _EXPORTS["continua"]
 
 MEMBERSHIP_TOL = 1e-12
 DEFAULT_SAMPLES = 1024
@@ -140,9 +123,11 @@ class ContinuumSpec:
         return np.where(np.abs(w1) >= np.abs(w2), w1, w2)
 
     def _contains(self, z: complex) -> bool:
-        w = self._phi(np.array([z], dtype=complex))[0]
-        if not np.isfinite(w):
-            return True
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = self._phi(np.array([z], dtype=complex))[0]
+        if not np.isfinite(w):   # far out, or near the pole 0 of a custom
+            # phi, where its tail leaves double range and gamma z does not
+            return self.psi_map is None and cmath.isfinite(self.gamma * z)
         return abs(w) <= 1.0 + MEMBERSHIP_TOL
 
     def _closure(self, R: float) -> ContinuumSpec:
@@ -442,9 +427,14 @@ def custom(tail: LaurentTail) -> ContinuumSpec:
 def contains(K: ContinuumSpec, z) -> bool:
     """True when z lies on K, within a tolerance of 1e-12: absolute on a
     segment, relative to max(1, radius) on a disc, on |phi(z)| <= 1
-    elsewhere.  Points within tolerance of the boundary count as inside.
+    elsewhere.  Points within tolerance of the boundary count as inside;
+    a point whose phi leaves double range does not, but near the pole 0
+    of a custom map.  A non-finite z raises DomainError.
     """
-    return K._contains(complex(z))
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"points must be finite; got {z}")
+    return K._contains(z)
 
 
 def _check_points(zs) -> np.ndarray:
@@ -459,44 +449,40 @@ def _check_points(zs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exterior map and inverse
 
+def _mapped(K: ContinuumSpec, x, name: str, f, at_w: bool = True):
+    """f of x as a complex array, a complex for a scalar x.  A w (at_w)
+    of modulus <= 1 raises InsideUnitDisc, and a value beyond double
+    range DomainError."""
+    arr = np.atleast_1d(np.asarray(x, dtype=complex))
+    if at_w and np.any(np.abs(arr) <= 1.0):
+        bad = arr[np.abs(arr) <= 1.0][0]
+        raise InsideUnitDisc(f"{name} is defined for |w| > 1, got {bad}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = f(arr)
+    if not np.isfinite(v).all():
+        raise DomainError(f"{name} on {K.describe()} leaves double range")
+    return complex(v[0]) if np.ndim(x) == 0 else v
+
+
 def phi(K: ContinuumSpec, z):
     """Exterior map value(s); raises DomainError on a non-finite point or
-    value and PointInsideK on points of K."""
-    arr = np.asarray(z, dtype=complex)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    for zz in _check_points(arr):
+    value, a far point whose value leaves double range included, and
+    PointInsideK on points of K."""
+    for zz in _check_points(z):
         if contains(K, zz):
             raise PointInsideK(f"point {zz} lies on {K.describe()}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = K._phi(arr)
-    if not np.isfinite(w).all():
-        raise DomainError(f"phi on {K.describe()} leaves double range")
-    return complex(w[0]) if scalar else w
+    return _mapped(K, z, "phi", K._phi, at_w=False)
 
 
 def psi(K: ContinuumSpec, w):
     """Inverse of the exterior map, |w| > 1; DomainError past double range."""
-    arr = np.asarray(w, dtype=complex)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(np.abs(arr) <= 1.0):
-        bad = arr[np.abs(arr) <= 1.0][0]
-        raise InsideUnitDisc(f"psi is defined for |w| > 1, got {bad}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = K._psi(arr)
-    if not np.isfinite(z).all():
-        raise DomainError(f"psi on {K.describe()} leaves double range")
-    return complex(z[0]) if scalar else z
+    return _mapped(K, w, "psi", K._psi)
 
 
 def psi_prime(K: ContinuumSpec, w):
-    """Derivative of psi; for custom maps via 1/phi'(psi(w))."""
-    arr = np.asarray(w, dtype=complex)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    d = K._psi_prime(arr)
-    return complex(d[0]) if scalar else d
+    """Derivative of psi, for custom maps 1/phi'(psi(w)); like psi, it
+    raises InsideUnitDisc at |w| <= 1 and DomainError past double range."""
+    return _mapped(K, w, "psi'", K._psi_prime)
 
 
 def green(K: ContinuumSpec, z):

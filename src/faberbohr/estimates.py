@@ -25,9 +25,11 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
+from . import _EXPORTS
 from ._lazy import np
 from .bohr import basis_norm
 from .continua import (
+    MEMBERSHIP_TOL,
     ContinuumSpec,
     _check_level,
     _circle,
@@ -47,22 +49,7 @@ from .errors import (
 )
 from .faber import faber_poly, faber_remainder
 
-__all__ = [
-    "EstimateContext",
-    "EnBound",
-    "FnBounds",
-    "FkBound",
-    "Ineq11",
-    "Thm31Report",
-    "make_context",
-    "en_bound",
-    "fn_bounds",
-    "fk_bound",
-    "ineq11_check",
-    "lemma33_check",
-    "thm31_conditions",
-    "schwarz_bound",
-]
+__all__ = _EXPORTS["estimates"]
 
 _TWO_PI = 2.0 * math.pi
 _THETA_TOL = 1e-9
@@ -388,6 +375,13 @@ def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
             continue
         a_g = complex(psi(K, Rg * cmath.exp(1j * theta_a)))
         if contains(K, a_g):
+            top = complex(psi(K, grid[-1] * cmath.exp(1j * theta_a)))
+            if contains(K, top):   # no eps0 lifts the sweep off K
+                raise DomainError(
+                    f"the sweep level {Rg:.17g} and the top level "
+                    f"{grid[-1]:.17g} meet {K.describe()} within the "
+                    f"membership tolerance {MEMBERSHIP_TOL:g} at the anchor "
+                    "angle, so no eps0 helps", param="continuum")
             raise DomainError(
                 f"collar parameter eps0={eps0:g} is too small: the sweep "
                 f"level {Rg:.17g} meets K in double precision at the anchor "

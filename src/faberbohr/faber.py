@@ -26,6 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+from . import _EXPORTS
 from ._lazy import np
 from .continua import (
     ContinuumSpec,
@@ -52,19 +53,7 @@ from .errors import (
 )
 from .series import _dyadic, _gauss_horner
 
-__all__ = [
-    "FaberPoly",
-    "FaberSeries",
-    "faber_polys",
-    "faber_poly",
-    "faber_contour",
-    "faber_remainder",
-    "contour_values",
-    "faber_coeffs",
-    "target_identity_check",
-    "target_identity_residual",
-    "norm_root",
-]
+__all__ = _EXPORTS["faber"]
 
 _LEVEL_SLACK = 1e-12
 

@@ -30,9 +30,10 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _EXPORTS
 from .errors import DomainError
 
-__all__ = ["LaurentTail"]
+__all__ = _EXPORTS["series"]
 
 
 def _not_finite(x) -> DomainError:

@@ -505,7 +505,7 @@ class TestFailureModes:
         (("--continuum", f"custom:@{DATA / 'readme_map.json'}", "verify",
           "--R", "1e300", "--count", "64", "--family", "scaled_poly"), "--R"),
         (("--continuum", "segment:1e-300,2e-300", "estimates", "--R", "1e300",
-          "--eps0", "2", "--n-max", "1"), "--eps0"),
+          "--eps0", "2", "--n-max", "1"), "--continuum"),
         *[(("--continuum", "segment:-1,1", "estimates", "--eps0", eps0,
             "--n-max", "4"), "--eps0")
           for eps0 in ("1e-15", "1e-12", "1e-10", "1e-8")],
@@ -520,8 +520,9 @@ class TestFailureModes:
         lies on segment", a point the caller never gave.  Each exits 2
         with one error line that names the flag, and no warning.  Since
         phi takes far points without squaring them, the second passes
-        its anchor and is refused at the sweep level 5, which meets K in
-        double precision."""
+        its anchor, and its sweep level 5 meets K within the 1e-12
+        membership tolerance; so does the top level 256, which no eps0
+        can help, and the refusal names the continuum, not --eps0."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc, out, err = run(capsys, *argv)

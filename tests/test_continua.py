@@ -27,6 +27,13 @@ from series_reference import QC, qc_values
 SQ3 = math.sqrt(3.0)
 
 
+@pytest.fixture
+def small_closure():
+    """The ellipse bounding [-1e-10, 1e-10] at level 2, a continuum whose
+    phi leaves double range at points far smaller than 1.8e308."""
+    return fb.scaled_closure(fb.segment(-1e-10, 1e-10), 2.0)
+
+
 class TestExteriorCoordinate:
     def test_segment_branch_value(self, seg):
         assert complex(fb.phi(seg, 2.0)) == pytest.approx(2.0 + SQ3, abs=1e-14)
@@ -56,9 +63,16 @@ class TestExteriorCoordinate:
         with pytest.raises(PointInsideK):
             fb.phi(udisc, 0.2 + 0.1j)
 
-    def test_psi_rejects_unit_disc(self, seg):
-        with pytest.raises(InsideUnitDisc):
-            fb.psi(seg, 0.5)
+    @pytest.mark.filterwarnings("error")
+    def test_psi_rejects_unit_disc(self, seg, custom_spec):
+        """psi_prime(segment(-1, 1), 0.5) was -1.5, w = 0 warned, and a
+        custom map raised NonConvergent; psi_prime makes the checks of
+        psi."""
+        for f in (fb.psi, fb.psi_prime):
+            for K in (seg, custom_spec):
+                for w in (0.5, 0.0, np.array([2.0, -1.0j])):
+                    with pytest.raises(InsideUnitDisc):
+                        f(K, w)
 
     def test_custom_psi_does_not_depend_on_the_batch(self):
         """Each point stops at its own convergence, so psi of an array is
@@ -120,14 +134,24 @@ class TestExteriorCoordinate:
                              ids=["segment", "disc"])
     def test_psi_refuses_a_value_beyond_double_range(self, K):
         """psi(segment(1e308, 1.7e308), 4) was inf after a RuntimeWarning,
-        and campaigns summed NaN from it; psi refuses such a value."""
+        and campaigns summed NaN from it; psi refuses such a value.  So
+        does psi_prime, which returned inf after a RuntimeWarning on a
+        closure whose psi' = c (1 - rho/w^2) exceeds the largest double
+        near w = i."""
         for w in (4.0, np.array([1.5, 4.0j, 4.0])):
             with pytest.raises(DomainError, match="double range"):
                 fb.psi(K, w)
         assert np.isfinite(fb.psi(K, -1.01))
+        wide = fb.scaled_closure(fb.segment(-0.8e308, 0.8e308), 4.4)
+        for w in (1.01j, np.array([-3.0, 1.01j])):
+            with pytest.raises(DomainError, match="double range"):
+                fb.psi_prime(wide, w)
+        assert np.isfinite(fb.psi_prime(K, -1.01))
+        assert np.isfinite(fb.psi_prime(wide, -3.0))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("kind", ["seg", "udisc", "custom_spec"])
+    @pytest.mark.parametrize("kind", ["seg", "udisc", "custom_spec",
+                                      "small_closure"])
     @pytest.mark.parametrize("z", [complex(math.inf, 0.0),
                                    complex(0.5, math.nan),
                                    complex(3.0, -math.inf)],
@@ -135,21 +159,30 @@ class TestExteriorCoordinate:
     def test_phi_refuses_non_finite_point(self, kind, z, request):
         """phi(segment(-1, 1), inf) was nan+nanj after a RuntimeWarning,
         and a custom map called inf a point of K.  phi, and so green,
-        refuse a non-finite point, as the contour routes do."""
+        refuse a non-finite point, as the contour routes do.  contains
+        called inf and NaN points of a custom map and warned on an
+        ellipse; it refuses them too."""
         K = request.getfixturevalue(kind)
         for arg in (z, np.array([3.0 + 1j, z])):
             with pytest.raises(DomainError, match="finite"):
                 fb.phi(K, arg)
             with pytest.raises(DomainError, match="finite"):
                 fb.green(K, arg)
+        with pytest.raises(DomainError, match="finite"):
+            fb.contains(K, z)
 
     @pytest.mark.filterwarnings("error")
-    def test_phi_of_far_points(self, seg):
+    def test_phi_of_far_points(self, seg, small_closure):
         """u * u overflows for |u| above ~1e154, although w, about 2u,
         does not: phi(segment(-1, 1), 1e155) was refused as leaving
         double range, and 1e160 counted as a point of the closure of
         [-1, 1] at level 2, after a RuntimeWarning, so phi called it a
-        point of K.  Such points get w = u (1 + sqrt(1 - rho/u/u))."""
+        point of K.  Such points get w = u (1 + sqrt(1 - rho/u/u)).
+        Where phi(z) leaves double range because z is far out, z is no
+        point of K either: contains was True after RuntimeWarnings, so
+        phi raised PointInsideK, on the closure of [-1e-10, 1e-10] at 1e300
+        and on 2z + 0.5/z at 1e308.  phi names double range; the pole 0
+        of a custom map stays a point of K."""
         assert fb.phi(seg, 1e155) == 2e155
         assert fb.phi(seg, -1e300) == -2e300
         assert fb.phi(seg, 1e170j) == 2e170j
@@ -162,6 +195,14 @@ class TestExteriorCoordinate:
         assert np.array_equal(fb.phi(closure, z), z)
         with pytest.raises(DomainError, match="double range"):
             fb.phi(seg, 1e308)
+        pole = fb.custom(fb.LaurentTail.build(2.0, 0.0, (0.5,)))
+        for K, z in ((small_closure, 1e300), (small_closure, -1e300j),
+                     (pole, 1e308), (pole, -1e308 + 1e308j)):
+            assert not fb.contains(K, z)
+            for arg in (z, np.array([2.0 + 2.0j, z])):
+                with pytest.raises(DomainError, match="double range"):
+                    fb.phi(K, arg)
+            assert fb.contains(K, 0.0)
 
     @pytest.mark.parametrize("make", [
         lambda: fb.segment(-1.0, 1.0),

@@ -364,6 +364,23 @@ def test_exports_agree_with_the_package(module):
     assert sorted(names) == sorted(fb._EXPORTS[module])
 
 
+def test_public_names_are_written_once():
+    """Every __all__ of a module is its entry of the package table,
+    _EXPORTS["<module>"], so no module spells out its public names and
+    the table is the only list of them."""
+    found = {}
+    for path in sorted(Path(fb.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            if any(isinstance(t, ast.Name) and t.id == "__all__"
+                   for t in targets):
+                found.setdefault(path.stem, []).append(ast.unparse(node.value))
+    assert found == {module: [f"_EXPORTS[{module!r}]"]
+                     for module in fb._EXPORTS if module != "errors"}
+
+
 # parameters of the public functions and fields of the dataclasses that
 # once took options no caller set; a name added here is a new option
 _SIGNATURES = {
