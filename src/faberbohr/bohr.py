@@ -122,18 +122,22 @@ def phi_of_R(R: float) -> float:
     would overflow, in blocks of 256 added up by math.fsum; summation
     stops after the first block whose last term is below 1e-15 of the
     partial sum, and NonConvergent is raised when no block before
-    n = 10^7 does.  Plain floats, so the segment level needs no numpy.
+    n = 10^7 does; at once where the last term it reaches, at least
+    4 q^(10^7 + 128), is above 1e-15 S, S = 2(log(1/d) + 2q)/d, d = 1 - q,
+    a bound on the sum from 1 - q^2n >= 2nd/(1 + 2nd), doubled for
+    rounding.  Plain floats, so the segment level needs no numpy.
     """
     R = float(R)
     _check_level(R, "phi_of_R needs R > 1 + 1e-6", 1.0 + 1e-6)
-    q = 1.0 / R
-    total = 0.0
-    for n0 in range(1, 10 ** 7 + 1, 256):
-        block = [4.0 * t / (1.0 - t * t)
-                 for t in [q ** n for n in range(n0, n0 + 256)]]
-        total = math.fsum([total, *block])
-        if block[-1] < 1e-15 * total:
-            return total
+    q, d = 1.0 / R, 1.0 - 1.0 / R
+    if 4.0 * q ** (10 ** 7 + 128) < 4e-15 / d * (math.log(1.0 / d) + 2.0 * q):
+        total = 0.0
+        for n0 in range(1, 10 ** 7 + 1, 256):
+            block = [4.0 * t / (1.0 - t * t)
+                     for t in [q ** n for n in range(n0, n0 + 256)]]
+            total = math.fsum([total, *block])
+            if block[-1] < 1e-15 * total:
+                return total
     raise NonConvergent("phi series did not settle; R too close to 1")
 
 
@@ -185,9 +189,9 @@ def segment_bohr_radius(tol: float = 1e-6,
 # ---------------------------------------------------------------------------
 # coefficient inequalities on the segment annulus
 
-def coeff_bound_check(f: FaberSeries, R: float | None = None,
-                      mode: str = "bohr", check_pre: bool = True) -> list:
-    """Per-coefficient margins against the classical annulus bounds.
+def coeff_bound_check(f: FaberSeries, mode: str = "bohr") -> list:
+    """Per-coefficient margins against the classical annulus bounds at
+    the level R = f.R.
 
     mode "bohr": functions bounded by 1 in modulus; after rotating so
     the constant term is nonnegative, |a_n| <= 2(1 - a_0)/(R^n - R^-n).
@@ -205,12 +209,9 @@ def coeff_bound_check(f: FaberSeries, R: float | None = None,
     mode = mode.lower()
     if mode not in ("bohr", "caratheodory"):
         raise DomainError(f"unknown mode {mode!r}")
-    if R is None:
-        R = f.R
+    R = f.R
     _check_level(R, "level parameter R must exceed 1")
-
-    if check_pre:
-        _check_bound_pre(f, R, mode)
+    _check_bound_pre(f, mode)
 
     if mode == "bohr":
         a0 = abs(f.coeffs[0])
@@ -228,13 +229,13 @@ def coeff_bound_check(f: FaberSeries, R: float | None = None,
     return rows
 
 
-def _check_bound_pre(f: FaberSeries, R: float, mode: str):
+def _check_bound_pre(f: FaberSeries, mode: str):
     if mode == "bohr" and f.cert_sup is not None:
         if not f.cert_sup < 1.0:
             raise PreconditionViolated(
                 f"certified sup {f.cert_sup} is not below 1", value=f.cert_sup)
         return
-    w = _circle(R, 512)
+    w = _circle(f.R, 512)
     vals = f.eval_w(w)
     if mode == "bohr":
         j = int(np.argmax(np.abs(vals)))

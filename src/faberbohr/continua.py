@@ -108,12 +108,19 @@ class ContinuumSpec:
     def _phi(self, z):
         """(z - b_0)/c, or the larger root u +- sqrt(u^2 - rho) of
         w + rho/w = 2u, u = (z - b_0)/(2c); where u^2 overflows, though
-        w, about 2u, need not, s = u sqrt(1 - rho/u/u)."""
+        w, about 2u, need not, s = u sqrt(1 - rho/u/u).  Where z - b_0
+        overflows, z and b_0 on opposite sides near double max, it is
+        formed at a quarter of both and the quotient scaled back."""
         c, rho = self.psi_coeffs, self.rho
-        if not rho:
-            return (z - c[0]) / c[1]
-        u = (z - c[0]) / (2.0 * c[1])
+        scale = 2.0 * c[1] if rho else c[1]
         with np.errstate(over="ignore", invalid="ignore"):
+            d = z - c[0]
+            u = d / scale
+            far = ~np.isfinite(d)
+            if far.any():
+                u[far] = (0.25 * z[far] - 0.25 * c[0]) / scale * 4.0
+            if not rho:
+                return u
             uu = u * u
             s = np.sqrt(uu - rho)
         far = ~np.isfinite(uu)
@@ -744,15 +751,15 @@ def _eval_on_values(p, z: np.ndarray) -> np.ndarray:
     return _polyval(np.asarray(getattr(p, "coeffs", p), dtype=complex), z)
 
 
-def sup_norm(p, S, m: int = DEFAULT_SAMPLES) -> SupNorm:
+def sup_norm(p, S) -> SupNorm:
     """Maximum modulus of the polynomial p over a continuum or level set.
 
-    Sampling is followed by one golden section refinement around the
-    discrete maximiser.  On segments, polynomials that expose an exact
-    Chebyshev-basis view (see FaberPoly.cheb_floats) are evaluated
-    through it; monomial evaluation of high-degree Faber data on [-1, 1]
-    loses everything to cancellation.  A sup beyond double range raises
-    DomainError.
+    Sampling at DEFAULT_SAMPLES angles is followed by one golden section
+    refinement around the discrete maximiser.  On segments, polynomials
+    that expose an exact Chebyshev-basis view (see FaberPoly.cheb_floats)
+    are evaluated through it; monomial evaluation of high-degree Faber
+    data on [-1, 1] loses everything to cancellation.  A sup beyond
+    double range raises DomainError.
     """
     if isinstance(S, LevelSet):
         def path(t):
@@ -762,12 +769,12 @@ def sup_norm(p, S, m: int = DEFAULT_SAMPLES) -> SupNorm:
     else:
         raise WrongKind(f"cannot take a sup norm over {type(S).__name__}")
     with np.errstate(over="ignore", invalid="ignore"):
-        s = _row_sups(path, lambda v, i: v, 1, m)[0]
+        s = _row_sups(path, lambda v, i: v, 1, DEFAULT_SAMPLES)[0]
     if not math.isfinite(s):
         K = getattr(S, "spec", S)
         raise DomainError(f"the sup of p over {K.describe()} leaves double "
                           "range")
-    return SupNorm(s, m)
+    return SupNorm(s, DEFAULT_SAMPLES)
 
 
 def _row_sups(path, values, k: int, m: int, sign: float = 1.0,

@@ -90,45 +90,38 @@ def _check_power(name: str, x: float, n_max: int) -> None:
                       "double range")
 
 
-def make_context(K: ContinuumSpec, r: float, R: float, a=None,
-                 n_max: int = 32, m: int = 1024) -> EstimateContext:
+def make_context(K: ContinuumSpec, r: float, R: float, n_max: int = 32,
+                 m: int = 1024) -> EstimateContext:
     """Build an EstimateContext, validating the turned-point construction.
 
-    For each n the companion a_n = psi(e^(i pi / n) * phi(a)) satisfies
-    phi(a_n)^n = -phi(a)^n; the residual of that identity, relative to
-    R^n, must stay below 1e-9 or the context is refused.
+    For the anchor a = psi(R) and each n the companion a_n = psi(e^(i pi
+    / n) phi(a)), found in one psi call for all n, has phi(a_n)^n =
+    -phi(a)^n; the residual of that identity, relative to R^n, must stay
+    below 1e-9 or the context is refused.
     """
     r, R = float(r), float(R)
     _check_level(r, "levels must satisfy 1 < r < R")
     _check_level(R, "levels must satisfy 1 < r < R", r)
     _check_power("level R", R, n_max)
-    if a is None:
-        a = complex(psi(K, complex(R)))
-        try:
-            phi_a = phi(K, a)
-        except DomainError:
-            raise DomainError(f"phi at the anchor psi(R) = {a} leaves double "
-                              f"range at R={R:g}", param="R") from None
-    else:
-        a = complex(a)
+    a = complex(psi(K, complex(R)))
+    try:
         phi_a = phi(K, a)
-        if abs(abs(phi_a) - R) > 1e-9 * max(1.0, R):
-            raise NotOnLevel(f"anchor {a} is not on the level curve at R={R}")
+    except DomainError:
+        raise DomainError(f"phi at the anchor psi(R) = {a} leaves double "
+                          f"range at R={R:g}", param="R") from None
     lg = arc_length(K, r)
-    pts = []
+    ns = range(1, n_max + 1)
+    pts = psi(K, np.array([cmath.exp(1j * math.pi / n) * phi_a for n in ns]))
     worst = 0.0
-    for n in range(1, n_max + 1):
-        turn = cmath.exp(1j * math.pi / n)
-        a_n = complex(psi(K, turn * phi_a))
-        pts.append(a_n)
-        resid = abs(phi(K, a_n) ** n + phi_a ** n) / R ** n
-        worst = max(worst, resid)
+    for n, w in zip(ns, phi(K, pts).tolist()):
+        worst = max(worst, abs(w ** n + phi_a ** n) / R ** n)
     if worst > _THETA_TOL:
         raise CertificationFailed(
             f"turned-point residual {worst:.3g} exceeds {_THETA_TOL}")
     return EstimateContext(K=K, r=r, R=R, lg_r=float(lg), a=a,
                            n_max=int(n_max), m=int(m),
-                           theta_points=tuple(pts), theta_residual_max=worst)
+                           theta_points=tuple(pts.tolist()),
+                           theta_residual_max=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +272,8 @@ def lemma33_check(phi_norms_K, phi_shift_norms, eps, C: float) -> bool:
 # the sufficient-condition sweep
 
 _ANCHOR_TAIL = 5      # grid levels whose n = 1 anchor margin is reported
+_GRID_HI = 256.0      # the sweep's top level
+_GRID_POINTS = 48     # the sweep's levels, 1 + 2 eps0 to _GRID_HI
 
 
 def _condition_rows(K: ContinuumSpec, R: float, a: complex, C: float,
@@ -318,7 +313,6 @@ class Thm31Report:
     K: ContinuumSpec
     R: float
     eps0: float
-    C: float
     n_max: int
     a: complex
     rows: tuple
@@ -329,21 +323,20 @@ class Thm31Report:
     tail_ratio: float
     tail_dominance_ok: bool
     theta_residual_max: float
+    C: ClassVar[float] = 1.0 / 6.0   # the contraction constant of lemma33
     note: ClassVar[str] = "numerical sufficient-condition check"
 
 
 def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
-                     C: float = 1.0 / 6.0, n_max: int = 32,
-                     m: int = 512, grid_hi: float = 256.0,
-                     grid_points: int = 48) -> Thm31Report:
+                     n_max: int = 32, m: int = 512) -> Thm31Report:
     """Evaluate the three separation conditions and sweep for a good level.
 
     At the requested R the full margin table is returned; the sweep
-    walks a geometric grid from 1 + 2*eps0 to grid_hi, re-anchoring a
-    at the same boundary angle on each level, and reports the first
-    level where all conditions hold for every n <= n_max.  Past that
-    level only the n = 1 rows of the last five levels are evaluated,
-    for anchor_margin_tail.
+    walks a geometric grid of 48 levels from 1 + 2*eps0 to 256,
+    re-anchoring a at the same boundary angle on each level, and reports
+    the first level where all conditions hold for every n <= n_max.
+    Past that level only the n = 1 rows of the last five levels are
+    evaluated, for anchor_margin_tail.
     """
     eps0 = float(eps0)
     if not eps0 > 0.0:
@@ -355,16 +348,14 @@ def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
         raise DomainError("n_max must be at least 1")
     r = 1.0 + eps0
     _check_level(R, f"level R={R} must exceed the collar level {r}", r)
-    _check_power("sweep top grid_hi", grid_hi, n_max)   # make_context checks R
-    if not 0.0 < C < 1.0:
-        raise DomainError("contraction constant C must lie in (0, 1)")
+    _check_power("sweep top level", _GRID_HI, n_max)   # make_context checks R
     ctx = make_context(K, r, R, n_max=n_max, m=m)
     norms = [basis_norm(K, n, up_to=n_max) for n in range(n_max + 1)]
-    rows = _condition_rows(K, R, ctx.a, C, n_max, m, norms)
+    rows = _condition_rows(K, R, ctx.a, Thm31Report.C, n_max, m, norms)
     all_hold = all(margin > 0.0 for *_, margin in rows)
 
     theta_a = cmath.phase(phi(K, ctx.a))
-    grid = np.geomspace(1.0 + 2.0 * eps0, grid_hi, grid_points)
+    grid = np.geomspace(1.0 + 2.0 * eps0, _GRID_HI, _GRID_POINTS)
     tail_from = len(grid) - _ANCHOR_TAIL
     r_star = None
     anchor_tail = []
@@ -386,7 +377,7 @@ def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
                 f"collar parameter eps0={eps0:g} is too small: the sweep "
                 f"level {Rg:.17g} meets K in double precision at the anchor "
                 "angle", param="eps0")
-        rows_g = _condition_rows(K, float(Rg), a_g, C,
+        rows_g = _condition_rows(K, float(Rg), a_g, Thm31Report.C,
                                  n_max if r_star is None else 1, m, norms)
         if i >= tail_from:
             anchor_tail.append(next(
@@ -400,7 +391,7 @@ def thm31_conditions(K: ContinuumSpec, R: float, eps0: float = 0.25,
             f"conditions for n <= {n_max}")
 
     return Thm31Report(
-        K=K, R=float(R), eps0=eps0, C=float(C), n_max=int(n_max), a=ctx.a,
+        K=K, R=float(R), eps0=eps0, n_max=int(n_max), a=ctx.a,
         rows=tuple(rows), all_hold=all_hold, r_star=r_star,
         grid=tuple(float(g) for g in grid),
         anchor_margin_tail=tuple(anchor_tail),

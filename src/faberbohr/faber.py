@@ -567,7 +567,7 @@ def _contour_mp(K: ContinuumSpec, ns, zs, r, m, dps) -> np.ndarray:
     return out
 
 
-def _check_faber_call(n, z, r, m, dps) -> complex:
+def _check_faber_call(n, z, r, m, dps=None) -> complex:
     """The checks shared by faber_contour and faber_remainder; returns z
     as a complex.  From n = m on, the trapezoid sum over m nodes adds
     r^m F_(n-m) to the value, so such a degree raises DomainError."""
@@ -599,20 +599,20 @@ def faber_contour(K: ContinuumSpec, n: int, z, r: float, m: int = 1024,
     return complex(contour_values(K, [n], [z], r, m=m, dps=dps)[0, 0])
 
 
-def faber_remainder(K: ContinuumSpec, n: int, z, r: float, m: int = 1024,
-                    dps: int | None = None) -> complex:
+def faber_remainder(K: ContinuumSpec, n: int, z, r: float,
+                    m: int = 1024) -> complex:
     """Remainder phi^n - F_n at a point outside the level curve.
 
     Same gates as faber_contour.  Where K.rho is known it is
     -(rho/phi(z))^n, 0 at n = 0, with no contour; otherwise the contour
     integral of faber_contour, its sign flipped for exterior points.
     """
-    z = _check_faber_call(n, z, r, m, dps)
+    z = _check_faber_call(n, z, r, m)
     if contains(K, z) or green(K, z) <= np.log(r) + _LEVEL_SLACK:
         raise PointInsideLevel(
             f"z={z} is not outside the level curve at r={r}")
     if K.rho is None:
-        return -complex(contour_values(K, [n], [z], r, m=m, dps=dps)[0, 0])
+        return -complex(contour_values(K, [n], [z], r, m=m)[0, 0])
     return -(K.rho / phi(K, z)) ** n if n and K.rho else 0j
 
 

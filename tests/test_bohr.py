@@ -1,8 +1,10 @@
 """Coefficient sums, the sufficient segment level, bounded families."""
 
 import cmath
+import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +13,12 @@ from hypothesis import strategies as st
 
 import faberbohr as fb
 from faberbohr.cli import main as cli_main
-from faberbohr.errors import DomainError, PreconditionViolated, WrongKind
+from faberbohr.errors import (
+    DomainError,
+    NonConvergent,
+    PreconditionViolated,
+    WrongKind,
+)
 from series_reference import to_faber_basis as reference_faber_basis
 from test_faber import KERNEL_CONTINUA, _bits, _kernel_continuum
 
@@ -42,6 +49,17 @@ class TestPhiOfR:
             fb.phi_of_R(1.0)
         with pytest.raises(DomainError):
             fb.phi_of_R(0.5)
+
+    @pytest.mark.parametrize("R", [1 + 1.1e-6, 1 + 1.5e-6])
+    def test_hopeless_level_is_refused_at_once(self, R):
+        """Near R = 1 + 1e-6 the 1e-15 stopping test cannot pass before
+        the cap of 10^7 terms, and the sum ran all of them, 1.6-1.7 s,
+        before raising NonConvergent.  A closed-form upper bound on the
+        sum refuses such an R before any summing."""
+        start = time.perf_counter()
+        with pytest.raises(NonConvergent, match="too close to 1"):
+            fb.phi_of_R(R)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestSegmentLevel:
@@ -211,14 +229,18 @@ class TestCoeffBounds:
         assert margin > 0
 
     def test_negative_control(self, seg):
-        """Inflating one coefficient past its bound must show up."""
+        """Inflating one coefficient past its bound must show up: the
+        sampled precondition refuses the series, and under a certificate
+        that stands in for sampling its margin row is negative."""
         R = 3.0
         bound3 = 2.0 * (1.0 - 0.5) / (R ** 3 - R ** -3)
         coeffs = np.zeros(4, dtype=complex)
         coeffs[0] = 0.5
         coeffs[3] = 1.5 * bound3
         f = fb.FaberSeries(K=seg, R=R, coeffs=coeffs)
-        rows = fb.coeff_bound_check(f, check_pre=False)
+        with pytest.raises(PreconditionViolated, match="sampled modulus"):
+            fb.coeff_bound_check(f)
+        rows = fb.coeff_bound_check(dataclasses.replace(f, cert_sup=0.99))
         *_, margin = rows[2]
         assert margin < 0
 

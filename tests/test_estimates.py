@@ -1,6 +1,7 @@
 """Remainder bounds, two-sided envelopes, separation conditions."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -39,9 +40,25 @@ class TestContext:
         mods = [abs(fb.phi(ctx.K, p)) for p in ctx.theta_points]
         assert np.max(np.abs(np.array(mods) - 4.0)) < 1e-9 * 4.0
 
-    def test_anchor_validation(self, seg):
-        with pytest.raises(NotOnLevel):
-            fb.make_context(seg, 2.0, 4.0, a=fb.psi(seg, 2.5))
+    @pytest.mark.parametrize("K, r, R", [
+        (fb.segment(-1.0, 1.0), 1.5, 4.0),
+        (fb.disc(0.3 - 0.1j, 0.7), 1.25, 3.0),
+        (fb.custom(fb.LaurentTail.build(2.0, 0.05, (0.04, 0.01))), 1.5, 4.0),
+    ], ids=["segment", "disc", "readme-map"])
+    def test_turned_points_match_the_pointwise_loop(self, K, r, R):
+        """The companions go through psi and phi in one call each; the
+        points and the residual are those of the loop that took each
+        one through psi and phi alone, bit for bit."""
+        ctx = fb.make_context(K, r, R, n_max=24)
+        phi_a = fb.phi(K, ctx.a)
+        pts, worst = [], 0.0
+        for n in range(1, 25):
+            turn = cmath.exp(1j * math.pi / n)
+            a_n = complex(fb.psi(K, turn * phi_a))
+            pts.append(a_n)
+            worst = max(worst, abs(fb.phi(K, a_n) ** n + phi_a ** n) / R ** n)
+        assert ctx.theta_points == tuple(pts)
+        assert ctx.theta_residual_max == worst
 
     def test_level_ordering(self, seg):
         with pytest.raises(DomainError):
@@ -201,10 +218,11 @@ class TestConditionSweep:
         assert rep.all_hold
         assert 3.0 <= rep.r_star <= 3.3
 
-    def test_grid_exhausted(self, udisc):
+    def test_grid_exhausted(self, udisc, monkeypatch):
         # a tiny contraction constant makes the compact bound unsatisfiable
+        monkeypatch.setattr(fb.Thm31Report, "C", 1e-9)
         with pytest.raises(GridExhausted):
-            fb.thm31_conditions(udisc, 4.0, eps0=0.25, C=1e-9, n_max=4)
+            fb.thm31_conditions(udisc, 4.0, eps0=0.25, n_max=4)
 
     def test_csv_layout(self, capsys):
         # the margin table of [-1, 1] at R = 8 as the estimates command
@@ -219,25 +237,21 @@ class TestConditionSweep:
         with pytest.raises(DomainError):
             fb.thm31_conditions(seg, 1.2, eps0=0.25)
 
-    @pytest.mark.parametrize("C", [1.0 / 6.0, 1.5])
-    def test_collar_below_double_spacing(self, seg, C):
+    def test_collar_below_double_spacing(self, seg):
         """An eps0 with 1 + eps0 == 1.0 is refused at the eps0 gate, by
-        name and before the check on C; it reached make_context as the
-        level r = 1.0 and was refused as "levels must satisfy 1 < r < R"."""
+        name; it reached make_context as the level r = 1.0 and was
+        refused as "levels must satisfy 1 < r < R"."""
         with pytest.raises(DomainError, match="eps0=1e-20 .* rounds to 1"):
-            fb.thm31_conditions(seg, 8.0, eps0=1e-20, C=C)
+            fb.thm31_conditions(seg, 8.0, eps0=1e-20)
 
     @pytest.mark.parametrize("C", [1.5, 0.0, float("nan")])
-    def test_contraction_guard(self, seg, C):
-        """C outside (0, 1) is refused after the grid_hi power check and
-        before the power check on R."""
-        msg = "contraction constant C must lie in"
-        with pytest.raises(DomainError, match=msg):
-            fb.thm31_conditions(seg, 8.0, C=C)
-        with pytest.raises(DomainError, match=msg):
-            fb.thm31_conditions(seg, 1e20, C=C)
-        with pytest.raises(DomainError, match="sweep top grid_hi"):
-            fb.thm31_conditions(seg, 8.0, C=C, grid_hi=1e50)
+    def test_contraction_guard(self, C):
+        """The sweep's contraction constant is fixed inside (0, 1), where
+        the two-norm lemma holds; lemma33_check, which takes C, refuses
+        one outside it, NaN included."""
+        assert 0.0 < fb.Thm31Report.C < 1.0
+        with pytest.raises(DomainError, match="contraction constant C must"):
+            fb.lemma33_check([1.0], [0.1], [0], C)
 
     @staticmethod
     def _full_sweep(K, rep, m):
@@ -279,7 +293,8 @@ class TestConditionSweep:
             return rows_of(K, R, a, C, n_max, m, norms)
 
         monkeypatch.setattr(estimates, "_condition_rows", spy)
-        rep = fb.thm31_conditions(K, R, n_max=n_max, m=m, grid_points=points)
+        monkeypatch.setattr(estimates, "_GRID_POINTS", points)
+        rep = fb.thm31_conditions(K, R, n_max=n_max, m=m)
         monkeypatch.undo()
         i_star = rep.grid.index(rep.r_star)
         tail = [i for i in range(points) if i >= points - 5 and i > i_star]
@@ -288,15 +303,17 @@ class TestConditionSweep:
         assert (rep.r_star, rep.anchor_margin_tail) == self._full_sweep(
             K, rep, m)
 
-    @pytest.mark.parametrize("call", [
-        lambda K: fb.thm31_conditions(K, 1e20),
-        lambda K: fb.thm31_conditions(K, 8.0, n_max=130),
-        lambda K: fb.thm31_conditions(K, 8.0, n_max=8, grid_hi=1e50),
-        lambda K: fb.make_context(K, 2.0, 1e20),
+    @pytest.mark.parametrize("call, grid_hi", [
+        (lambda K: fb.thm31_conditions(K, 1e20), 256.0),
+        (lambda K: fb.thm31_conditions(K, 8.0, n_max=130), 256.0),
+        (lambda K: fb.thm31_conditions(K, 8.0, n_max=8), 1e50),
+        (lambda K: fb.make_context(K, 2.0, 1e20), 256.0),
     ], ids=["R", "n_max", "grid_hi", "make_context"])
-    def test_power_beyond_double_range(self, seg, call):
-        """R^n or grid_hi^n past the largest double would overflow in
-        the residuals and the separation rows; refuse it up front."""
+    def test_power_beyond_double_range(self, seg, call, grid_hi, monkeypatch):
+        """R^n or grid_hi^n, grid_hi the top sweep level, past the largest
+        double would overflow in the residuals and the separation rows;
+        refuse it up front."""
+        monkeypatch.setattr(estimates, "_GRID_HI", grid_hi)
         with pytest.raises(DomainError, match="double range"):
             call(seg)
 

@@ -468,7 +468,7 @@ class TestContourRoute:
         with pytest.raises(DomainError, match="finite"):
             fb.faber_contour(seg, 1, z, 2.0, m=64, dps=dps)
         with pytest.raises(DomainError, match="finite"):
-            fb.faber_remainder(seg, 1, z, 2.0, m=64, dps=dps)
+            fb.faber_remainder(seg, 1, z, 2.0, m=64)
 
     @pytest.mark.parametrize("call", [
         lambda K: fb.contour_values(K, [3, 1100], [0.3], 2.0, m=64),
@@ -491,29 +491,30 @@ class TestContourRoute:
             fb.faber_remainder(custom_spec, 1100, 3.0, 3.0, m=2048)
         assert fb.faber_remainder(seg, 1100, 3.0, 2.0, m=2048) == 0
 
-    @pytest.mark.parametrize("dps", [None, 40])
-    def test_remainder_is_exact_below_the_alias_gate(self, seg, udisc, dps):
+    def test_remainder_is_exact_below_the_alias_gate(self, seg, udisc):
         """F_n = phi^n + phi^-n on [-1, 1], so phi^n - F_n at z = 3 is
         -(3 + 2 sqrt 2)^-n; the trapezoid sum over 64 nodes gave 3.165e18
         at n = 63.  On a disc F_n = phi^n and the remainder is 0."""
-        got = fb.faber_remainder(seg, 63, 3.0, 2.0, m=64, dps=dps)
+        got = fb.faber_remainder(seg, 63, 3.0, 2.0, m=64)
         want = -(3.0 + 2.0 * math.sqrt(2.0)) ** -63
         assert abs(got - want) <= 1e-13 * abs(want)
-        assert fb.faber_remainder(seg, 0, 3.0, 2.0, m=64, dps=dps) == 0
+        assert fb.faber_remainder(seg, 0, 3.0, 2.0, m=64) == 0
         for n in (0, 1, 63):
-            assert fb.faber_remainder(udisc, n, 3.0, 2.0, m=64, dps=dps) == 0
+            assert fb.faber_remainder(udisc, n, 3.0, 2.0, m=64) == 0
 
-    @pytest.mark.parametrize("dps", [None, 40])
-    @pytest.mark.parametrize("call, z", [(fb.faber_contour, 0.3),
-                                         (fb.faber_remainder, 3.0)],
-                             ids=["contour", "remainder"])
+    # faber_remainder has no dps route
+    @pytest.mark.parametrize("call, z, dps", [
+        (fb.faber_contour, 0.3, 40), (fb.faber_contour, 0.3, None),
+        (fb.faber_remainder, 3.0, None)],
+        ids=["contour-40", "contour-None", "remainder-None"])
     def test_degree_from_m_on_is_refused(self, seg, call, z, dps):
         """F_100(0.3) on [-1, 1] is 1.1688, but 64 nodes gave -9.83e17:
         from n = m on, the trapezoid sum adds r^m F_(n-m)."""
+        kw = {} if dps is None else {"dps": dps}
         for n in (100, 64):
             with pytest.raises(DomainError, match=f"n={n}.*m=64"):
-                call(seg, n, z, 2.0, m=64, dps=dps)
-        call(seg, 63, z, 2.0, m=64, dps=dps)   # n = m - 1 is accepted
+                call(seg, n, z, 2.0, m=64, **kw)
+        call(seg, 63, z, 2.0, m=64, **kw)   # n = m - 1 is accepted
 
     @pytest.mark.parametrize("dps", [None, 20])
     @pytest.mark.parametrize("K", ["seg", "udisc"])

@@ -381,35 +381,106 @@ def test_public_names_are_written_once():
                      for module in fb._EXPORTS if module != "errors"}
 
 
-# parameters of the public functions and fields of the dataclasses that
-# once took options no caller set; a name added here is a new option
+# the settable values of every public callable: the parameters of each
+# function and class, the fields of each dataclass and NamedTuple.  A
+# name or a value added here is a new option, and must be set by a program.
 _SIGNATURES = {
-    "bohr_sum": ("f",),
-    "coeff_bound_check": ("f", "R", "mode", "check_pre"),
-    "make_context": ("K", "r", "R", "a", "n_max", "m"),
-    "thm31_conditions": ("K", "R", "eps0", "C", "n_max", "m", "grid_hi",
-                         "grid_points"),
-    "target_identity_check": ("K", "n", "w"),
+    # series
+    "LaurentTail": ("ints",),
+    # continua
+    "ContinuumSpec": (),
+    "LevelSet": ("spec", "R", "points", "m", "arc_length"),
+    "SupNorm": ("value", "samples"),
     "arc_length": ("K", "r"),
-}
-_FIELDS = {
+    "contains": ("K", "z"),
+    "custom": ("tail",),
+    "disc": ("center", "radius"),
+    "dist_to_level": ("K", "z", "r", "m"),
+    "eccentricity": ("R",),
+    "green": ("K", "z"),
+    "level_boundary": ("K", "R", "m"),
+    "phi": ("K", "z"),
+    "psi": ("K", "w"),
+    "psi_prime": ("K", "w"),
+    "scaled_closure": ("K", "R"),
+    "segment": ("a", "b"),
+    "sup_norm": ("p", "S"),
+    # faber
+    "FaberPoly": ("n", "doubles", "ints"),
+    "FaberSeries": ("K", "R", "coeffs", "cert_sup", "label"),
+    "contour_values": ("K", "ns", "zs", "r", "m", "dps"),
+    "faber_coeffs": ("samples", "K", "r", "N", "fn", "verify"),
+    "faber_contour": ("K", "n", "z", "r", "m", "dps"),
+    "faber_poly": ("K", "n"),
+    "faber_polys": ("K", "N"),
+    "faber_remainder": ("K", "n", "z", "r", "m"),
+    "norm_root": ("K", "L", "n"),
+    "target_identity_check": ("K", "n", "w"),
+    "target_identity_residual": ("K", "n", "w"),
+    # bohr
+    "BohrRadiusResult": ("radius", "eccentricity", "iterations", "bracket",
+                         "tol"),
+    "BohrReport": ("sum", "terms", "verdict", "K", "R"),
     "BoundedFamily": ("kind", "seed", "count", "margin", "sweep"),
     "CampaignReport": ("K", "R", "family", "count", "sums", "min_slack",
                        "violations"),
-    "Thm31Report": ("K", "R", "eps0", "C", "n_max", "a", "rows", "all_hold",
-                    "r_star", "grid", "anchor_margin_tail", "tail_ratio",
-                    "tail_dominance_ok", "theta_residual_max"),
+    "basis_norm": ("K", "n", "up_to"),
+    "bohr_sum": ("f",),
+    "bohr_verify": ("K", "R", "family"),
+    "coeff_bound_check": ("f", "mode"),
+    "gen_bounded": ("K", "R", "family"),
+    "phi_of_R": ("R",),
+    "segment_bohr_radius": ("tol", "bracket"),
+    "to_faber_basis": ("K", "coeffs"),
+    # estimates
+    "EnBound": ("paper_bound", "normalized_bound", "actual"),
     "EstimateContext": ("K", "r", "R", "lg_r", "a", "n_max", "m",
                         "theta_points", "theta_residual_max"),
-    "FaberPoly": ("n", "doubles", "ints"),
+    "FkBound": ("paper_bound", "normalized_bound", "actual"),
+    "FnBounds": ("upper", "lower", "actual", "q", "upper_normalized",
+                 "lower_normalized", "q_normalized", "lower_valid"),
+    "Ineq11": ("lhs", "rhs", "holds", "boundary_sup"),
+    "Thm31Report": ("K", "R", "eps0", "n_max", "a", "rows", "all_hold",
+                    "r_star", "grid", "anchor_margin_tail", "tail_ratio",
+                    "tail_dominance_ok", "theta_residual_max"),
+    "en_bound": ("ctx", "n", "z"),
+    "fk_bound": ("ctx", "n", "z"),
+    "fn_bounds": ("ctx", "n", "z"),
+    "ineq11_check": ("ctx", "n"),
+    "lemma33_check": ("phi_norms_K", "phi_shift_norms", "eps", "C"),
+    "make_context": ("K", "r", "R", "n_max", "m"),
+    "schwarz_bound": ("rho1", "rho", "f0"),
+    "thm31_conditions": ("K", "R", "eps0", "n_max", "m"),
+    # errors: two carry data, the rest take Exception's arguments
+    "DomainError": ("message", "param"),
+    "PreconditionViolated": ("message", "point", "value"),
+    **dict.fromkeys([
+        "AliasingRisk", "CertificationFailed", "FaberBohrError",
+        "GridExhausted", "InsideUnitDisc", "LengthMismatch", "NonConvergent",
+        "NotOnLevel", "PointInsideK", "PointInsideLevel", "PointOutsideK",
+        "PointOutsideLevel", "ReconstructionMismatch", "WrongKind"],
+        ("*args",)),
 }
 
 
+def _settable(obj) -> tuple:
+    if dataclasses.is_dataclass(obj):
+        return tuple(f.name for f in dataclasses.fields(obj))
+    if isinstance(obj, type) and issubclass(obj, tuple):   # a NamedTuple
+        return obj._fields
+    try:
+        return tuple(inspect.signature(obj).parameters)
+    except ValueError:   # BaseException's own (*args)
+        return ("*args",)
+
+
 def test_signatures_take_no_unused_option():
-    got = {name: tuple(inspect.signature(getattr(fb, name)).parameters)
-           for name in _SIGNATURES}
-    got_fields = {name: tuple(f.name for f in
-                              dataclasses.fields(getattr(fb, name)))
-                  for name in _FIELDS}
-    assert (got, got_fields) == (_SIGNATURES, _FIELDS)
+    """Every public callable of the package table is pinned, so a new
+    settable value, or a new public name, fails here until the table
+    above names it."""
+    public = {name: getattr(fb, name) for names in fb._EXPORTS.values()
+              for name in names}
+    got = {name: _settable(obj) for name, obj in public.items()
+           if callable(obj)}
+    assert got == _SIGNATURES
     assert not hasattr(fb.ContinuumSpec, "capacity")
