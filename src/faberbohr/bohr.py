@@ -114,6 +114,26 @@ def bohr_sum(f: FaberSeries) -> BohrReport:
 # ---------------------------------------------------------------------------
 # the segment sufficient radius
 
+def _majorant_block(q: float, n0: int) -> list:
+    """The terms 4 q^n/(1 - q^2n) of phi_of_R for n = n0, ..., n0 + 255."""
+    return [4.0 * t / (1.0 - t * t)
+            for t in [q ** n for n in range(n0, n0 + 256)]]
+
+
+def _majorant_bound(q: float) -> float:
+    """An upper bound on the float sum of every term 4 q^n/(1 - q^2n) =
+    2/sinh(L n), L = -log q: the first block plus the integral
+    (2/L) log(1 + 2/expm1(256.5 L)) of 2/sinh(L x) from 256.5 on, which
+    bounds the rest since each term is convex in n and so at most its
+    mean over [n - 1/2, n + 1/2].  It is raised by 1e-8 of itself, far
+    more than the rounding of the float terms (under 2e-10 of each at
+    q < 1/(1 + 1e-6)) and of their sums."""
+    L = -math.log(q)
+    bound = (math.fsum(_majorant_block(q, 1))
+             + 2.0 / L * math.log1p(2.0 / math.expm1(256.5 * L)))
+    return bound * (1.0 + 1e-8)
+
+
 def phi_of_R(R: float) -> float:
     """sum over n >= 1 of 4/(R^n - R^-n), the segment Bohr-sum majorant.
 
@@ -122,19 +142,18 @@ def phi_of_R(R: float) -> float:
     would overflow, in blocks of 256 added up by math.fsum; summation
     stops after the first block whose last term is below 1e-15 of the
     partial sum, and NonConvergent is raised when no block before
-    n = 10^7 does; at once where the last term it reaches, at least
-    4 q^(10^7 + 128), is above 1e-15 S, S = 2(log(1/d) + 2q)/d, d = 1 - q,
-    a bound on the sum from 1 - q^2n >= 2nd/(1 + 2nd), doubled for
-    rounding.  Plain floats, so the segment level needs no numpy.
+    n = 10^7 does; at once where the last term it reaches, n = 10^7 +
+    128, is at least 1e-15 of the upper bound _majorant_bound on the sum.
+    Plain floats, so the segment level needs no numpy.
     """
     R = float(R)
     _check_level(R, "phi_of_R needs R > 1 + 1e-6", 1.0 + 1e-6)
-    q, d = 1.0 / R, 1.0 - 1.0 / R
-    if 4.0 * q ** (10 ** 7 + 128) < 4e-15 / d * (math.log(1.0 / d) + 2.0 * q):
+    q = 1.0 / R
+    t = q ** (10 ** 7 + 128)
+    if not t or 4.0 * t / (1.0 - t * t) < 1e-15 * _majorant_bound(q):
         total = 0.0
         for n0 in range(1, 10 ** 7 + 1, 256):
-            block = [4.0 * t / (1.0 - t * t)
-                     for t in [q ** n for n in range(n0, n0 + 256)]]
+            block = _majorant_block(q, n0)
             total = math.fsum([total, *block])
             if block[-1] < 1e-15 * total:
                 return total

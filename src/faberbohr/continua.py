@@ -129,13 +129,14 @@ class ContinuumSpec:
         w1, w2 = u + s, u - s
         return np.where(np.abs(w1) >= np.abs(w2), w1, w2)
 
-    def _contains(self, z: complex) -> bool:
+    def _inside(self, z: np.ndarray) -> np.ndarray:
+        """|phi(z)| <= 1 + MEMBERSHIP_TOL; a z whose phi leaves double range
+        is off K, but near the pole 0 of a custom phi (gamma z finite)."""
         with np.errstate(over="ignore", invalid="ignore"):
-            w = self._phi(np.array([z], dtype=complex))[0]
-        if not np.isfinite(w):   # far out, or near the pole 0 of a custom
-            # phi, where its tail leaves double range and gamma z does not
-            return self.psi_map is None and cmath.isfinite(self.gamma * z)
-        return abs(w) <= 1.0 + MEMBERSHIP_TOL
+            w = self._phi(z)
+            pole = self.psi_map is None and np.isfinite(self.gamma * z)
+            return np.where(np.isfinite(w), np.abs(w) <= 1.0 + MEMBERSHIP_TOL,
+                            pole)
 
     def _closure(self, R: float) -> ContinuumSpec:
         """The ellipse psi(R w), exactly: c w + b_0 + b_1/w at R = P/Q
@@ -255,9 +256,10 @@ class DiscSpec(ContinuumSpec):
     def describe(self) -> str:
         return f"disc(center={self.center}, radius={self.radius})"
 
-    def _contains(self, z: complex) -> bool:
-        return abs(z - self.center) <= (self.radius
-                                        + MEMBERSHIP_TOL * max(1.0, self.radius))
+    def _inside(self, z: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.abs(z - self.center) <= (
+                self.radius + MEMBERSHIP_TOL * max(1.0, self.radius))
 
     @cached_property
     def psi_map(self) -> LaurentTail:
@@ -285,11 +287,11 @@ class SegmentSpec(ContinuumSpec):
     def describe(self) -> str:
         return f"segment([{self.a}, {self.b}])"
 
-    def _contains(self, z: complex) -> bool:
-        if self.a <= z.real <= self.b:
-            d = abs(z.imag)
-        else:
-            d = min(abs(z - self.a), abs(z - self.b))
+    def _inside(self, z: np.ndarray) -> np.ndarray:
+        within = (self.a <= z.real) & (z.real <= self.b)
+        with np.errstate(over="ignore"):
+            d = np.where(within, np.abs(z.imag),
+                         np.minimum(np.abs(z - self.a), np.abs(z - self.b)))
         return d <= MEMBERSHIP_TOL
 
     def _boundary_path(self, p):
@@ -436,12 +438,10 @@ def contains(K: ContinuumSpec, z) -> bool:
     segment, relative to max(1, radius) on a disc, on |phi(z)| <= 1
     elsewhere.  Points within tolerance of the boundary count as inside;
     a point whose phi leaves double range does not, but near the pole 0
-    of a custom map.  A non-finite z raises DomainError.
+    of a custom map.  A non-finite z raises DomainError.  A Python bool,
+    the one-point case of K._inside, which phi makes once per call.
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"points must be finite; got {z}")
-    return K._contains(z)
+    return bool(K._inside(_check_points(complex(z)))[0])
 
 
 def _check_points(zs) -> np.ndarray:
@@ -474,10 +474,11 @@ def _mapped(K: ContinuumSpec, x, name: str, f, at_w: bool = True):
 def phi(K: ContinuumSpec, z):
     """Exterior map value(s); raises DomainError on a non-finite point or
     value, a far point whose value leaves double range included, and
-    PointInsideK on points of K."""
-    for zz in _check_points(z):
-        if contains(K, zz):
-            raise PointInsideK(f"point {zz} lies on {K.describe()}")
+    PointInsideK on points of K, all tested at once by K._inside."""
+    zs = _check_points(z)
+    on_K = K._inside(zs)
+    if on_K.any():
+        raise PointInsideK(f"point {zs[on_K][0]} lies on {K.describe()}")
     return _mapped(K, z, "phi", K._phi, at_w=False)
 
 

@@ -35,8 +35,6 @@ from .continua import (
     _check_level,
     _check_points,
     _polyval,
-    contains,
-    green,
     phi,
     psi,
     psi_prime,
@@ -567,10 +565,10 @@ def _contour_mp(K: ContinuumSpec, ns, zs, r, m, dps) -> np.ndarray:
     return out
 
 
-def _check_faber_call(n, z, r, m, dps=None) -> complex:
+def _check_faber_call(K, n, z, r, m, dps=None) -> tuple:
     """The checks shared by faber_contour and faber_remainder; returns z
-    as a complex.  From n = m on, the trapezoid sum over m nodes adds
-    r^m F_(n-m) to the value, so such a degree raises DomainError."""
+    as a complex and phi(z), None on K.  From n = m on, the trapezoid sum
+    over m nodes adds r^m F_(n-m), so such a degree raises DomainError."""
     _check_contour(r, m, dps, [n])
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -578,8 +576,10 @@ def _check_faber_call(n, z, r, m, dps=None) -> complex:
         raise DomainError(f"degree n={n} aliases on m={m} contour nodes "
                           "(the sum adds r^m F_(n-m)); use m > n")
     z = complex(z)
-    _check_points(z)
-    return z
+    try:
+        return z, phi(K, z)
+    except PointInsideK:
+        return z, None
 
 
 def faber_contour(K: ContinuumSpec, n: int, z, r: float, m: int = 1024,
@@ -591,11 +591,9 @@ def faber_contour(K: ContinuumSpec, n: int, z, r: float, m: int = 1024,
     z stays inside, which is one of the cross-checks the tests enforce.
     n must be below m, or the sum aliases (DomainError).
     """
-    z = _check_faber_call(n, z, r, m, dps)
-    if not contains(K, z):
-        if green(K, z) >= np.log(r) - _LEVEL_SLACK:
-            raise PointOutsideLevel(
-                f"z={z} is not inside the level curve at r={r}")
+    z, w = _check_faber_call(K, n, z, r, m, dps)
+    if w is not None and math.log(abs(w)) >= np.log(r) - _LEVEL_SLACK:
+        raise PointOutsideLevel(f"z={z} is not inside the level curve at r={r}")
     return complex(contour_values(K, [n], [z], r, m=m, dps=dps)[0, 0])
 
 
@@ -607,13 +605,13 @@ def faber_remainder(K: ContinuumSpec, n: int, z, r: float,
     -(rho/phi(z))^n, 0 at n = 0, with no contour; otherwise the contour
     integral of faber_contour, its sign flipped for exterior points.
     """
-    z = _check_faber_call(n, z, r, m)
-    if contains(K, z) or green(K, z) <= np.log(r) + _LEVEL_SLACK:
+    z, w = _check_faber_call(K, n, z, r, m)
+    if w is None or math.log(abs(w)) <= np.log(r) + _LEVEL_SLACK:
         raise PointInsideLevel(
             f"z={z} is not outside the level curve at r={r}")
     if K.rho is None:
         return -complex(contour_values(K, [n], [z], r, m=m)[0, 0])
-    return -(K.rho / phi(K, z)) ** n if n and K.rho else 0j
+    return -(K.rho / w) ** n if n and K.rho else 0j
 
 
 # ---------------------------------------------------------------------------
@@ -761,13 +759,13 @@ def target_identity_check(K: ContinuumSpec, n: int, w) -> bool:
 
 
 def norm_root(K: ContinuumSpec, L, n: int) -> float:
-    """(max over L of |F_n|)**(1/n) for a finite point set L outside K."""
+    """(max over L of |F_n|)**(1/n), L finite and off K, checked at once."""
     if n < 1:
         raise DomainError("norm root needs n >= 1")
-    pts = [complex(p) for p in np.atleast_1d(np.asarray(L, dtype=complex))]
-    for p in pts:
-        if contains(K, p):
-            raise PointInsideK(f"norm root point {p} lies on K")
+    pts = _check_points(L)
+    on_K = K._inside(pts)
+    if on_K.any():
+        raise PointInsideK(f"norm root point {pts[on_K][0]} lies on K")
     poly = faber_poly(K, n)
-    top = max(abs(poly.eval_exact(p)) for p in pts)
+    top = max(abs(poly.eval_exact(p)) for p in pts.tolist())
     return float(top) ** (1.0 / n)

@@ -50,12 +50,15 @@ class TestPhiOfR:
         with pytest.raises(DomainError):
             fb.phi_of_R(0.5)
 
-    @pytest.mark.parametrize("R", [1 + 1.1e-6, 1 + 1.5e-6])
+    @pytest.mark.parametrize("R", [1 + 1.1e-6, 1 + 1.5e-6, 1 + 1.9e-6])
     def test_hopeless_level_is_refused_at_once(self, R):
         """Near R = 1 + 1e-6 the 1e-15 stopping test cannot pass before
         the cap of 10^7 terms, and the sum ran all of them, 1.6-1.7 s,
         before raising NonConvergent.  A closed-form upper bound on the
-        sum refuses such an R before any summing."""
+        sum refuses such an R before any summing; one within 5% of the
+        sum left R from 1 + 1.8624e-6 to 1 + 1.9411e-6 summing, so the
+        bound sums the first 256 terms and bounds the rest by an integral.
+        """
         start = time.perf_counter()
         with pytest.raises(NonConvergent, match="too close to 1"):
             fb.phi_of_R(R)

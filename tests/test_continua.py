@@ -1,7 +1,9 @@
 """Conformal geometry: exterior coordinates, level curves, distances, sups."""
 
 import cmath
+import contextlib
 import gc
+import json
 import math
 import time
 import warnings
@@ -15,7 +17,12 @@ from hypothesis import strategies as st
 
 import faberbohr as fb
 from faberbohr.cli import main as cli_main
-from faberbohr.continua import _angles, _row_sups, _sampled_distance
+from faberbohr.continua import (
+    MEMBERSHIP_TOL,
+    _angles,
+    _row_sups,
+    _sampled_distance,
+)
 from faberbohr.errors import (
     DomainError,
     InsideUnitDisc,
@@ -270,6 +277,148 @@ class TestExteriorCoordinate:
             fd = (fb.psi(K, w + h) - fb.psi(K, w - h)) / (2 * h)
             assert complex(fb.psi_prime(K, w)) == pytest.approx(
                 complex(fd), rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# membership: one array test per kind against the scalar rules
+
+
+def _scalar_contains(K, z: complex) -> bool:
+    """The three scalar membership rules that contains applied one point
+    at a time before the array test, kept as the reference it matches.
+    On a segment or a disc, Python's abs of a difference past double
+    range raised OverflowError; such a point is off K."""
+    with contextlib.suppress(OverflowError):
+        return _scalar_rule(K, z)
+    return False
+
+
+def _scalar_rule(K, z: complex) -> bool:
+    if K.kind == "segment":
+        if K.a <= z.real <= K.b:
+            d = abs(z.imag)
+        else:
+            d = min(abs(z - K.a), abs(z - K.b))
+        return d <= MEMBERSHIP_TOL
+    if K.kind == "disc":
+        return abs(z - K.center) <= (K.radius
+                                        + MEMBERSHIP_TOL * max(1.0, K.radius))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = K._phi(np.array([z], dtype=complex))[0]
+    if not np.isfinite(w):   # far out, or near the pole 0 of a custom
+        # phi, where its tail leaves double range and gamma z does not
+        return K.psi_map is None and cmath.isfinite(K.gamma * z)
+    return bool(abs(w) <= 1.0 + MEMBERSHIP_TOL)
+
+
+# one continuum of each kind: a segment, a disc of radius above 1 (its
+# tolerance is relative), the 1.5-closure of [-1, 1] and the README map
+_KINDS = {
+    "segment": lambda: fb.segment(-0.5, 2.0),
+    "disc": lambda: fb.disc(0.3 - 0.2j, 2.5),
+    "ellipse": lambda: fb.scaled_closure(fb.segment(-1.0, 1.0), 1.5),
+    "custom": lambda: fb.custom(fb.LaurentTail.build(2.0, 0.05, (0.04, 0.01))),
+}
+
+
+def _edge_points(K) -> np.ndarray:
+    """Points where a membership rule can tip: the segment ends +- 1e-12
+    and +- 2e-12 along both axes, far points at +-1e308 (and one whose
+    finite phi has a modulus past double range on the ellipse), the pole
+    0 of a custom map and subnormals, and psi of (1 + 1e-13) e^(it) and
+    (1 + 1e-11) e^(it), just outside the boundary."""
+    pts = [complex(x, y) for x in (1e308, -1e308, 0.0) for y in
+           (1e308, -1e308, 0.0)] + [1.3e308 + 1.3e308j]
+    pts += [5e-324, -5e-324j, complex(2.2e-310, -1e-320), 1e-300j]
+    seg = _KINDS["segment"]()
+    for end in (seg.a, seg.b):
+        for d in (1e-12, -1e-12, 2e-12, -2e-12):
+            pts += [end + d, complex(end, d), complex(end + d, d)]
+    t = np.exp(2j * np.pi * np.arange(32) / 32)
+    for eps in (1e-13, 1e-11):
+        pts += fb.psi(K, (1.0 + eps) * t).tolist()
+    return np.array(pts, dtype=complex)
+
+
+class TestMembership:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_inside_is_the_scalar_rule(self, kind):
+        """_inside of an array, and contains of each point, give the
+        scalar rule at every edge point; both answers occur."""
+        K = _KINDS[kind]()
+        z = _edge_points(K)
+        want = [_scalar_contains(K, p) for p in z.tolist()]
+        assert True in want and False in want
+        assert K._inside(z).tolist() == want
+        assert [fb.contains(K, p) for p in z.tolist()] == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(_KINDS)),
+           t=st.floats(0.0, 2.0 * math.pi),
+           offset=st.floats(-30.0, 0.0), turn=st.floats(0.0, 2.0 * math.pi),
+           far=st.complex_numbers(max_magnitude=1e300, allow_nan=False,
+                                  allow_infinity=False))
+    def test_inside_matches_on_random_points(self, kind, t, offset, turn,
+                                             far):
+        """A boundary point moved by 10^offset of its own size in any
+        direction, and any finite point, agree with the scalar rule."""
+        K = _KINDS[kind]()
+        b = complex(K._boundary(np.array([t]))[0])
+        z = np.array([b + 10.0 ** offset * max(1.0, abs(b))
+                      * cmath.exp(1j * turn), far])
+        want = [_scalar_contains(K, p) for p in z.tolist()]
+        assert K._inside(z).tolist() == want
+        assert [fb.contains(K, p) for p in z.tolist()] == want
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["segment", "disc"])
+    def test_far_point_past_the_range_of_abs(self, kind):
+        """|z - a| of z = 1.3e308 (1 + i) is finite but past double range,
+        and contains raised Python's OverflowError, as phi did, on
+        segments and discs.  The point lies off K; phi maps it on the disc
+        and names double range on the segment."""
+        K, z = _KINDS[kind](), 1.3e308 + 1.3e308j
+        assert not fb.contains(K, z)
+        if kind == "disc":
+            assert fb.phi(K, z) == (z - K.center) / K.radius
+        else:
+            with pytest.raises(DomainError, match="double range"):
+                fb.phi(K, np.array([3.0, z]))
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_contains_returns_a_python_bool(self, kind):
+        """contains gave numpy.bool_ on ellipses and custom maps, which
+        json.dumps refuses."""
+        K = _KINDS[kind]()
+        for z in (0.3, 1e3):
+            assert type(fb.contains(K, z)) is bool
+        json.dumps({"inside": fb.contains(K, 0.3)})
+
+    @pytest.mark.parametrize("kind", ["ellipse", "custom"])
+    def test_phi_makes_one_membership_test(self, kind, monkeypatch):
+        """phi asked contains of each point, one _phi call apiece, so
+        phi and level_boundary of N points made N + 1 or more _phi calls.
+        The count does not depend on N."""
+        K = _KINDS[kind]()
+        calls = []
+        real = type(K)._phi
+
+        def counted(self, z):
+            calls.append(len(z))
+            return real(self, z)
+
+        def count(run, N):
+            pts = fb.psi(K, 1.3 * np.exp(2j * np.pi * np.arange(N) / N))
+            monkeypatch.setattr(type(K), "_phi", counted)
+            calls.clear()
+            run(pts)
+            monkeypatch.undo()
+            return len(calls)
+
+        for run in (lambda pts: fb.phi(K, pts),
+                    lambda pts: fb.level_boundary(K, 1.3, len(pts))):
+            assert count(run, 16) == count(run, 1024)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
